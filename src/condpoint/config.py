@@ -10,6 +10,7 @@ expressions over the space's names ('omega' on discrete spaces).
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 from dataclasses import dataclass, field
@@ -39,9 +40,51 @@ _EXPR_NAMES = {
 }
 
 
+# Syntax a config expression may use.  The bitwise operators combine boolean
+# arrays elementwise; anything else, attribute access above all, is rejected
+# before the expression is compiled.
+_EXPR_NODES = (
+    ast.Expression, ast.Name, ast.Load, ast.Constant, ast.BinOp, ast.UnaryOp,
+    ast.Compare, ast.Subscript, ast.Call,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+    ast.BitAnd, ast.BitOr, ast.BitXor,
+    ast.UAdd, ast.USub, ast.Not, ast.Invert,
+    ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
+)
+_EXPR_FUNCS = sorted(k for k, v in _EXPR_NAMES.items() if callable(v))
+
+
+def _compile_expression(name: str, expr: str):
+    """Compile a config expression after checking every node of its syntax tree.
+
+    Allowed: names, numeric constants, arithmetic, unary and comparison
+    operators, subscripts of 'omega', and calls to the functions of
+    ``_EXPR_NAMES``.  Anything else raises ConfigError.
+    """
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ConfigError(f"variable {name!r}: cannot parse {expr!r}: {exc.msg}") from exc
+    for node in ast.walk(tree):
+        if not isinstance(node, _EXPR_NODES):
+            why = f"{type(node).__name__} is not allowed"
+        elif isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
+            why = f"constant {node.value!r} is not a number"
+        elif isinstance(node, ast.Call) and not (
+                isinstance(node.func, ast.Name) and callable(_EXPR_NAMES.get(node.func.id))):
+            why = f"only {_EXPR_FUNCS} may be called"
+        elif isinstance(node, ast.Subscript) and not (
+                isinstance(node.value, ast.Name) and node.value.id == "omega"):
+            why = "only 'omega' may be subscripted"
+        else:
+            continue
+        raise ConfigError(f"variable {name!r}: expression {expr!r} rejected: {why}")
+    return compile(tree, f"<variable {name}>", "eval")
+
+
 def expression_variable(name: str, expr: str, discrete: bool = False) -> RandomVariable:
     """Arithmetic expression over coordinate names, or over 'omega' on atoms."""
-    code = compile(expr, f"<variable {name}>", "eval")
+    code = _compile_expression(name, expr)
 
     def fn(arg):
         env = dict(_EXPR_NAMES)

@@ -37,6 +37,12 @@ def _fsum(terms) -> float:
     return math.fsum(float(t) for t in terms)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so no caller can make the cache stale."""
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Estimate:
     """Point value with a statistical standard error.
@@ -294,7 +300,7 @@ class DiscreteAtoms:
         hit = self._cache.get(key)
         if hit is not None:
             return hit[1]
-        vals = np.asarray([float(rv.fn(a)) for a in self.atoms])
+        vals = _frozen(np.asarray([float(rv.fn(a)) for a in self.atoms]))
         self._cache[key] = (rv, vals)
         return vals
 
@@ -339,6 +345,29 @@ def _grid_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _trap_weights(n: int, pitch: float) -> np.ndarray:
+    """Composite-trapezoid node weights: one pitch inside, half at both ends."""
+    w = np.full(n, pitch)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def _check_finite(space, rv: RandomVariable) -> None:
+    """Raise NonIntegrable if ``rv`` has a non-finite node on a grid.
+
+    The node scan runs once per cached variable; its flag is memoised next
+    to the values it describes, which are read-only.
+    """
+    key = ("finite", id(rv))
+    hit = space._cache.get(key)
+    if hit is None:
+        hit = (rv, bool(np.all(np.isfinite(space.values_of(rv)))))
+        space._cache[key] = hit
+    if not hit[1]:
+        raise NonIntegrable(f"{rv.name} is not finite on the grid")
+
+
 @dataclass(eq=False)
 class DensityGrid1D:
     """Density values on a uniform 1D node grid over [lo, hi].
@@ -378,7 +407,7 @@ class DensityGrid1D:
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.broadcast_to(np.asarray(rv.fn(self.frame()), dtype=float),
                                    self.nodes.shape).copy()
-        self._cache[key] = (rv, vals)
+        self._cache[key] = (rv, _frozen(vals))
         return vals
 
     def indicator(self, event: Event) -> np.ndarray:
@@ -401,8 +430,8 @@ class DensityGrid1D:
         hit = self._cache.get(key)
         if hit is not None:
             return hit[1], hit[2]
-        g = self.values if rv is None else self.values_of(rv) * self.values
-        cum = quad.cumulative(g, self.pitch)
+        g = self.values if rv is None else _frozen(self.values_of(rv) * self.values)
+        cum = _frozen(quad.cumulative(g, self.pitch))
         self._cache[key] = (rv, g, cum)
         return g, cum
 
@@ -412,8 +441,8 @@ class DensityGrid1D:
         return None
 
     def moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
-        if rv is not None and not np.all(np.isfinite(self.values_of(rv))):
-            raise NonIntegrable(f"{rv.name} is not finite on the grid")
+        if rv is not None:
+            _check_finite(self, rv)
         g, cum = self._integrand(rv)
         if event is None:
             return Estimate(float(quad.integrate(g, self.pitch)))
@@ -426,9 +455,7 @@ class DensityGrid1D:
             return Estimate(float(total))
         # Node-indicator fallback: O(pitch) accuracy at region boundaries.
         ind = self.indicator(event)
-        w = np.full_like(self.values, self.pitch)
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        w = _trap_weights(self.values.shape[0], self.pitch)
         return Estimate(float(np.sum(w * g * ind)))
 
     def cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
@@ -491,7 +518,7 @@ class DensityGrid2D:
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.broadcast_to(np.asarray(rv.fn(self.frame()), dtype=float),
                                    self.values.shape).copy()
-        self._cache[key] = (rv, vals)
+        self._cache[key] = (rv, _frozen(vals))
         return vals
 
     def indicator(self, event: Event) -> np.ndarray:
@@ -513,7 +540,7 @@ class DensityGrid2D:
         hit = self._cache.get(key)
         if hit is not None:
             return hit[1]
-        g = self.values if rv is None else self.values_of(rv) * self.values
+        g = self.values if rv is None else _frozen(self.values_of(rv) * self.values)
         self._cache[key] = (rv, g)
         return g
 
@@ -527,12 +554,12 @@ class DensityGrid2D:
             cum = quad.cumulative(g, self.pitch1)
         else:
             cum = quad.cumulative(g.T.copy(), self.pitch0)
-        self._cache[key] = (rv, cum)
+        self._cache[key] = (rv, _frozen(cum))
         return cum
 
     def moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
-        if rv is not None and not np.all(np.isfinite(self.values_of(rv))):
-            raise NonIntegrable(f"{rv.name} is not finite on the grid")
+        if rv is not None:
+            _check_finite(self, rv)
         g = self._product(rv)
         if event is None:
             return Estimate(float(quad.integrate(quad.integrate(g, self.pitch1),
@@ -552,12 +579,8 @@ class DensityGrid2D:
                        for lo, hi in event.pieces)
             return Estimate(float(quad.integrate(cols, self.pitch1)))
         ind = self.indicator(event)
-        w0 = np.full(self.values.shape[0], self.pitch0)
-        w0[0] *= 0.5
-        w0[-1] *= 0.5
-        w1 = np.full(self.values.shape[1], self.pitch1)
-        w1[0] *= 0.5
-        w1[-1] *= 0.5
+        w0 = _trap_weights(self.values.shape[0], self.pitch0)
+        w1 = _trap_weights(self.values.shape[1], self.pitch1)
         return Estimate(float(np.sum(np.outer(w0, w1) * g * ind)))
 
     def cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
@@ -641,7 +664,7 @@ class Sampler:
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.broadcast_to(np.asarray(rv.fn(self.columns()), dtype=float),
                                    (int(self.budget),))
-        self._cache[key] = (rv, vals)
+        self._cache[key] = (rv, _frozen(vals))
         return vals
 
     def indicator(self, event: Event) -> np.ndarray:
@@ -751,7 +774,19 @@ def variance(space: ProbabilitySpace, rv: RandomVariable) -> float:
 
 
 def std(space: ProbabilitySpace, rv: RandomVariable) -> float:
-    return math.sqrt(variance(space, rv))
+    """Standard deviation of ``rv``, memoised on the space per variable.
+
+    Memoising also builds the temporary ``rv * rv`` of ``variance`` once per
+    (space, variable), so its cached arrays do not pile up across calls.
+    """
+    key = ("std", id(rv))
+    hit = space._cache.get(key)
+    if hit is not None:
+        return hit[1]
+    value = math.sqrt(variance(space, rv))
+    # keep the variable alive alongside its value so the id cannot be reused
+    space._cache[key] = (rv, value)
+    return value
 
 
 def pushforward(space: ProbabilitySpace, rv: RandomVariable,
@@ -787,17 +822,11 @@ def pushforward(space: ProbabilitySpace, rv: RandomVariable,
     if isinstance(space, Sampler):
         mass = np.full(vals.shape, 1.0 / float(space.budget))
     elif isinstance(space, DensityGrid1D):
-        w = np.full_like(space.values, space.pitch)
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        w = _trap_weights(space.values.shape[0], space.pitch)
         mass = (w * space.values).ravel()
     else:
-        w0 = np.full(space.values.shape[0], space.pitch0)
-        w0[0] *= 0.5
-        w0[-1] *= 0.5
-        w1 = np.full(space.values.shape[1], space.pitch1)
-        w1[0] *= 0.5
-        w1[-1] *= 0.5
+        w0 = _trap_weights(space.values.shape[0], space.pitch0)
+        w1 = _trap_weights(space.values.shape[1], space.pitch1)
         mass = (np.outer(w0, w1) * space.values).ravel()
     hist, edges = np.histogram(vals, bins=count, range=(lo, hi), weights=mass)
     total = float(hist.sum())

@@ -59,7 +59,7 @@ class Schedule:
         if self.eps0 is not None and self.eps0 <= 0:
             raise ValueError("eps0 must be positive")
 
-    def epsilons(self, default_eps0: float) -> list[float]:
+    def epsilons(self, default_eps0: float | None) -> list[float]:
         e0 = self.eps0 if self.eps0 is not None else default_eps0
         return [e0 * self.factor**k for k in range(self.depth)]
 
@@ -251,9 +251,11 @@ def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
         raise ValueError(f"unknown window family {family!r}")
     schedule = schedule or Schedule()
     rng, pitch = _conditioning_geometry(space, Y)
-    default_eps0 = std(space, Y)
-    if default_eps0 == 0.0:
-        default_eps0 = 1.0
+    default_eps0 = None
+    if schedule.eps0 is None:
+        default_eps0 = std(space, Y)
+        if default_eps0 == 0.0:
+            default_eps0 = 1.0
     epsilons = schedule.epsilons(default_eps0)
     one_sided = None if family == "symmetric" else family
     if rng is not None:

@@ -257,3 +257,25 @@ def test_expr_partition_cells():
     part = bundle.partition("parity")
     pce = cp.partition_cond_exp(bundle.space, bundle.variable("X"), part)
     assert abs(pce.values[0] - 3.0) <= 1e-12 and abs(pce.values[1] - 4.0) <= 1e-12
+
+
+@pytest.mark.parametrize("expr", [
+    "().__class__.__mro__[1].__subclasses__()",  # escape from empty __builtins__
+    "y.real",                                    # attribute access
+    "y[0]",                                      # subscript of a non-frame name
+    "pi(1)",                                     # call to a constant
+    "'text'",                                    # non-numeric constant
+    "exp(",                                      # syntax error
+])
+def test_unsafe_expressions_rejected(expr):
+    with pytest.raises(ConfigError):
+        load_space({"schema_version": 1, "kind": "grid1d", "axis": "y",
+                    "density": {"family": "normal"}, "nodes": 101,
+                    "variables": {"bad": {"expr": expr}}})
+
+
+def test_every_shipped_scenario_loads():
+    paths = sorted(SCENARIO_DIR.glob("*.json"))
+    assert paths
+    for path in paths:
+        load_scenario(path)
