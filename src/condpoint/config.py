@@ -91,7 +91,9 @@ def expression_variable(name: str, expr: str, discrete: bool = False) -> RandomV
         if discrete:
             env["omega"] = arg
         else:
-            env.update(arg)
+            # bind only the names the expression reads, so a lazy sampler
+            # frame gathers no other column; columns shadow _EXPR_NAMES
+            env.update((k, arg[k]) for k in code.co_names if k in arg)
         return eval(code, {"__builtins__": {}}, env)
 
     return RandomVariable(name, fn)

@@ -20,6 +20,7 @@ complements of those.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -622,6 +623,35 @@ DRAW_FAMILIES = {
 }
 
 
+class _RowFrame(Mapping):
+    """Read-only frame of sample columns restricted to the row indices ``rows``.
+
+    A column is gathered, in row order, the first time it is read, and kept
+    for the life of the frame only; membership, iteration and length gather
+    nothing.
+    """
+
+    def __init__(self, columns: dict, rows: np.ndarray):
+        self._columns = columns
+        self._rows = rows
+        self._taken: dict = {}
+
+    def __getitem__(self, name):
+        col = self._taken.get(name)
+        if col is None:
+            col = self._taken[name] = self._columns[name].take(self._rows)
+        return col
+
+    def __contains__(self, name) -> bool:
+        return name in self._columns
+
+    def __iter__(self):
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+
 @dataclass(eq=False)
 class Sampler:
     """Seeded Monte Carlo space over named sample columns.
@@ -674,10 +704,16 @@ class Sampler:
             raise UndefinedPredicate("atom-set events are undefined on samplers")
         if event.kind == "intervals":
             v = self.values_of(event.rv)
-            out = np.zeros(v.shape, dtype=bool)
+            out = piece = below = None
             for lo, hi in event.pieces:
-                out |= (lo < v) & (v < hi)
-            return out
+                piece = np.less(lo, v, out=piece)
+                below = np.less(v, hi, out=below)
+                piece &= below
+                if out is None:
+                    out, piece = piece, None
+                else:
+                    out |= piece
+            return np.zeros(v.shape, dtype=bool) if out is None else out
         try:
             with np.errstate(divide="ignore", invalid="ignore"):
                 ind = np.broadcast_to(np.asarray(event.pred(self.columns())),
@@ -688,11 +724,10 @@ class Sampler:
             raise UndefinedPredicate(f"event {event.name!r} is not boolean on samples")
         return ind
 
-    def _masked_values(self, rv: RandomVariable, mask: np.ndarray) -> np.ndarray:
-        sub = {k: v[mask] for k, v in self.columns().items()}
+    def _masked_values(self, rv: RandomVariable, rows: np.ndarray, k: int) -> np.ndarray:
+        frame = _RowFrame(self.columns(), rows)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.broadcast_to(np.asarray(rv.fn(sub), dtype=float),
-                                   (int(mask.sum()),))
+            return np.broadcast_to(np.asarray(rv.fn(frame), dtype=float), (k,))
 
     def moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
         n = int(self.budget)
@@ -701,26 +736,26 @@ class Sampler:
         if event is None:
             x = self.values_of(rv)
             return Estimate(float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)), n)
-        mask = self.indicator(event)
-        k = int(mask.sum())
+        rows = np.flatnonzero(self.indicator(event))
+        k = rows.size
         if rv is None:
             p = k / n
             return Estimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / n), n)
         if k == 0:
             return Estimate(0.0, 0.0, n)
-        xs = self._masked_values(rv, mask)
+        xs = self._masked_values(rv, rows, k)
         m1 = float(xs.sum()) / n
         m2 = float((xs * xs).sum()) / n
         return Estimate(m1, math.sqrt(max(m2 - m1 * m1, 0.0) / n), n)
 
     def cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
-        mask = self.indicator(event)
-        k = int(mask.sum())
+        rows = np.flatnonzero(self.indicator(event))
+        k = rows.size
         n = int(self.budget)
         p = k / n
         if p < floor:
             return ConditionalEstimate(0.0, n=k, prob=p, degenerate=True)
-        xs = self._masked_values(rv, mask)
+        xs = self._masked_values(rv, rows, k)
         mean = float(xs.mean())
         se = float(xs.std(ddof=1) / math.sqrt(k)) if k > 1 else float("inf")
         return ConditionalEstimate(mean, se=se, n=k, prob=p)
@@ -768,25 +803,26 @@ def cond_expectation_event(space: ProbabilitySpace, rv: RandomVariable,
 
 
 def variance(space: ProbabilitySpace, rv: RandomVariable) -> float:
-    m = expectation(space, rv).value
-    m2 = expectation(space, rv * rv).value
-    return max(m2 - m * m, 0.0)
+    """Variance of ``rv``, memoised on the space per variable.
 
-
-def std(space: ProbabilitySpace, rv: RandomVariable) -> float:
-    """Standard deviation of ``rv``, memoised on the space per variable.
-
-    Memoising also builds the temporary ``rv * rv`` of ``variance`` once per
-    (space, variable), so its cached arrays do not pile up across calls.
+    Memoising also builds the temporary ``rv * rv`` once per (space,
+    variable), so its cached arrays do not pile up across calls.
     """
-    key = ("std", id(rv))
+    key = ("var", id(rv))
     hit = space._cache.get(key)
     if hit is not None:
         return hit[1]
-    value = math.sqrt(variance(space, rv))
+    m = expectation(space, rv).value
+    m2 = expectation(space, rv * rv).value
+    value = max(m2 - m * m, 0.0)
     # keep the variable alive alongside its value so the id cannot be reused
     space._cache[key] = (rv, value)
     return value
+
+
+def std(space: ProbabilitySpace, rv: RandomVariable) -> float:
+    """Standard deviation of ``rv``, from the memoised ``variance``."""
+    return math.sqrt(variance(space, rv))
 
 
 def pushforward(space: ProbabilitySpace, rv: RandomVariable,

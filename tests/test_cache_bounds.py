@@ -118,3 +118,23 @@ def test_cached_arrays_are_read_only():
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _small_joint(),
+    lambda: cp.Sampler("gaussian-sum", {"var_x": 1.0, "var_noise": 1.0},
+                       seed=20260811, budget=10**5),
+])
+def test_variance_is_memoised_per_variable(make):
+    space = make()
+    y = cp.coordinate("y")
+    m = cp.expectation(space, y).value
+    m2 = cp.expectation(space, y * y).value
+    direct = max(m2 - m * m, 0.0)
+    sizes = []
+    for _ in range(5):
+        assert cp.variance(space, y) == direct
+        sizes.append(len(space._cache))
+    assert sizes == [sizes[0]] * 5
+    assert std(space, y) == math.sqrt(direct)
+    assert len(space._cache) == sizes[0]

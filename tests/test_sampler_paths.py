@@ -1,0 +1,168 @@
+"""Sampler window paths agree exactly with numpy on the raw columns.
+
+A sampler window gathers only its selected rows, and only of the columns
+the variable reads. The estimates must equal the plain boolean-mask
+computation bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import condpoint as cp
+from condpoint.config import expression_variable
+from condpoint.spaces import PROB_FLOOR, _draw_gaussian_sum
+
+N = 4000
+PARAMS = {"var_x": 1.0, "var_noise": 1.0}
+
+
+class _Column(np.ndarray):
+    """A sample column that logs its label each time rows are gathered."""
+
+    label = None
+    log = None
+
+    def take(self, indices, *args, **kwargs):
+        self.log.append(self.label)
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+def _spy_sampler():
+    """A three-column gaussian-sum sampler plus the log of gathered columns."""
+    taken = []
+
+    def draw(rng, n, params):
+        cols = {}
+        for name, arr in _draw_gaussian_sum(rng, n, params).items():
+            col = arr.view(_Column)
+            col.label, col.log = name, taken
+            cols[name] = col
+        return cols
+
+    return cp.Sampler("gaussian-sum", PARAMS, seed=20260811, budget=N, draw=draw), taken
+
+
+def _plain(cols):
+    return {k: np.asarray(v) for k, v in cols.items()}
+
+
+y = cp.coordinate("y")
+x = cp.coordinate("x")
+
+
+EVENTS = {
+    "window": (cp.Event.window(y, 0.5, 0.3),
+               lambda c: (0.2 < c["y"]) & (c["y"] < 0.8)),
+    "two-piece union": (
+        cp.union_events([cp.Event.window(y, -1.0, 0.2), cp.Event.window(y, 1.0, 0.4)]),
+        lambda c: ((-1.2 < c["y"]) & (c["y"] < -0.8)) | ((0.6 < c["y"]) & (c["y"] < 1.4))),
+    "complement within": (
+        cp.complement_within(cp.Sampler("gaussian-sum"), cp.Event.window(y, 0.0, 1.0)),
+        lambda c: (c["y"] < -1.0) | (1.0 < c["y"])),
+    "predicate": (cp.Event.where(lambda f: f["x"] > f["eps"], "x>eps"),
+                  lambda c: c["x"] > c["eps"]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(EVENTS))
+def test_cond_and_moment_equal_numpy_on_columns(label):
+    space, _ = _spy_sampler()
+    event, member = EVENTS[label]
+    cols = _plain(space.columns())
+    mask = member(cols)
+    xs = cols["x"][mask]
+    k = int(mask.sum())
+    assert 1 < k < N
+
+    got = space.cond(x, event, PROB_FLOOR)
+    assert (got.value, got.se, got.n, got.prob, got.degenerate) == (
+        float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(k)), k, k / N, False)
+
+    m1, m2 = float(xs.sum()) / N, float((xs * xs).sum()) / N
+    assert space.moment(x, event) == cp.Estimate(m1, math.sqrt(max(m2 - m1 * m1, 0.0) / N), N)
+    p = k / N
+    assert space.moment(None, event) == cp.Estimate(p, math.sqrt(p * (1.0 - p) / N), N)
+
+
+def test_empty_window_takes_the_degenerate_branch():
+    space, taken = _spy_sampler()
+    event = cp.Event.window(y, 100.0, 1e-3)
+    assert space.cond(x, event, PROB_FLOOR) == cp.ConditionalEstimate(
+        0.0, n=0, prob=0.0, degenerate=True)
+    assert space.moment(x, event) == cp.Estimate(0.0, 0.0, N)
+    assert space.moment(None, event) == cp.Estimate(0.0, 0.0, N)
+    assert taken == []
+
+
+def test_empty_piece_list_selects_nothing():
+    space, _ = _spy_sampler()
+    disjoint = cp.Event.window(y, -1.0, 0.1).intersect(cp.Event.window(y, 1.0, 0.1))
+    assert disjoint.pieces == ()
+    ind = space.indicator(disjoint)
+    assert ind.dtype == bool and ind.shape == (N,) and not ind.any()
+
+
+def test_config_expression_gathers_only_the_names_it_reads():
+    space, taken = _spy_sampler()
+    event = cp.Event.window(x, 0.0, 0.5)
+    cols = _plain(space.columns())
+    mask = (-0.5 < cols["x"]) & (cols["x"] < 0.5)
+    expr = expression_variable("g", "sqrt(abs(y)) + y * y")
+    expected = expr.fn({k: v[mask] for k, v in cols.items()})
+    k = int(mask.sum())
+
+    got = space.cond(expr, event, PROB_FLOOR)
+    assert taken == ["y"]
+    assert (got.value, got.se, got.n) == (
+        float(expected.mean()), float(expected.std(ddof=1) / math.sqrt(k)), k)
+
+
+def test_frame_membership_iteration_and_length_gather_nothing():
+    space, taken = _spy_sampler()
+    probes = []
+
+    def fn(frame):
+        probes.append(("y" in frame, "w" in frame, sorted(frame), len(frame)))
+        return frame["y"] + frame["y"]
+
+    got = space.cond(cp.RandomVariable("2y", fn), cp.Event.window(x, 0.0, 0.5), PROB_FLOOR)
+    assert probes == [(True, False, ["eps", "x", "y"], 3)]
+    assert taken == ["y"]
+    assert got.n > 1
+
+
+def test_variable_reading_the_whole_frame_gets_every_column_masked():
+    space, taken = _spy_sampler()
+    seen = []
+
+    def fn(frame):
+        d = dict(frame)
+        seen.append({k: len(v) for k, v in d.items()})
+        return d["x"] - 0.5 * d["eps"]
+
+    rv = cp.RandomVariable("x-eps/2", fn)
+    event, member = EVENTS["two-piece union"]
+    cols = _plain(space.columns())
+    mask = member(cols)
+    k = int(mask.sum())
+    xs = cols["x"][mask] - 0.5 * cols["eps"][mask]
+
+    got = space.cond(rv, event, PROB_FLOOR)
+    assert seen == [{"x": k, "eps": k, "y": k}]
+    assert sorted(taken) == ["eps", "x", "y"]
+    assert (got.value, got.se) == (float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(k)))
+    m1, m2 = float(xs.sum()) / N, float((xs * xs).sum()) / N
+    assert space.moment(rv, event) == cp.Estimate(m1, math.sqrt(max(m2 - m1 * m1, 0.0) / N), N)
+
+
+def test_window_gathers_add_no_cache_entries():
+    space, _ = _spy_sampler()
+    event = cp.Event.window(y, 0.5, 0.3)
+    space.cond(x, event, PROB_FLOOR)
+    before = set(space._cache)
+    for _ in range(3):
+        space.cond(x, event, PROB_FLOOR)
+        space.moment(expression_variable("g", "x * y"), event)
+    assert set(space._cache) == before
