@@ -10,6 +10,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -29,11 +30,6 @@ from .window import Schedule, evaluate_on_grid, window_estimate
 PARADOX_INSTANCES = {"ratio-normal": pathology.ratio_normal_instance}
 
 
-def _write_artifact(path, doc: dict):
-    doc.setdefault("schema_version", SCHEMA_VERSION)
-    return write_json(path, doc)
-
-
 def _schedule_from(params: dict) -> Schedule:
     spec = params.get("schedule") or {}
     return Schedule(eps0=spec.get("eps0"), factor=float(spec.get("factor", 0.5)),
@@ -49,84 +45,67 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Scenario tasks: each returns (ok, artifacts written)
+# Scenario tasks: each returns (ok, doc, csv) with csv (header, rows) or None
 
 
-def _task_partition(scn: Scenario, outdir: Path):
+def _task_partition(scn: Scenario):
     bundle = scn.bundle
     X = bundle.variable(scn.params["x"])
     part = bundle.partition(scn.params["partition"])
     pce = partition_cond_exp(bundle.space, X, part)
     doc = pce.to_json_dict()
-    doc["scenario"] = scn.name
     doc["expectation"] = expectation(bundle.space, X).value
-    path = _write_artifact(outdir / f"{scn.out_base or scn.name}.json", doc)
-    return True, [path]
+    return True, doc, None
 
 
-def _task_window(scn: Scenario, outdir: Path):
+def _task_window(scn: Scenario):
     bundle = scn.bundle
     X = bundle.variable(scn.params["x"])
     Y = bundle.variable(scn.params["y"])
     tol = scn.tol if scn.tol is not None else 1e-6
     schedule = _schedule_from(scn.params)
-    base = scn.out_base or scn.name
     if "at" in scn.params:
         trace = window_estimate(bundle.space, X, Y, float(scn.params["at"]),
                                 schedule=schedule, tol=tol)
-        doc = trace.to_json_dict()
-        doc["scenario"] = scn.name
-        paths = [_write_artifact(outdir / f"{base}.json", doc)]
         rows = [(s.eps, s.estimate, s.se, s.n, s.prob) for s in trace.steps]
-        paths.append(write_csv(outdir / f"{base}.csv",
-                               ["eps", "estimate", "se", "n", "prob"], rows))
-        return trace.verdict == "Converged", paths
+        return (trace.verdict == "Converged", trace.to_json_dict(),
+                (["eps", "estimate", "se", "n", "prob"], rows))
     grid_spec = scn.params["grid"]
     y_grid = np.linspace(float(grid_spec[0]), float(grid_spec[1]), int(grid_spec[2]))
     table = evaluate_on_grid(bundle.space, X, Y, y_grid, schedule=schedule, tol=tol)
     doc = table.to_json_dict()
-    doc["scenario"] = scn.name
-    paths = [_write_artifact(outdir / f"{base}.json", doc)]
     rows = list(zip(doc["grid"], doc["values"], doc["verdicts"]))
-    paths.append(write_csv(outdir / f"{base}.csv", ["y", "value", "verdict"], rows))
     ok = all(v == "Converged" for v in table.verdicts)
-    return ok, paths
+    return ok, doc, (["y", "value", "verdict"], rows)
 
 
-def _task_density(scn: Scenario, outdir: Path):
+def _task_density(scn: Scenario):
     bundle = scn.bundle
     joint = bundle.space
     if not isinstance(joint, DensityGrid2D):
         raise TaskError("density tasks need a grid2d joint space")
     y = float(scn.params["at"])
     cd = density_mod.conditional_density(joint, y)
-    doc = {"kind": "conditional_density_summary", "scenario": scn.name,
+    doc = {"kind": "conditional_density_summary",
            "y": y, "marginal": cd.marginal_value, "defect": cd.defect,
            "mean": cd.expectation()}
     if "expect" in scn.params:
         g = expression_variable("g", scn.params["expect"])
         doc["expect"] = {"expr": scn.params["expect"],
                          "value": cd.expectation(lambda z: g.fn({"z": z}))}
-    base = scn.out_base or scn.name
-    paths = [_write_artifact(outdir / f"{base}.json", doc)]
-    paths.append(write_csv(outdir / f"{base}.csv", ["z", "density"],
-                           zip(cd.nodes, cd.values)))
-    return True, paths
+    return True, doc, (["z", "density"], zip(cd.nodes, cd.values))
 
 
-def _task_factorize(scn: Scenario, outdir: Path):
+def _task_factorize(scn: Scenario):
     bundle = scn.bundle
     g = bundle.variable(scn.params["g"])
     Y = bundle.variable(scn.params["y"])
     res = factorize(bundle.space, g, Y, scn.params["levels"],
                     band=scn.params.get("band"))
-    doc = res.to_json_dict()
-    doc["scenario"] = scn.name
-    path = _write_artifact(outdir / f"{scn.out_base or scn.name}.json", doc)
-    return res.verdict == "Factored", [path]
+    return res.verdict == "Factored", res.to_json_dict(), None
 
 
-def _task_paradox(scn: Scenario, outdir: Path):
+def _task_paradox(scn: Scenario):
     name = scn.params.get("instance", "ratio-normal")
     if name not in PARADOX_INSTANCES:
         raise TaskError(f"unknown paradox instance {name!r}")
@@ -141,7 +120,6 @@ def _task_paradox(scn: Scenario, outdir: Path):
                                         inst["schedule"], tol=tol,
                                         description=inst["description"])
     doc = report.to_json_dict()
-    doc["scenario"] = scn.name
     ok = all(t.verdict == "Converged" for t in report.traces.values())
     if scn.params.get("control", True):
         control = pathology.borel_kolmogorov(inst["space"], inst["X"],
@@ -151,20 +129,16 @@ def _task_paradox(scn: Scenario, outdir: Path):
                                                          "families of one variable")
         doc["control"] = control.to_json_dict()
         ok = ok and all(t.verdict == "Converged" for t in control.traces.values())
-    path = _write_artifact(outdir / f"{scn.out_base or scn.name}.json", doc)
-    return ok, [path]
+    return ok, doc, None
 
 
-def _task_verify(scn: Scenario, outdir: Path):
+def _task_verify(scn: Scenario):
     bundle = scn.bundle
     X = bundle.variable(scn.params["x"])
     candidate = bundle.variable(scn.params["candidate"])
     gens = bundle.generator_events(scn.params["generators"])
     report = verify_cond_exp(bundle.space, X, candidate, gens)
-    doc = report.to_json_dict()
-    doc["scenario"] = scn.name
-    path = _write_artifact(outdir / f"{scn.out_base or scn.name}.json", doc)
-    return report.passed, [path]
+    return report.passed, report.to_json_dict(), None
 
 
 _TASKS = {
@@ -177,17 +151,32 @@ _TASKS = {
 }
 
 
+def _compute(scenario: Scenario):
+    """(summary entry, doc, csv) of one scenario; doc and csv are None on error."""
+    entry = {"name": scenario.name, "task": scenario.task}
+    try:
+        ok, doc, csv = _TASKS[scenario.task](scenario)
+    except CondpointError as exc:
+        entry.update(ok=False, error=f"{type(exc).__name__}: {exc}", artifacts=[])
+        return entry, None, None
+    doc["scenario"] = scenario.name
+    doc.setdefault("schema_version", SCHEMA_VERSION)
+    entry["ok"] = ok
+    return entry, doc, csv
+
+
 def run(scenario: Scenario, outdir: Path) -> dict:
-    """Run one scenario; returns a machine-readable summary entry."""
+    """Run one scenario and write its artifacts; returns a summary entry."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        ok, paths = _TASKS[scenario.task](scenario, outdir)
-        return {"name": scenario.name, "task": scenario.task, "ok": ok,
-                "artifacts": sorted(p.name for p in paths)}
-    except CondpointError as exc:
-        return {"name": scenario.name, "task": scenario.task, "ok": False,
-                "error": f"{type(exc).__name__}: {exc}", "artifacts": []}
+    entry, doc, csv = _compute(scenario)
+    if doc is not None:
+        base = scenario.out_base or scenario.name
+        paths = [write_json(outdir / f"{base}.json", doc)]
+        if csv is not None:
+            paths.append(write_csv(outdir / f"{base}.csv", *csv))
+        entry["artifacts"] = sorted(p.name for p in paths)
+    return entry
 
 
 def _run_path(path_str: str, outdir_str: str) -> dict:
@@ -326,9 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _inline_scenario(args, task: str, params: dict, space_path=None) -> Scenario:
     bundle = load_space(space_path) if space_path is not None else None
-    if bundle is not None and args.seed is not None and hasattr(bundle.space, "seed"):
-        bundle.space.seed = args.seed
-        bundle.space._cache.clear()
+    if bundle is not None:
+        bundle.reseed(args.seed)
     name = args.out.stem if args.out is not None else task
     return Scenario(name=name, bundle=bundle, task=task, params=params,
                     seed=args.seed, tol=args.tol, out_base=None)
@@ -355,9 +343,6 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    import json
-    import tempfile
-
     if args.command == "run":
         summary = run_paths(args.scenarios, args.outdir, parallel=args.parallel)
         sys.stdout.write(to_json(summary))
@@ -370,51 +355,45 @@ def _dispatch(args) -> int:
         _emit_result(doc, args.out)
         return 0 if doc["passed"] else 1
 
-    with tempfile.TemporaryDirectory() as tmp:
-        outdir = Path(tmp)
-        if args.command == "window":
-            params = {"x": args.x, "y": args.y}
-            if args.at is not None:
-                params["at"] = args.at
-            else:
-                g = _parse_grid(args.grid)
-                params["grid"] = [float(g[0]), float(g[-1]), len(g)]
-            scn = _inline_scenario(args, "window", params, args.space)
-        elif args.command == "density":
-            params = {"at": args.at}
-            if args.expect is not None:
-                params["expect"] = args.expect
-            scn = _inline_scenario(args, "density", params, args.joint)
-        elif args.command == "factorize":
-            levels = [float(v) for v in args.levels.split(",")]
-            params = {"g": args.g, "y": args.y, "levels": levels}
-            if args.band is not None:
-                params["band"] = args.band
-            scn = _inline_scenario(args, "factorize", params, args.space)
-        elif args.command == "paradox":
-            params = {"instance": args.instance, "control": not args.no_control}
-            if args.budget is not None:
-                params["budget"] = args.budget
-            scn = _inline_scenario(args, "paradox", params)
-        elif args.command == "verify":
-            params = {"x": args.x, "candidate": args.candidate,
-                      "generators": args.generators}
-            scn = _inline_scenario(args, "verify", params, args.space)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command!r}")
-        summary = run(scn, outdir)
-        produced = [outdir / n for n in summary["artifacts"]]
-        json_docs = [p for p in produced if p.suffix == ".json"]
-        doc = json.loads(json_docs[0].read_text(encoding="utf-8")) if json_docs else {}
-        if args.command == "density" and getattr(args, "emit_density", None):
-            csvs = [p for p in produced if p.suffix == ".csv"]
-            if csvs:
-                Path(args.emit_density).parent.mkdir(parents=True, exist_ok=True)
-                Path(args.emit_density).write_bytes(csvs[0].read_bytes())
-        _emit_result(doc if json_docs else summary, getattr(args, "out", None))
-        if "error" in summary:
-            sys.stderr.write(to_json({"error": summary["error"]}))
-        return 0 if summary["ok"] else 1
+    if args.command == "window":
+        params = {"x": args.x, "y": args.y}
+        if args.at is not None:
+            params["at"] = args.at
+        else:
+            g = _parse_grid(args.grid)
+            params["grid"] = [float(g[0]), float(g[-1]), len(g)]
+        scn = _inline_scenario(args, "window", params, args.space)
+    elif args.command == "density":
+        params = {"at": args.at}
+        if args.expect is not None:
+            params["expect"] = args.expect
+        scn = _inline_scenario(args, "density", params, args.joint)
+    elif args.command == "factorize":
+        levels = [float(v) for v in args.levels.split(",")]
+        params = {"g": args.g, "y": args.y, "levels": levels}
+        if args.band is not None:
+            params["band"] = args.band
+        scn = _inline_scenario(args, "factorize", params, args.space)
+    elif args.command == "paradox":
+        params = {"instance": args.instance, "control": not args.no_control}
+        if args.budget is not None:
+            params["budget"] = args.budget
+        scn = _inline_scenario(args, "paradox", params)
+    elif args.command == "verify":
+        params = {"x": args.x, "candidate": args.candidate,
+                  "generators": args.generators}
+        scn = _inline_scenario(args, "verify", params, args.space)
+    else:  # pragma: no cover
+        raise ConfigError(f"unknown command {args.command!r}")
+    entry, doc, csv = _compute(scn)
+    if doc is None:
+        _emit_result(entry, args.out)
+        sys.stderr.write(to_json({"error": entry["error"]}))
+        return 1
+    if args.command == "density" and args.emit_density is not None:
+        write_csv(args.emit_density, *csv)
+    _emit_result(doc, args.out)
+    return 0 if entry["ok"] else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

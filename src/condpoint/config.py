@@ -249,6 +249,12 @@ class SpaceBundle:
             raise ConfigError(f"unknown variable {name!r}; have {sorted(self.variables)}")
         return self.variables[name]
 
+    def reseed(self, seed: int | None) -> None:
+        """Reseed a sampler space and drop its drawn rows; no-op for None or other spaces."""
+        if seed is not None and isinstance(self.space, Sampler):
+            self.space.seed = seed
+            self.space._cache.clear()
+
     def partition(self, name: str) -> Partition:
         return Partition(self.space, tuple(self.generator_events(name)))
 
@@ -335,15 +341,13 @@ def load_scenario(path) -> Scenario:
     space_field = cfg.get("space")
     if space_field is None and task != "paradox":
         raise ConfigError("scenario needs a 'space' (path or inline config)")
-    bundle = None
-    if space_field is not None:
-        bundle = load_space(space_field, base_dir=path.parent)
     seed = cfg.get("seed")
     if seed is not None:
         seed = int(seed)
-    if bundle is not None and isinstance(bundle.space, Sampler) and seed is not None:
-        bundle.space.seed = seed
-        bundle.space._cache.clear()
+    bundle = None
+    if space_field is not None:
+        bundle = load_space(space_field, base_dir=path.parent)
+        bundle.reseed(seed)
     tol = cfg.get("tol")
     return Scenario(name=name, bundle=bundle, task=task,
                     params=dict(cfg.get("params") or {}), seed=seed,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyLevelSet, NotMeasurable
-from .spaces import DensityGrid1D, DensityGrid2D, DiscreteAtoms, RandomVariable
+from .spaces import DiscreteAtoms, GridSpace, RandomVariable
 
 FACTORED = "Factored"
 NOT_MEASURABLE = "NotMeasurable"
@@ -66,10 +66,8 @@ class FactorizationResult:
 def _band_for(space, Y: RandomVariable, band: float | None) -> float:
     if band is not None:
         return float(band)
-    if isinstance(space, DensityGrid1D) and Y.coord == space.axis:
-        return 0.5 * space.pitch
-    if isinstance(space, DensityGrid2D) and Y.coord in space.axes:
-        return 0.5 * (space.pitch0, space.pitch1)[space.axis_index(Y.coord)]
+    if isinstance(space, GridSpace) and Y.coord in space.axes:
+        return 0.5 * space.pitches[space.axes.index(Y.coord)]
     raise ValueError(
         f"level bands for {Y.name!r} need an explicit band width on this space")
 

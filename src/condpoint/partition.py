@@ -239,21 +239,20 @@ def verify_cond_exp(space, X: RandomVariable, candidate: RandomVariable,
     return VerificationReport(entries, measurable, identity_ok)
 
 
+def _joint_terms(space, A: Event, partition: Partition) -> list:
+    """P(A|B_i) * P(B_i) per cell, with P(A|B_i) = P(A & B_i) / P(B_i)."""
+    return [probability(space, A.intersect(cell)).value / p * p
+            for cell, p in zip(partition.cells, partition.probs)]
+
+
 def total_probability(space, A: Event, partition: Partition) -> float:
     """Sum of P(A|B_i) * P(B_i) over the cells."""
-    terms = []
-    for cell, p in zip(partition.cells, partition.probs):
-        cond = probability(space, A.intersect(cell)).value / p
-        terms.append(cond * p)
-    return math.fsum(terms)
+    return math.fsum(_joint_terms(space, A, partition))
 
 
 def bayes_discrete(space, A: Event, partition: Partition, k: int) -> float:
     """Posterior mass of cell k given the event A."""
-    terms = []
-    for cell, p in zip(partition.cells, partition.probs):
-        cond = probability(space, A.intersect(cell)).value / p
-        terms.append(cond * p)
+    terms = _joint_terms(space, A, partition)
     den = math.fsum(terms)
     if den <= 0.0 or (not isinstance(space, DiscreteAtoms) and den < PROB_FLOOR):
         raise ZeroEvidence(f"event {A.name!r} has no mass under any cell")

@@ -7,7 +7,8 @@ Four space variants share one estimator API:
   quadrature, window events integrated exactly against the piecewise-linear
   interpolant;
 * ``DensityGrid2D``   -- same on a rectangle, axis-aligned windows clipped
-  exactly along either axis;
+  exactly along either axis (both grid variants run one implementation over
+  per-axis tuples);
 * ``Sampler``         -- a seeded Monte Carlo column store; every estimate
   carries a standard error and an effective sample count.
 
@@ -19,6 +20,7 @@ complements of those.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -264,6 +266,18 @@ def complement_within(space, event: Event, name: str | None = None) -> Event:
 
 # ---------------------------------------------------------------------------
 # Space variants
+#
+# Shared methods are bound by name in each class body, not inherited, so that
+# every class owns its estimator attributes and each can be patched alone.
+
+
+def _ratio_cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
+    """E[1_A X] / P(A); the degenerate branch when P(A) is zero or below ``floor``."""
+    p = self.moment(None, event).value
+    if p == 0.0 or p < floor:
+        return ConditionalEstimate(0.0, prob=p, degenerate=True)
+    num = self.moment(rv, event).value
+    return ConditionalEstimate(num / p, prob=p)
 
 
 @dataclass(eq=False)
@@ -332,49 +346,155 @@ class DiscreteAtoms:
             raise NonIntegrable(f"{rv.name} is not finite on atoms with mass")
         return Estimate(_fsum(w[live] * x[live]))
 
-    def cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
-        p = self.moment(None, event).value
-        if p == 0.0:
-            return ConditionalEstimate(0.0, prob=0.0, degenerate=True)
-        num = self.moment(rv, event).value
-        return ConditionalEstimate(num / p, prob=p)
+    cond = _ratio_cond
 
 
-def _grid_nodes(lo: float, hi: float, n: int) -> np.ndarray:
-    if n < 2 or hi <= lo:
-        raise ValueError("grid needs at least 2 nodes and hi > lo")
-    return np.linspace(lo, hi, n)
+def _trapezoid(values, pitches):
+    """Trapezoid rule over the trailing axes of ``values``, one pitch per axis."""
+    for pitch in reversed(pitches):
+        values = quad.integrate(values, pitch)
+    return values
 
 
-def _trap_weights(n: int, pitch: float) -> np.ndarray:
-    """Composite-trapezoid node weights: one pitch inside, half at both ends."""
-    w = np.full(n, pitch)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+def _node_weights(space) -> np.ndarray:
+    """Trapezoid weight of every grid node: the outer product of the per-axis
+    weights, which are one pitch inside and half a pitch at both ends."""
+    weights = []
+    for nodes, pitch in zip(space.grid, space.pitches):
+        w = np.full(nodes.shape[0], pitch)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        weights.append(w)
+    return functools.reduce(np.multiply.outer, weights)
 
 
-def _check_finite(space, rv: RandomVariable) -> None:
-    """Raise NonIntegrable if ``rv`` has a non-finite node on a grid.
+def _grid_setup(space) -> None:
+    """Per-axis tuples from ``axes`` and ``ranges``, and the density checks.
 
-    The node scan runs once per cached variable; its flag is memoised next
-    to the values it describes, which are read-only.
+    Both grid variants run on ``axes`` (coordinate names), ``ranges``
+    ((lo, hi) per axis), ``grid`` (uniform nodes per axis) and ``pitches``;
+    ``values[i, j, ...]`` is the density at ``(grid[0][i], grid[1][j], ...)``.
+    The density must be non-negative and integrate to 1 within ``quad_tol``
+    under the trapezoid rule; the defect is recorded in ``meta``.
     """
-    key = ("finite", id(rv))
+    space.values = np.asarray(space.values, dtype=float)
+    if space.values.ndim != len(space.ranges):
+        raise ValueError("density values need exactly one axis per range")
+    if any(n < 2 or hi <= lo for (lo, hi), n in zip(space.ranges, space.values.shape)):
+        raise ValueError("grid needs at least 2 nodes and hi > lo")
+    space.grid = tuple(np.linspace(lo, hi, n)
+                       for (lo, hi), n in zip(space.ranges, space.values.shape))
+    space.pitches = tuple(float(nodes[1] - nodes[0]) for nodes in space.grid)
+    if np.any(space.values < 0):
+        raise ValueError("density values must be non-negative")
+    defect = float(_trapezoid(space.values, space.pitches)) - 1.0
+    if abs(defect) > space.quad_tol:
+        raise ValueError(f"density integrates to 1{defect:+e}, beyond quad_tol")
+    space.meta.setdefault("normalization_defect", defect)
+
+
+def _grid_frame(self) -> dict:
+    """Coordinate of every node, one array per axis name, built once."""
+    frame = self._cache.get("frame")
+    if frame is None:
+        frame = dict(zip(self.axes, np.meshgrid(*self.grid, indexing="ij")))
+        self._cache["frame"] = frame
+    return frame
+
+
+def _grid_values_of(self, rv: RandomVariable) -> np.ndarray:
+    key = ("rv", id(rv))
+    hit = self._cache.get(key)
+    if hit is not None:
+        return hit[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.broadcast_to(np.asarray(rv.fn(self.frame()), dtype=float),
+                               self.values.shape).copy()
+    self._cache[key] = (rv, _frozen(vals))
+    return vals
+
+
+def _grid_indicator(self, event: Event) -> np.ndarray:
+    if event.kind == "complement":
+        return ~self.indicator(event.base)
+    if event.kind == "atoms":
+        raise UndefinedPredicate("atom-set events are undefined on density grids")
+    try:
+        ind = np.broadcast_to(np.asarray(event._eval(self.frame())), self.values.shape)
+    except Exception as exc:
+        raise UndefinedPredicate(f"event {event.name!r} failed on the grid: {exc}") from exc
+    if ind.dtype != bool:
+        raise UndefinedPredicate(f"event {event.name!r} is not boolean on the grid")
+    return ind
+
+
+def _grid_product(space, rv: RandomVariable | None) -> np.ndarray:
+    """Node values of x*f, or f itself when ``rv`` is None; cached.
+
+    The node scan runs once per variable; one with a non-finite node is
+    cached as None and raises NonIntegrable on every call.
+    """
+    key = ("prod", id(rv) if rv is not None else None)
     hit = space._cache.get(key)
     if hit is None:
-        hit = (rv, bool(np.all(np.isfinite(space.values_of(rv)))))
-        space._cache[key] = hit
-    if not hit[1]:
+        if rv is None:
+            g = space.values
+        else:
+            x = space.values_of(rv)
+            g = _frozen(x * space.values) if np.all(np.isfinite(x)) else None
+        hit = space._cache[key] = (rv, g)
+    if hit[1] is None:
         raise NonIntegrable(f"{rv.name} is not finite on the grid")
+    return hit[1]
+
+
+def _grid_cumulative(space, rv: RandomVariable | None, k: int) -> tuple:
+    """(x*f viewed with axis ``k`` last, its antiderivative along that axis); cached.
+
+    The moved-axis view is kept next to its cumulative sum, so a window
+    call does not rebuild it.
+    """
+    key = ("cum", id(rv) if rv is not None else None, k)
+    hit = space._cache.get(key)
+    if hit is not None:
+        return hit[1], hit[2]
+    moved = _frozen(np.moveaxis(_grid_product(space, rv), k, -1))
+    cum = _frozen(quad.cumulative(moved, space.pitches[k]))
+    space._cache[key] = (rv, moved, cum)
+    return moved, cum
+
+
+def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
+    """E[1_A X]; with rv None the event mass, with event None the full mean.
+
+    Interval events on an axis are integrated exactly along it against the
+    piecewise-linear interpolant, then by the trapezoid rule over the other
+    axes; other events fall back to node-indicator quadrature.
+    """
+    g = _grid_product(self, rv)
+    if event is None:
+        return Estimate(float(_trapezoid(g, self.pitches)))
+    if event.kind == "complement":
+        return Estimate(self.moment(rv, None).value - self.moment(rv, event.base).value)
+    if event.kind == "intervals" and event.rv.coord in self.axes:
+        if not event.pieces:
+            return Estimate(0.0)
+        k = self.axes.index(event.rv.coord)
+        moved, cum = _grid_cumulative(self, rv, k)
+        part = sum(quad.clip_integral(self.grid[k], moved, lo, hi, cum=cum)
+                   for lo, hi in event.pieces)
+        return Estimate(float(_trapezoid(part, self.pitches[:k] + self.pitches[k + 1:])))
+    # Node-indicator fallback: O(pitch) accuracy at region boundaries.
+    return Estimate(float(np.sum(_node_weights(self) * g * self.indicator(event))))
 
 
 @dataclass(eq=False)
 class DensityGrid1D:
     """Density values on a uniform 1D node grid over [lo, hi].
 
-    The density must integrate to 1 within ``quad_tol`` under the trapezoid
-    rule; the construction-time defect is recorded in ``meta``.
+    The one-axis case of the grid code: ``axes``, ``ranges``, ``grid`` and
+    ``pitches`` hold one entry each, also read as ``axis``, ``lo``, ``hi``,
+    ``nodes`` and ``pitch``.
     """
 
     axis: str
@@ -387,93 +507,23 @@ class DensityGrid1D:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.nodes = _grid_nodes(self.lo, self.hi, self.values.shape[0])
-        self.pitch = float(self.nodes[1] - self.nodes[0])
-        if np.any(self.values < 0):
-            raise ValueError("density values must be non-negative")
-        defect = float(quad.integrate(self.values, self.pitch)) - 1.0
-        if abs(defect) > self.quad_tol:
-            raise ValueError(f"density integrates to 1{defect:+e}, beyond quad_tol")
-        self.meta.setdefault("normalization_defect", defect)
+        self.axes, self.ranges = (self.axis,), ((self.lo, self.hi),)
+        _grid_setup(self)
+        self.nodes, self.pitch = self.grid[0], self.pitches[0]
 
-    def frame(self) -> dict:
-        return {self.axis: self.nodes}
-
-    def values_of(self, rv: RandomVariable) -> np.ndarray:
-        key = ("rv", id(rv))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.broadcast_to(np.asarray(rv.fn(self.frame()), dtype=float),
-                                   self.nodes.shape).copy()
-        self._cache[key] = (rv, _frozen(vals))
-        return vals
-
-    def indicator(self, event: Event) -> np.ndarray:
-        if event.kind == "complement":
-            return ~self.indicator(event.base)
-        if event.kind == "atoms":
-            raise UndefinedPredicate("atom-set events are undefined on density grids")
-        try:
-            ind = np.broadcast_to(np.asarray(event._eval(self.frame())),
-                                  self.nodes.shape)
-        except Exception as exc:
-            raise UndefinedPredicate(f"event {event.name!r} failed on the grid: {exc}") from exc
-        if ind.dtype != bool:
-            raise UndefinedPredicate(f"event {event.name!r} is not boolean on the grid")
-        return ind
-
-    def _integrand(self, rv: RandomVariable | None) -> tuple:
-        """(node values, cached cumulative antiderivative) of x*f or f."""
-        key = ("prod", id(rv) if rv is not None else None)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit[1], hit[2]
-        g = self.values if rv is None else _frozen(self.values_of(rv) * self.values)
-        cum = _frozen(quad.cumulative(g, self.pitch))
-        self._cache[key] = (rv, g, cum)
-        return g, cum
-
-    def _exact_pieces(self, event: Event):
-        if event.kind == "intervals" and event.rv.coord == self.axis:
-            return event.pieces
-        return None
-
-    def moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
-        if rv is not None:
-            _check_finite(self, rv)
-        g, cum = self._integrand(rv)
-        if event is None:
-            return Estimate(float(quad.integrate(g, self.pitch)))
-        if event.kind == "complement":
-            return Estimate(self.moment(rv, None).value - self.moment(rv, event.base).value)
-        pieces = self._exact_pieces(event)
-        if pieces is not None:
-            total = sum(quad.clip_integral(self.nodes, g, lo, hi, cum=cum)
-                        for lo, hi in pieces)
-            return Estimate(float(total))
-        # Node-indicator fallback: O(pitch) accuracy at region boundaries.
-        ind = self.indicator(event)
-        w = _trap_weights(self.values.shape[0], self.pitch)
-        return Estimate(float(np.sum(w * g * ind)))
-
-    def cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
-        p = self.moment(None, event).value
-        if p < floor:
-            return ConditionalEstimate(0.0, prob=p, degenerate=True)
-        num = self.moment(rv, event).value
-        return ConditionalEstimate(num / p, prob=p)
+    frame = _grid_frame
+    values_of = _grid_values_of
+    indicator = _grid_indicator
+    moment = _grid_moment
+    cond = _ratio_cond
 
 
 @dataclass(eq=False)
 class DensityGrid2D:
     """Joint density values on a uniform rectangle grid.
 
-    ``values[i, j]`` is the density at ``(nodes0[i], nodes1[j])``.  Interval
-    events on either coordinate integrate exactly against the interpolant;
-    general predicates fall back to node-indicator quadrature.
+    ``values[i, j]`` is the density at ``(nodes0[i], nodes1[j])``; ``nodes0``,
+    ``nodes1``, ``pitch0`` and ``pitch1`` read the per-axis tuples.
     """
 
     axes: tuple
@@ -486,110 +536,15 @@ class DensityGrid2D:
 
     def __post_init__(self):
         self.axes = tuple(self.axes)
-        self.values = np.asarray(self.values, dtype=float)
-        (a, b), (c, d) = self.ranges
-        n0, n1 = self.values.shape
-        self.nodes0 = _grid_nodes(a, b, n0)
-        self.nodes1 = _grid_nodes(c, d, n1)
-        self.pitch0 = float(self.nodes0[1] - self.nodes0[0])
-        self.pitch1 = float(self.nodes1[1] - self.nodes1[0])
-        if np.any(self.values < 0):
-            raise ValueError("density values must be non-negative")
-        defect = float(quad.integrate(quad.integrate(self.values, self.pitch1),
-                                      self.pitch0)) - 1.0
-        if abs(defect) > self.quad_tol:
-            raise ValueError(f"density integrates to 1{defect:+e}, beyond quad_tol")
-        self.meta.setdefault("normalization_defect", defect)
+        _grid_setup(self)
+        self.nodes0, self.nodes1 = self.grid
+        self.pitch0, self.pitch1 = self.pitches
 
-    def frame(self) -> dict:
-        key = "frame"
-        if key not in self._cache:
-            m0, m1 = np.meshgrid(self.nodes0, self.nodes1, indexing="ij")
-            self._cache[key] = {self.axes[0]: m0, self.axes[1]: m1}
-        return self._cache[key]
-
-    def axis_index(self, coord: str) -> int:
-        return self.axes.index(coord)
-
-    def values_of(self, rv: RandomVariable) -> np.ndarray:
-        key = ("rv", id(rv))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.broadcast_to(np.asarray(rv.fn(self.frame()), dtype=float),
-                                   self.values.shape).copy()
-        self._cache[key] = (rv, _frozen(vals))
-        return vals
-
-    def indicator(self, event: Event) -> np.ndarray:
-        if event.kind == "complement":
-            return ~self.indicator(event.base)
-        if event.kind == "atoms":
-            raise UndefinedPredicate("atom-set events are undefined on density grids")
-        try:
-            ind = np.broadcast_to(np.asarray(event._eval(self.frame())),
-                                  self.values.shape)
-        except Exception as exc:
-            raise UndefinedPredicate(f"event {event.name!r} failed on the grid: {exc}") from exc
-        if ind.dtype != bool:
-            raise UndefinedPredicate(f"event {event.name!r} is not boolean on the grid")
-        return ind
-
-    def _product(self, rv: RandomVariable | None) -> np.ndarray:
-        key = ("prod", id(rv) if rv is not None else None)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit[1]
-        g = self.values if rv is None else _frozen(self.values_of(rv) * self.values)
-        self._cache[key] = (rv, g)
-        return g
-
-    def _cum_along(self, rv: RandomVariable | None, axis: int) -> np.ndarray:
-        key = ("cum", id(rv) if rv is not None else None, axis)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit[1]
-        g = self._product(rv)
-        if axis == 1:
-            cum = quad.cumulative(g, self.pitch1)
-        else:
-            cum = quad.cumulative(g.T.copy(), self.pitch0)
-        self._cache[key] = (rv, _frozen(cum))
-        return cum
-
-    def moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
-        if rv is not None:
-            _check_finite(self, rv)
-        g = self._product(rv)
-        if event is None:
-            return Estimate(float(quad.integrate(quad.integrate(g, self.pitch1),
-                                                 self.pitch0)))
-        if event.kind == "complement":
-            return Estimate(self.moment(rv, None).value - self.moment(rv, event.base).value)
-        if event.kind == "intervals" and event.rv.coord in self.axes:
-            if not event.pieces:
-                return Estimate(0.0)
-            axis = self.axis_index(event.rv.coord)
-            cum = self._cum_along(rv, axis)
-            if axis == 1:
-                rows = sum(quad.clip_integral(self.nodes1, g, lo, hi, cum=cum)
-                           for lo, hi in event.pieces)
-                return Estimate(float(quad.integrate(rows, self.pitch0)))
-            cols = sum(quad.clip_integral(self.nodes0, g.T, lo, hi, cum=cum)
-                       for lo, hi in event.pieces)
-            return Estimate(float(quad.integrate(cols, self.pitch1)))
-        ind = self.indicator(event)
-        w0 = _trap_weights(self.values.shape[0], self.pitch0)
-        w1 = _trap_weights(self.values.shape[1], self.pitch1)
-        return Estimate(float(np.sum(np.outer(w0, w1) * g * ind)))
-
-    def cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
-        p = self.moment(None, event).value
-        if p < floor:
-            return ConditionalEstimate(0.0, prob=p, degenerate=True)
-        num = self.moment(rv, event).value
-        return ConditionalEstimate(num / p, prob=p)
+    frame = _grid_frame
+    values_of = _grid_values_of
+    indicator = _grid_indicator
+    moment = _grid_moment
+    cond = _ratio_cond
 
 
 def _draw_standard_normal_pair(rng, n, params):
@@ -753,7 +708,7 @@ class Sampler:
         k = rows.size
         n = int(self.budget)
         p = k / n
-        if p < floor:
+        if k == 0 or p < floor:
             return ConditionalEstimate(0.0, n=k, prob=p, degenerate=True)
         xs = self._masked_values(rv, rows, k)
         mean = float(xs.mean())
@@ -761,7 +716,8 @@ class Sampler:
         return ConditionalEstimate(mean, se=se, n=k, prob=p)
 
 
-ProbabilitySpace = DiscreteAtoms | DensityGrid1D | DensityGrid2D | Sampler
+GridSpace = DensityGrid1D | DensityGrid2D
+ProbabilitySpace = DiscreteAtoms | GridSpace | Sampler
 
 
 # ---------------------------------------------------------------------------
@@ -793,9 +749,9 @@ def cond_expectation_event(space: ProbabilitySpace, rv: RandomVariable,
                            event: Event, floor: float = PROB_FLOOR) -> ConditionalEstimate:
     """E[X | A] = E[1_A X] / P(A) for P(A) > 0, and 0 on the degenerate branch.
 
-    On discrete spaces the degenerate branch fires only at exactly zero mass;
-    grids and samplers use ``floor`` because quadrature cannot witness exact
-    nullity.
+    A zero-mass event is degenerate on every space.  Discrete spaces ignore
+    ``floor``; grids and samplers also treat mass below it as null because
+    quadrature cannot witness exact nullity.
     """
     if isinstance(space, DiscreteAtoms):
         return space.cond(rv, event, 0.0)
@@ -839,16 +795,13 @@ def pushforward(space: ProbabilitySpace, rv: RandomVariable,
         weights = np.array([_fsum(space.weights[vals == lv]) for lv in levels])
         return DiscreteAtoms(tuple(float(lv) for lv in levels), weights,
                              name=f"law({rv.name})")
-    if isinstance(space, DensityGrid1D) and rv.coord == space.axis:
-        return space
-    if isinstance(space, DensityGrid2D) and rv.coord in space.axes:
-        axis = space.axis_index(rv.coord)
-        if axis == 1:
-            dens = quad.integrate(space.values.T, space.pitch0)
-            lo, hi = space.ranges[1]
-        else:
-            dens = quad.integrate(space.values, space.pitch1)
-            lo, hi = space.ranges[0]
+    if isinstance(space, GridSpace) and rv.coord in space.axes:
+        if len(space.axes) == 1:
+            return space
+        k = space.axes.index(rv.coord)
+        dens = _trapezoid(np.moveaxis(space.values, k, 0),
+                          space.pitches[:k] + space.pitches[k + 1:])
+        lo, hi = space.ranges[k]
         return DensityGrid1D(rv.coord, lo, hi, dens, quad_tol=space.quad_tol,
                              name=f"law({rv.name})")
     if bins is None:
@@ -857,13 +810,8 @@ def pushforward(space: ProbabilitySpace, rv: RandomVariable,
     vals = space.values_of(rv).ravel()
     if isinstance(space, Sampler):
         mass = np.full(vals.shape, 1.0 / float(space.budget))
-    elif isinstance(space, DensityGrid1D):
-        w = _trap_weights(space.values.shape[0], space.pitch)
-        mass = (w * space.values).ravel()
     else:
-        w0 = _trap_weights(space.values.shape[0], space.pitch0)
-        w1 = _trap_weights(space.values.shape[1], space.pitch1)
-        mass = (np.outer(w0, w1) * space.values).ravel()
+        mass = (_node_weights(space) * space.values).ravel()
     hist, edges = np.histogram(vals, bins=count, range=(lo, hi), weights=mass)
     total = float(hist.sum())
     if total < PROB_FLOOR:

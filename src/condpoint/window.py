@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import InsufficientTrace, NonApproachablePoint
 from .spaces import (
-    DensityGrid1D,
-    DensityGrid2D,
     Event,
+    GridSpace,
     RandomVariable,
     Sampler,
     cond_expectation_event,
@@ -219,20 +218,14 @@ def shrink_trace(space, X: RandomVariable, pairs, tol: float = DEFAULT_TOL,
 
 def _conditioning_geometry(space, Y: RandomVariable):
     """(axis range, pitch) of the conditioning variable, when it is a grid axis."""
-    if isinstance(space, DensityGrid1D):
-        if Y.coord != space.axis:
-            raise ValueError(
-                "window conditioning on a grid requires a coordinate variable; "
-                f"{Y.name!r} is not the {space.axis!r} axis")
-        return (space.lo, space.hi), space.pitch
-    if isinstance(space, DensityGrid2D):
-        if Y.coord not in space.axes:
-            raise ValueError(
-                "window conditioning on a grid requires a coordinate variable; "
-                f"{Y.name!r} is not one of the axes {space.axes!r}")
-        axis = space.axis_index(Y.coord)
-        return space.ranges[axis], (space.pitch0, space.pitch1)[axis]
-    return None, None
+    if not isinstance(space, GridSpace):
+        return None, None
+    if Y.coord not in space.axes:
+        raise ValueError(
+            "window conditioning on a grid requires a coordinate variable; "
+            f"{Y.name!r} is not one of the axes {space.axes!r}")
+    k = space.axes.index(Y.coord)
+    return space.ranges[k], space.pitches[k]
 
 
 def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,

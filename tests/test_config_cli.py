@@ -279,3 +279,16 @@ def test_every_shipped_scenario_loads():
     assert paths
     for path in paths:
         load_scenario(path)
+
+
+def test_cli_inline_task_error(tmp_path, capsys):
+    out = tmp_path / "dens.json"
+    rc = cli.main(["density", "--joint", str(SCENARIO_DIR / "spaces" / "gaussian-sum-sampler.json"),
+                   "--at", "0", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    summary = {"name": "dens", "task": "density", "ok": False, "artifacts": [],
+               "error": "TaskError: density tasks need a grid2d joint space"}
+    assert json.loads(captured.out) == summary
+    assert json.loads(out.read_text()) == summary
+    assert json.loads(captured.err) == {"error": summary["error"]}

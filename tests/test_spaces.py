@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,3 +211,25 @@ def test_weight_validation():
 def test_grid_normalization_validation():
     with pytest.raises(ValueError):
         cp.DensityGrid1D("y", 0.0, 1.0, np.full(11, 2.0), quad_tol=1e-8)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cp.DiscreteAtoms((0, 1, 2), np.array([0.0, 0.5, 0.5])),
+    lambda: cp.DensityGrid1D("y", 0.0, 1.0, np.ones(11)),
+    lambda: cp.DensityGrid2D(("z", "y"), ((0.0, 1.0), (0.0, 1.0)), np.ones((11, 11))),
+    lambda: cp.Sampler("uniform-square", seed=1, budget=1000),
+], ids=["atoms", "grid1d", "grid2d", "sampler"])
+def test_zero_mass_event_is_degenerate_at_every_floor(make):
+    space = make()
+    if isinstance(space, cp.DiscreteAtoms):
+        X = cp.RandomVariable("X", lambda w: w)
+        null = cp.Event.from_atoms({0})
+    else:
+        X = cp.coordinate("y")
+        null = cp.Event.interval(X, 2.0, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for floor in (0.0, 1e-12):
+            got = cp.cond_expectation_event(space, X, null, floor=floor)
+            assert got.degenerate
+            assert got.value == 0.0 and got.prob == 0.0
