@@ -169,6 +169,14 @@ def _coerce_atom(a):
     return a
 
 
+def _as_int(value, what: str) -> int:
+    """``int(value)``, raising ConfigError that names the field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+
+
 def build_space(cfg: dict):
     kind = cfg.get("kind")
     if kind == "discrete":
@@ -211,7 +219,8 @@ def build_space(cfg: dict):
             raise ConfigError("sampler spaces require an explicit seed")
         return Sampler(cfg.get("family", "standard-normal-pair"),
                        params=dict(cfg.get("params", {})),
-                       seed=int(cfg["seed"]), budget=int(cfg.get("budget", 100_000)),
+                       seed=_as_int(cfg["seed"], "sampler seed"),
+                       budget=_as_int(cfg.get("budget", 100_000), "sampler budget"),
                        name=cfg.get("name", "sampler"))
     raise ConfigError(f"unknown space kind {kind!r}")
 
@@ -343,7 +352,7 @@ def load_scenario(path) -> Scenario:
         raise ConfigError("scenario needs a 'space' (path or inline config)")
     seed = cfg.get("seed")
     if seed is not None:
-        seed = int(seed)
+        seed = _as_int(seed, "scenario seed")
     bundle = None
     if space_field is not None:
         bundle = load_space(space_field, base_dir=path.parent)

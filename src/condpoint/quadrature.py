@@ -38,42 +38,39 @@ def _antiderivative_at(nodes, values, cum, t):
 
     `t` must already be clamped to [nodes[0], nodes[-1]].
     """
-    n = nodes.shape[0]
-    j = int(np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, n - 2))
+    j = min(max(int(nodes.searchsorted(t, side="right")) - 1, 0), nodes.shape[0] - 2)
     h = nodes[j + 1] - nodes[j]
     frac = (t - nodes[j]) / h
-    v_t = values[..., j] + (values[..., j + 1] - values[..., j]) * frac
-    return cum[..., j] + (t - nodes[j]) * 0.5 * (values[..., j] + v_t)
+    v_t = values[j] + (values[j + 1] - values[j]) * frac
+    return cum[j] + (t - nodes[j]) * 0.5 * (values[j] + v_t)
 
 
-def clip_integral(nodes, values, lo, hi, cum=None):
+def clip_integral(nodes, values, lo, hi, cum=None) -> float:
     """Integral of the piecewise-linear interpolant over [lo, hi].
 
-    `nodes` is a 1D sorted array; `values` may carry leading batch axes with
-    nodes on the last axis.  The window is intersected with the node range;
-    a window that misses the range entirely integrates to zero.  Passing a
-    precomputed `cumulative(values, step)` avoids the O(n) prefix sum.
+    `nodes` is a 1D sorted array and `values` the 1D node values.  The
+    window is intersected with the node range; a window that misses the
+    range entirely integrates to zero.  Passing a precomputed
+    `cumulative(values, step)` avoids the O(n) prefix sum.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     lo = max(float(lo), float(nodes[0]))
     hi = min(float(hi), float(nodes[-1]))
     if hi <= lo:
-        return np.zeros(values.shape[:-1]) if values.ndim > 1 else 0.0
+        return 0.0
     if cum is None:
         cum = cumulative(values, float(nodes[1] - nodes[0]))
     upper = _antiderivative_at(nodes, values, cum, hi)
     lower = _antiderivative_at(nodes, values, cum, lo)
-    out = upper - lower
-    return out if values.ndim > 1 else float(out)
+    return float(upper - lower)
 
 
 def interp_at(nodes, values, t: float):
     """Piecewise-linear value at scalar `t`, batched over leading axes."""
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
-    n = nodes.shape[0]
-    j = int(np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, n - 2))
+    j = min(max(int(nodes.searchsorted(t, side="right")) - 1, 0), nodes.shape[0] - 2)
     frac = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
     out = values[..., j] + (values[..., j + 1] - values[..., j]) * frac
     return out if values.ndim > 1 else float(out)

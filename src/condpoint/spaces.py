@@ -394,10 +394,12 @@ def _grid_setup(space) -> None:
 
 
 def _grid_frame(self) -> dict:
-    """Coordinate of every node, one array per axis name, built once."""
+    """Coordinate of every node, one array per axis name, built once as
+    broadcast views of the axis nodes (no per-node copies)."""
     frame = self._cache.get("frame")
     if frame is None:
-        frame = dict(zip(self.axes, np.meshgrid(*self.grid, indexing="ij")))
+        views = np.meshgrid(*self.grid, indexing="ij", copy=False)
+        frame = {name: _frozen(view) for name, view in zip(self.axes, views)}
         self._cache["frame"] = frame
     return frame
 
@@ -448,28 +450,31 @@ def _grid_product(space, rv: RandomVariable | None) -> np.ndarray:
     return hit[1]
 
 
-def _grid_cumulative(space, rv: RandomVariable | None, k: int) -> tuple:
-    """(x*f viewed with axis ``k`` last, its antiderivative along that axis); cached.
+def _grid_marginal(space, rv: RandomVariable | None, k: int) -> tuple:
+    """(x*f integrated over every axis but ``k``, its antiderivative); cached.
 
-    The moved-axis view is kept next to its cumulative sum, so a window
-    call does not rebuild it.
+    Both are 1D over the nodes of axis ``k``.  The trapezoid rule over the
+    other axes is linear, so it runs once here and a window along ``k``
+    clips only this marginal.
     """
-    key = ("cum", id(rv) if rv is not None else None, k)
+    key = ("marg", id(rv) if rv is not None else None, k)
     hit = space._cache.get(key)
     if hit is not None:
         return hit[1], hit[2]
-    moved = _frozen(np.moveaxis(_grid_product(space, rv), k, -1))
-    cum = _frozen(quad.cumulative(moved, space.pitches[k]))
-    space._cache[key] = (rv, moved, cum)
-    return moved, cum
+    others = space.pitches[:k] + space.pitches[k + 1:]
+    marg = _frozen(_trapezoid(np.moveaxis(_grid_product(space, rv), k, 0), others))
+    cum = _frozen(quad.cumulative(marg, space.pitches[k]))
+    space._cache[key] = (rv, marg, cum)
+    return marg, cum
 
 
 def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
     """E[1_A X]; with rv None the event mass, with event None the full mean.
 
-    Interval events on an axis are integrated exactly along it against the
-    piecewise-linear interpolant, then by the trapezoid rule over the other
-    axes; other events fall back to node-indicator quadrature.
+    Interval events on an axis integrate x*f by the trapezoid rule over the
+    other axes first, then exactly along the window's axis against the
+    piecewise-linear interpolant; other events fall back to node-indicator
+    quadrature.
     """
     g = _grid_product(self, rv)
     if event is None:
@@ -477,13 +482,10 @@ def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estima
     if event.kind == "complement":
         return Estimate(self.moment(rv, None).value - self.moment(rv, event.base).value)
     if event.kind == "intervals" and event.rv.coord in self.axes:
-        if not event.pieces:
-            return Estimate(0.0)
         k = self.axes.index(event.rv.coord)
-        moved, cum = _grid_cumulative(self, rv, k)
-        part = sum(quad.clip_integral(self.grid[k], moved, lo, hi, cum=cum)
-                   for lo, hi in event.pieces)
-        return Estimate(float(_trapezoid(part, self.pitches[:k] + self.pitches[k + 1:])))
+        marg, cum = _grid_marginal(self, rv, k)
+        return Estimate(float(sum(quad.clip_integral(self.grid[k], marg, lo, hi, cum=cum)
+                                  for lo, hi in event.pieces)))
     # Node-indicator fallback: O(pitch) accuracy at region boundaries.
     return Estimate(float(np.sum(_node_weights(self) * g * self.indicator(event))))
 

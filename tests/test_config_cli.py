@@ -292,3 +292,31 @@ def test_cli_inline_task_error(tmp_path, capsys):
     assert json.loads(captured.out) == summary
     assert json.loads(out.read_text()) == summary
     assert json.loads(captured.err) == {"error": summary["error"]}
+
+
+def test_run_reports_non_integer_seed(tmp_path, capsys):
+    bad = tmp_path / "bad-seed.json"
+    bad.write_text(json.dumps({"schema_version": 1, "name": "bad-seed", "task": "partition",
+                               "space": str(SCENARIO_DIR / "spaces" / "dice.json"),
+                               "seed": "abc"}))
+    outdir = tmp_path / "o"
+    rc = cli.main(["run", str(bad), str(SCENARIO_DIR / "dice-partition.json"),
+                   "--outdir", str(outdir)])
+    assert rc != 0
+    capsys.readouterr()
+    assert (outdir / "dice-partition.json").exists()
+    summary = json.loads((outdir / "summary.json").read_text())
+    by_name = {e["name"]: e for e in summary["scenarios"]}
+    assert not summary["ok"] and by_name["dice-partition"]["ok"]
+    assert not by_name["bad-seed"]["ok"]
+    assert by_name["bad-seed"]["error"].startswith("ConfigError: scenario seed")
+
+
+@pytest.mark.parametrize("field", ["seed", "budget"])
+@pytest.mark.parametrize("value", ["abc", None, [1]])
+def test_sampler_seed_and_budget_must_be_integers(field, value):
+    cfg = {"schema_version": 1, "kind": "sampler", "family": "uniform-square",
+           "seed": 1, "budget": 100}
+    cfg[field] = value
+    with pytest.raises(ConfigError, match=f"sampler {field}"):
+        load_space(cfg)

@@ -233,3 +233,96 @@ def test_zero_mass_event_is_degenerate_at_every_floor(make):
             got = cp.cond_expectation_event(space, X, null, floor=floor)
             assert got.degenerate
             assert got.value == 0.0 and got.prob == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Grid windows: the other axes are integrated first, then one 1D marginal is
+# clipped.  The reference below clips every line of nodes along the window's
+# axis exactly and applies the trapezoid rule across those lines, in plain
+# numpy.
+
+
+def _offset_gaussian_sum_grid():
+    """f(x, y) = phi(x - 0.5) phi(y - x) on a non-square 121x161 grid whose
+    edges carry visible mass, normalised by the trapezoid rule."""
+    xs, ys = np.linspace(-2.0, 3.0, 121), np.linspace(-2.5, 4.0, 161)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    f = np.exp(-0.5 * (gx - 0.5) ** 2 - 0.5 * (gy - gx) ** 2) / (2.0 * math.pi)
+    f /= np.trapezoid(np.trapezoid(f, dx=ys[1] - ys[0], axis=1), dx=xs[1] - xs[0])
+    return cp.DensityGrid2D(("x", "y"), ((-2.0, 3.0), (-2.5, 4.0)), f)
+
+
+def _reference_window_moment(space, rv, k, pieces):
+    """E[1_A X] for A = union of open intervals of axis k, computed as the
+    exact integral of each line's piecewise-linear interpolant, then the
+    trapezoid rule over the other axis."""
+    g = space.values if rv is None else rv.fn(dict(zip(space.axes, np.meshgrid(
+        *space.grid, indexing="ij")))) * space.values
+    lines = np.moveaxis(g, k, -1)
+    nodes = space.grid[k]
+    total = 0.0
+    for lo, hi in pieces:
+        lo, hi = max(lo, nodes[0]), min(hi, nodes[-1])
+        if hi <= lo:
+            continue
+        t = np.concatenate(([lo], nodes[(nodes > lo) & (nodes < hi)], [hi]))
+        v = np.stack([np.interp(t, nodes, line) for line in lines])
+        clipped = np.sum(0.5 * (v[:, 1:] + v[:, :-1]) * np.diff(t), axis=1)
+        total += np.trapezoid(clipped, dx=space.pitches[1 - k])
+    return float(total)
+
+
+def _windows_on(nodes):
+    h = nodes[1] - nodes[0]
+    return {
+        "inside-cell": (nodes[37] + 0.2 * h, nodes[37] + 0.7 * h),
+        "on-nodes": (nodes[70], nodes[85]),
+        "past-lower-end": (nodes[0] - 1.0, nodes[10] + 0.3 * h),
+        "past-upper-end": (nodes[-12] - 0.4 * h, nodes[-1] + 1.0),
+        "past-both-ends": (nodes[0] - 1.0, nodes[-1] + 1.0),
+    }
+
+
+@pytest.mark.parametrize("use_x", [False, True], ids=["mass", "x"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_grid_window_moment_matches_clipped_lines(axis, use_x):
+    space = _offset_gaussian_sum_grid()
+    k = space.axes.index(axis)
+    A, rv = cp.coordinate(axis), (cp.coordinate("x") if use_x else None)
+    windows = _windows_on(space.grid[k])
+    events = {name: cp.Event.interval(A, lo, hi) for name, (lo, hi) in windows.items()}
+    events["two-piece-union"] = cp.union_events([events["inside-cell"], events["on-nodes"]])
+    events["complement-within"] = cp.complement_within(space, events["on-nodes"])
+    assert len(events["two-piece-union"].pieces) == 2
+    assert len(events["complement-within"].pieces) == 2
+    for name, event in events.items():
+        got = space.moment(rv, event).value
+        ref = _reference_window_moment(space, rv, k, event.pieces)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0), name
+
+
+def test_grid_window_caches_one_1d_marginal_per_axis():
+    space = _offset_gaussian_sum_grid()
+    x = cp.coordinate("x")
+    for axis in space.axes:
+        space.moment(x, cp.Event.window(cp.coordinate(axis), 0.3, 0.2))
+        space.moment(None, cp.Event.window(cp.coordinate(axis), 0.3, 0.2))
+    margs = {key: entry for key, entry in space._cache.items()
+             if isinstance(key, tuple) and key[0] == "marg"}
+    assert len(margs) == 4
+    for (_, _, k), (_, marg, cum) in margs.items():
+        assert marg.shape == cum.shape == (space.grid[k].shape[0],)
+
+
+def test_grid_frame_is_views_of_the_axis_nodes():
+    space = _offset_gaussian_sum_grid()
+    frame = space.frame()
+    for name, nodes in zip(space.axes, space.grid):
+        assert np.shares_memory(frame[name], nodes)
+        with pytest.raises(ValueError):
+            frame[name][0, 0] = 1.0
+    gx, gy = np.meshgrid(*space.grid, indexing="ij")
+    x, y = cp.coordinate("x"), cp.coordinate("y")
+    assert np.array_equal(space.values_of(x), gx)
+    assert np.array_equal(space.values_of(y), gy)
+    assert np.array_equal(space.values_of(x * y), gx * gy)
