@@ -177,6 +177,21 @@ def _as_int(value, what: str) -> int:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
 
 
+def _as_float(value, what: str) -> float:
+    """``float(value)``, raising ConfigError that names the field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _as_pair(value, what: str, convert) -> tuple:
+    """A list of two entries, each through ``convert(entry, what)``."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{what} must be a list of 2 entries, got {value!r}")
+    return tuple(convert(v, what) for v in value)
+
+
 def build_space(cfg: dict):
     kind = cfg.get("kind")
     if kind == "discrete":
@@ -189,29 +204,28 @@ def build_space(cfg: dict):
             return DiscreteAtoms(atoms, weights, name=cfg.get("name", "discrete"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if kind == "grid1d":
+    if kind in ("grid1d", "grid2d"):
         density = cfg.get("density") or {}
-        rng = tuple(cfg["range"]) if "range" in cfg else _default_range_1d(density)
-        n = int(cfg.get("nodes", 1601))
-        values = _grid1d_values(density, rng[0], rng[1], n)
-        space = DensityGrid1D(cfg.get("axis", "y"), rng[0], rng[1], values,
-                              quad_tol=float(cfg.get("quad_tol", 1e-8)),
-                              name=cfg.get("name", "grid1d"))
-        space.meta["density"] = density
-        return space
-    if kind == "grid2d":
-        density = cfg.get("density") or {}
-        if "ranges" in cfg:
-            ranges = tuple(tuple(r) for r in cfg["ranges"])
-        else:
-            ranges = _default_ranges_2d(density)
-        nodes = cfg.get("nodes", [801, 801])
-        n0, n1 = int(nodes[0]), int(nodes[1])
-        axes = tuple(cfg.get("axes", ["z", "y"]))
-        values = _grid2d_values(density, ranges[0], ranges[1], n0, n1)
-        space = DensityGrid2D(axes, ranges, values,
-                              quad_tol=float(cfg.get("quad_tol", 1e-8)),
-                              name=cfg.get("name", "grid2d"))
+        quad_tol = _as_float(cfg.get("quad_tol", 1e-8), f"{kind} quad_tol")
+        try:
+            if kind == "grid1d":
+                lo, hi = (_as_pair(cfg["range"], "grid1d range", _as_float) if "range" in cfg
+                          else _default_range_1d(density))
+                n = _as_int(cfg.get("nodes", 1601), "grid1d nodes")
+                values = _grid1d_values(density, lo, hi, n)
+                space = DensityGrid1D(cfg.get("axis", "y"), lo, hi, values,
+                                      quad_tol=quad_tol, name=cfg.get("name", "grid1d"))
+            else:
+                ranges = (_as_pair(cfg["ranges"], "grid2d ranges",
+                                   lambda r, what: _as_pair(r, what, _as_float))
+                          if "ranges" in cfg else _default_ranges_2d(density))
+                n0, n1 = _as_pair(cfg.get("nodes", [801, 801]), "grid2d nodes", _as_int)
+                axes = _as_pair(cfg.get("axes", ["z", "y"]), "grid2d axes", lambda v, _: v)
+                space = DensityGrid2D(axes, ranges,
+                                      _grid2d_values(density, ranges[0], ranges[1], n0, n1),
+                                      quad_tol=quad_tol, name=cfg.get("name", "grid2d"))
+        except ValueError as exc:  # density parameters and the grid's own checks
+            raise ConfigError(f"{kind} space: {exc}") from exc
         space.meta["density"] = density
         return space
     if kind == "sampler":

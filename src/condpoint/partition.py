@@ -90,12 +90,6 @@ class Partition:
     def __len__(self):
         return len(self.cells)
 
-    def cell_index_of_atom(self, atom) -> int | None:
-        for i, c in enumerate(self.cells):
-            if bool(c._eval(atom)):
-                return i
-        return None
-
 
 def _piecewise_rv(cells, values, name: str) -> RandomVariable:
     """Cell-indicator combination; points outside every (open) cell map to 0."""

@@ -13,15 +13,18 @@ Four space variants share one estimator API:
   carries a standard error and an effective sample count.
 
 Random variables evaluate on a space's "frame": the atom itself on discrete
-spaces, a dict of named coordinate arrays on grids and samplers.  Events are
-atom sets, predicates, unions of open intervals of a random variable, or
-complements of those.
+spaces, a dict of named coordinate arrays on grids and samplers, which share
+one ``values_of`` and one ``indicator`` over it.  Per-variable results are
+memoised on the space and leave with their variable.  Events are atom sets,
+predicates, unions of open intervals of a random variable, or complements of
+those.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -271,6 +274,75 @@ def complement_within(space, event: Event, name: str | None = None) -> Event:
 # every class owns its estimator attributes and each can be patched alone.
 
 
+def _evict(space_ref, key, _dead) -> None:
+    space = space_ref()
+    if space is not None:
+        space._cache.pop(key, None)
+
+
+def _memo(space, key, rv: RandomVariable | None, build: Callable) -> tuple:
+    """The result tuple of ``build()``, cached on ``space`` as ``(slot, *result)``.
+
+    ``slot`` holds ``rv`` weakly; its callback drops the entry when ``rv``
+    dies, so an id is never reused while its entry lives.  The callback holds
+    the space weakly too, so no cycle keeps a dead space's arrays alive.
+    """
+    hit = space._cache.get(key)
+    if hit is None:
+        slot = None if rv is None else weakref.ref(
+            rv, functools.partial(_evict, weakref.ref(space), key))
+        hit = space._cache[key] = (slot, *build())
+    return hit[1:]
+
+
+def _frame_shape(frame) -> tuple:
+    return next(iter(frame.values())).shape
+
+
+def _frame_values_of(self, rv: RandomVariable) -> np.ndarray:
+    """``rv`` at every frame point, read-only; a coordinate stays a broadcast view."""
+    def build():
+        frame = self.frame()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (np.broadcast_to(np.asarray(rv.fn(frame), dtype=float), _frame_shape(frame)),)
+
+    return _memo(self, ("rv", id(rv)), rv, build)[0]
+
+
+def _interval_mask(v: np.ndarray, pieces) -> np.ndarray:
+    """Points of ``v`` inside any open piece, built in place piece by piece."""
+    out = piece = below = None
+    for lo, hi in pieces:
+        piece = np.less(lo, v, out=piece)
+        below = np.less(v, hi, out=below)
+        piece &= below
+        if out is None:
+            out, piece = piece, None
+        else:
+            out |= piece
+    return np.zeros(v.shape, dtype=bool) if out is None else out
+
+
+def _frame_indicator(self, event: Event) -> np.ndarray:
+    """Membership of every frame point; intervals test the memoised values of
+    their variable.  Any failure of either kind is an UndefinedPredicate."""
+    if event.kind == "complement":
+        return ~self.indicator(event.base)
+    if event.kind == "atoms":
+        raise UndefinedPredicate(f"atom-set events are undefined on {type(self).__name__}")
+    try:
+        if event.kind == "intervals":
+            return _interval_mask(self.values_of(event.rv), event.pieces)
+        frame = self.frame()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ind = np.broadcast_to(np.asarray(event.pred(frame)), _frame_shape(frame))
+    except Exception as exc:
+        raise UndefinedPredicate(f"event {event.name!r} failed on the frame: {exc}") from exc
+    if ind.dtype != bool:
+        raise UndefinedPredicate(f"event {event.name!r} is not boolean on the frame")
+    return ind
+
+
 def _ratio_cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
     """E[1_A X] / P(A); the degenerate branch when P(A) is zero or below ``floor``."""
     p = self.moment(None, event).value
@@ -311,13 +383,8 @@ class DiscreteAtoms:
         return cls(tuple(atoms), np.full(n, 1.0 / n), name=name)
 
     def values_of(self, rv: RandomVariable) -> np.ndarray:
-        key = ("rv", id(rv))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit[1]
-        vals = _frozen(np.asarray([float(rv.fn(a)) for a in self.atoms]))
-        self._cache[key] = (rv, vals)
-        return vals
+        return _memo(self, ("rv", id(rv)), rv, lambda: (
+            _frozen(np.asarray([float(rv.fn(a)) for a in self.atoms])),))[0]
 
     def indicator(self, event: Event) -> np.ndarray:
         if event.kind == "complement":
@@ -404,50 +471,22 @@ def _grid_frame(self) -> dict:
     return frame
 
 
-def _grid_values_of(self, rv: RandomVariable) -> np.ndarray:
-    key = ("rv", id(rv))
-    hit = self._cache.get(key)
-    if hit is not None:
-        return hit[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.broadcast_to(np.asarray(rv.fn(self.frame()), dtype=float),
-                               self.values.shape).copy()
-    self._cache[key] = (rv, _frozen(vals))
-    return vals
-
-
-def _grid_indicator(self, event: Event) -> np.ndarray:
-    if event.kind == "complement":
-        return ~self.indicator(event.base)
-    if event.kind == "atoms":
-        raise UndefinedPredicate("atom-set events are undefined on density grids")
-    try:
-        ind = np.broadcast_to(np.asarray(event._eval(self.frame())), self.values.shape)
-    except Exception as exc:
-        raise UndefinedPredicate(f"event {event.name!r} failed on the grid: {exc}") from exc
-    if ind.dtype != bool:
-        raise UndefinedPredicate(f"event {event.name!r} is not boolean on the grid")
-    return ind
-
-
 def _grid_product(space, rv: RandomVariable | None) -> np.ndarray:
     """Node values of x*f, or f itself when ``rv`` is None; cached.
 
     The node scan runs once per variable; one with a non-finite node is
     cached as None and raises NonIntegrable on every call.
     """
-    key = ("prod", id(rv) if rv is not None else None)
-    hit = space._cache.get(key)
-    if hit is None:
+    def build():
         if rv is None:
-            g = space.values
-        else:
-            x = space.values_of(rv)
-            g = _frozen(x * space.values) if np.all(np.isfinite(x)) else None
-        hit = space._cache[key] = (rv, g)
-    if hit[1] is None:
+            return (space.values,)
+        x = space.values_of(rv)
+        return (_frozen(x * space.values) if np.all(np.isfinite(x)) else None,)
+
+    g, = _memo(space, ("prod", id(rv) if rv is not None else None), rv, build)
+    if g is None:
         raise NonIntegrable(f"{rv.name} is not finite on the grid")
-    return hit[1]
+    return g
 
 
 def _grid_marginal(space, rv: RandomVariable | None, k: int) -> tuple:
@@ -457,15 +496,12 @@ def _grid_marginal(space, rv: RandomVariable | None, k: int) -> tuple:
     other axes is linear, so it runs once here and a window along ``k``
     clips only this marginal.
     """
-    key = ("marg", id(rv) if rv is not None else None, k)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit[1], hit[2]
-    others = space.pitches[:k] + space.pitches[k + 1:]
-    marg = _frozen(_trapezoid(np.moveaxis(_grid_product(space, rv), k, 0), others))
-    cum = _frozen(quad.cumulative(marg, space.pitches[k]))
-    space._cache[key] = (rv, marg, cum)
-    return marg, cum
+    def build():
+        others = space.pitches[:k] + space.pitches[k + 1:]
+        marg = _frozen(_trapezoid(np.moveaxis(_grid_product(space, rv), k, 0), others))
+        return marg, _frozen(quad.cumulative(marg, space.pitches[k]))
+
+    return _memo(space, ("marg", id(rv) if rv is not None else None, k), rv, build)
 
 
 def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
@@ -514,8 +550,8 @@ class DensityGrid1D:
         self.nodes, self.pitch = self.grid[0], self.pitches[0]
 
     frame = _grid_frame
-    values_of = _grid_values_of
-    indicator = _grid_indicator
+    values_of = _frame_values_of
+    indicator = _frame_indicator
     moment = _grid_moment
     cond = _ratio_cond
 
@@ -543,8 +579,8 @@ class DensityGrid2D:
         self.pitch0, self.pitch1 = self.pitches
 
     frame = _grid_frame
-    values_of = _grid_values_of
-    indicator = _grid_indicator
+    values_of = _frame_values_of
+    indicator = _frame_indicator
     moment = _grid_moment
     cond = _ratio_cond
 
@@ -643,43 +679,11 @@ class Sampler:
         return replace(self, spawn=self.spawn + (int(index),),
                        meta=dict(self.meta), _cache={})
 
-    def values_of(self, rv: RandomVariable) -> np.ndarray:
-        key = ("rv", id(rv))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.broadcast_to(np.asarray(rv.fn(self.columns()), dtype=float),
-                                   (int(self.budget),))
-        self._cache[key] = (rv, _frozen(vals))
-        return vals
+    def frame(self) -> dict:
+        return self.columns()
 
-    def indicator(self, event: Event) -> np.ndarray:
-        if event.kind == "complement":
-            return ~self.indicator(event.base)
-        if event.kind == "atoms":
-            raise UndefinedPredicate("atom-set events are undefined on samplers")
-        if event.kind == "intervals":
-            v = self.values_of(event.rv)
-            out = piece = below = None
-            for lo, hi in event.pieces:
-                piece = np.less(lo, v, out=piece)
-                below = np.less(v, hi, out=below)
-                piece &= below
-                if out is None:
-                    out, piece = piece, None
-                else:
-                    out |= piece
-            return np.zeros(v.shape, dtype=bool) if out is None else out
-        try:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ind = np.broadcast_to(np.asarray(event.pred(self.columns())),
-                                      (int(self.budget),))
-        except Exception as exc:
-            raise UndefinedPredicate(f"event {event.name!r} failed on samples: {exc}") from exc
-        if ind.dtype != bool:
-            raise UndefinedPredicate(f"event {event.name!r} is not boolean on samples")
-        return ind
+    values_of = _frame_values_of
+    indicator = _frame_indicator
 
     def _masked_values(self, rv: RandomVariable, rows: np.ndarray, k: int) -> np.ndarray:
         frame = _RowFrame(self.columns(), rows)
@@ -761,21 +765,13 @@ def cond_expectation_event(space: ProbabilitySpace, rv: RandomVariable,
 
 
 def variance(space: ProbabilitySpace, rv: RandomVariable) -> float:
-    """Variance of ``rv``, memoised on the space per variable.
+    """Variance of ``rv``, memoised on the space per variable."""
+    def build():
+        m = expectation(space, rv).value
+        m2 = expectation(space, rv * rv).value
+        return (max(m2 - m * m, 0.0),)
 
-    Memoising also builds the temporary ``rv * rv`` once per (space,
-    variable), so its cached arrays do not pile up across calls.
-    """
-    key = ("var", id(rv))
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit[1]
-    m = expectation(space, rv).value
-    m2 = expectation(space, rv * rv).value
-    value = max(m2 - m * m, 0.0)
-    # keep the variable alive alongside its value so the id cannot be reused
-    space._cache[key] = (rv, value)
-    return value
+    return _memo(space, ("var", id(rv)), rv, build)[0]
 
 
 def std(space: ProbabilitySpace, rv: RandomVariable) -> float:

@@ -297,12 +297,6 @@ class PointwiseCondExp:
     def verdicts(self) -> list:
         return [t.verdict if t is not None else "NonApproachablePoint" for t in self.traces]
 
-    def trace_at(self, y: float) -> WindowTrace | None:
-        i = int(np.argmin(np.abs(self.y_grid - y)))
-        if not math.isclose(float(self.y_grid[i]), float(y), rel_tol=0.0, abs_tol=1e-12):
-            raise KeyError(f"{y!r} is not a grid node")
-        return self.traces[i]
-
     def evaluate(self, y: float) -> WindowTrace:
         """Fresh trace at an arbitrary point, same schedule and tolerance.
 

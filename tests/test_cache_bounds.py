@@ -4,7 +4,9 @@ Entry counts, not resident memory, are asserted, so the checks do not
 depend on the machine.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -138,3 +140,42 @@ def test_variance_is_memoised_per_variable(make):
     assert sizes == [sizes[0]] * 5
     assert std(space, y) == math.sqrt(direct)
     assert len(space._cache) == sizes[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _small_joint(),
+    lambda: cp.Sampler("gaussian-sum", {"var_x": 1.0, "var_noise": 1.0},
+                       seed=20260811, budget=10**5),
+])
+def test_expectation_of_fresh_variables_leaves_the_cache_flat(make):
+    space = make()
+    y = cp.coordinate("y")
+    sizes = []
+    for _ in range(5):
+        assert cp.expectation(space, y * y).value > 0.0
+        sizes.append(len(space._cache))
+    assert sizes == [sizes[0]] * 5
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _small_joint(),
+    lambda: cp.Sampler("gaussian-sum", {"var_x": 1.0, "var_noise": 1.0},
+                       seed=20260811, budget=10**5),
+    lambda: cp.DiscreteAtoms.uniform(tuple(range(1, 7))),
+])
+def test_queried_space_is_freed_without_the_cycle_collector(make):
+    gc.disable()
+    try:
+        space = make()
+        if isinstance(space, cp.DiscreteAtoms):
+            X = Y = cp.RandomVariable("X", lambda w: w)
+        else:
+            X, Y = cp.coordinate("x"), cp.coordinate("y")
+        cp.variance(space, X)
+        cp.cond_expectation_event(space, X, cp.Event.window(Y, 0.5, 0.25))
+        assert len(space._cache) > 0
+        ref = weakref.ref(space)
+        del space
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -320,3 +320,37 @@ def test_sampler_seed_and_budget_must_be_integers(field, value):
     cfg[field] = value
     with pytest.raises(ConfigError, match=f"sampler {field}"):
         load_space(cfg)
+
+
+@pytest.mark.parametrize("kind, field, value, match", [
+    ("grid1d", "nodes", "abc", "grid1d nodes"),
+    ("grid2d", "nodes", 5, "grid2d nodes"),
+    ("grid2d", "nodes", [801], "grid2d nodes"),
+    ("grid2d", "ranges", [[0, 1]], "grid2d ranges"),
+    ("grid2d", "axes", ["x"], "grid2d axes"),
+    ("grid1d", "quad_tol", "x", "grid1d quad_tol"),
+    ("grid1d", "nodes", 1, "grid1d space: grid needs at least 2 nodes"),
+])
+def test_bad_grid_field_is_a_config_error(kind, field, value, match):
+    cfg = {"schema_version": 1, "kind": kind, "nodes": 101 if kind == "grid1d" else [101, 101],
+           "density": {"family": "normal" if kind == "grid1d" else "bivariate-normal"}}
+    cfg[field] = value
+    with pytest.raises(ConfigError, match=match):
+        load_space(cfg)
+
+
+def test_run_reports_bad_grid_field(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema_version": 1, "task": "window",
+                               "space": {"schema_version": 1, "kind": "grid1d",
+                                         "density": {"family": "normal"}, "nodes": "abc"}}))
+    outdir = tmp_path / "o"
+    rc = cli.main(["run", str(bad), str(SCENARIO_DIR / "dice-partition.json"),
+                   "--outdir", str(outdir)])
+    assert rc == 1
+    capsys.readouterr()
+    assert (outdir / "dice-partition.json").exists()
+    by_name = {e["name"]: e for e in json.loads((outdir / "summary.json").read_text())["scenarios"]}
+    assert by_name["dice-partition"]["ok"]
+    assert not by_name["bad"]["ok"]
+    assert by_name["bad"]["error"].startswith("ConfigError: grid1d nodes")

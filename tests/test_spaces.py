@@ -326,3 +326,23 @@ def test_grid_frame_is_views_of_the_axis_nodes():
     assert np.array_equal(space.values_of(x), gx)
     assert np.array_equal(space.values_of(y), gy)
     assert np.array_equal(space.values_of(x * y), gx * gy)
+
+
+@pytest.mark.parametrize("space_name", ["normal_grid", "gaussian_sum_grid",
+                                        "gaussian_sum_sampler"])
+def test_interval_on_a_failing_variable_is_undefined(space_name, request):
+    space = request.getfixturevalue(space_name)
+    event = cp.Event.interval(cp.coordinate("nope"), 0.0, 1.0)
+    with pytest.raises(UndefinedPredicate, match="nope"):
+        space.indicator(event)
+    with pytest.raises(UndefinedPredicate):
+        cp.probability(space, event)
+
+
+def test_grid_coordinate_values_are_views_of_the_axis_nodes():
+    space = _offset_gaussian_sum_grid()
+    for k, axis in enumerate(space.axes):
+        vals = space.values_of(cp.coordinate(axis))
+        assert vals.shape == space.values.shape
+        assert np.shares_memory(vals, space.grid[k])
+        assert not vals.flags.writeable
