@@ -24,7 +24,7 @@ DISCRETE_WITNESS_TOL = 1e-12
 BAND_WITNESS_TOL = 1e-10
 
 
-def _cluster(values, tol: float) -> list[float]:
+def distinct_values(values, tol: float) -> list[float]:
     """Distinct values up to tol, as sorted representatives."""
     vals = np.sort(np.asarray(values, dtype=float))
     if vals.size == 0:
@@ -63,7 +63,9 @@ class FactorizationResult:
         }
 
 
-def _band_for(space, Y: RandomVariable, band: float | None) -> float:
+def level_band(space, Y: RandomVariable, band: float | None) -> float:
+    """Half-width of the band that stands in for a level set of ``Y``:
+    ``band`` when given, else half the grid pitch of ``Y``'s axis."""
     if band is not None:
         return float(band)
     if isinstance(space, GridSpace) and Y.coord in space.axes:
@@ -86,14 +88,14 @@ def factorize(space, g: RandomVariable, Y: RandomVariable, level_values,
         tol = DISCRETE_WITNESS_TOL if tol is None else tol
         yv = space.values_of(Y)
         gv = space.values_of(g)
-        witnesses = [_cluster(gv[yv == lv], tol) for lv in levels]
+        witnesses = [distinct_values(gv[yv == lv], tol) for lv in levels]
         width = None
     else:
         tol = BAND_WITNESS_TOL if tol is None else tol
-        width = _band_for(space, Y, band)
+        width = level_band(space, Y, band)
         yv = space.values_of(Y).ravel()
         gv = space.values_of(g).ravel()
-        witnesses = [_cluster(gv[np.abs(yv - lv) < width], tol) for lv in levels]
+        witnesses = [distinct_values(gv[np.abs(yv - lv) < width], tol) for lv in levels]
     verdict = NOT_MEASURABLE if any(len(w) > 1 for w in witnesses) else FACTORED
     return FactorizationResult(levels, witnesses, verdict, band_width=width)
 

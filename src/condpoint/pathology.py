@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateA, FamilyNotShrinking, NonApproachablePoint, NotNull
-from .factorization import _band_for, _cluster, BAND_WITNESS_TOL, DISCRETE_WITNESS_TOL
+from .factorization import BAND_WITNESS_TOL, DISCRETE_WITNESS_TOL, distinct_values, level_band
 from .spaces import (
     DiscreteAtoms,
     Event,
@@ -30,6 +30,7 @@ from .spaces import (
     complement_within,
     cond_expectation_event,
     expectation,
+    interval_hull,
     probability,
     PROB_FLOOR,
 )
@@ -38,6 +39,11 @@ from .window import Schedule, WindowTrace, shrink_trace
 # Value planted on the null set by the second candidate; any number works
 # there, which is the point being demonstrated.
 ARBITRARY_NULL_VALUE = 17.0
+
+# Worker threads drawing the family streams of a paradox.  numpy releases
+# the GIL while it draws, and each draw in flight holds about one head column,
+# so this bounds memory whatever the core count.
+DRAW_THREADS = 2
 
 
 def _require_null(space, A: Event) -> float:
@@ -107,7 +113,7 @@ def too_fine_demo(space, X: RandomVariable, A: Event,
     if isinstance(space, DiscreteAtoms):
         members = space.members(A)
         values = [float(X.fn(a)) for a in members]
-        witnesses = _cluster(values, DISCRETE_WITNESS_TOL)
+        witnesses = distinct_values(values, DISCRETE_WITNESS_TOL)
         points = list(zip(members, values))
         width = None
     else:
@@ -116,12 +122,12 @@ def too_fine_demo(space, X: RandomVariable, A: Event,
         lo, hi = A.pieces[0]
         center = 0.5 * (lo + hi)
         # one grid pitch around the null interval, on the event's own axis
-        width = band if band is not None else (hi - lo) + 2.0 * _band_for(space, A.rv, None)
+        width = band if band is not None else (hi - lo) + 2.0 * level_band(space, A.rv, None)
         yv = space.values_of(A.rv).ravel()
         xv = space.values_of(X).ravel()
         sel = np.abs(yv - center) < width
         values = xv[sel]
-        witnesses = _cluster(values, BAND_WITNESS_TOL)
+        witnesses = distinct_values(values, BAND_WITNESS_TOL)
         step = max(1, values.size // 8)
         points = [(f"{A.rv.name}~{center:g}#{i}", float(v))
                   for i, v in enumerate(values[::step])]
@@ -175,6 +181,10 @@ def _check_shrinking(name: str, trace: WindowTrace):
         raise FamilyNotShrinking(f"family {name!r} mass does not shrink along the schedule")
 
 
+def _restricted(stream: Sampler, hull):
+    return stream if hull is None else stream.restricted(hull)
+
+
 def borel_kolmogorov(space, X: RandomVariable, families, schedule: Schedule,
                      tol: float = 1e-6, n_min: int = 100,
                      description: str = "") -> ParadoxReport:
@@ -184,15 +194,30 @@ def borel_kolmogorov(space, X: RandomVariable, families, schedule: Schedule,
     grid (no early stopping), so their traces are directly comparable.  The
     discrepancy is the largest gap between converged limits; the combined
     tolerance is the sum of the two effective tolerances of that pair.
+
+    A family whose events are intervals of one variable draws only the rows
+    inside their hull, which gives the numbers of the full stream.  The
+    streams are drawn on DRAW_THREADS worker threads, which call no public
+    method of the sampler; the traces then run in family order on the
+    calling thread.
     """
     if schedule.eps0 is None:
         raise ValueError("paradox schedules need an explicit eps0")
     epsilons = schedule.epsilons(schedule.eps0)
+    runs = [(fam, fam.pairs(epsilons)) for fam in families]
+    streams = [space] * len(runs)
+    if isinstance(space, Sampler):
+        # imported here: it would add 2.5 ms to every `import condpoint`
+        from concurrent.futures import ThreadPoolExecutor
+
+        subs = [space.substream(i) for i in range(len(runs))]
+        hulls = [interval_hull(event for _, event in pairs) for _, pairs in runs]
+        with ThreadPoolExecutor(DRAW_THREADS) as pool:
+            streams = list(pool.map(_restricted, subs, hulls))
     traces = {}
-    for i, fam in enumerate(families):
-        fam_space = space.substream(i) if isinstance(space, Sampler) else space
+    for (fam, pairs), fam_space in zip(runs, streams):
         try:
-            trace = shrink_trace(fam_space, X, fam.pairs(epsilons), tol=tol,
+            trace = shrink_trace(fam_space, X, pairs, tol=tol,
                                  n_min=n_min, target=0.0, stop_early=False)
         except NonApproachablePoint as exc:
             raise FamilyNotShrinking(f"family {fam.name!r} lost positivity: {exc}") from exc

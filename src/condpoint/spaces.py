@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -32,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature as quad
-from .errors import EmptyRange, NonIntegrable, UndefinedPredicate
+from .errors import EmptyRange, NonIntegrable, OutsideHull, UndefinedPredicate
 
 # Below this mass, grid and sampler events are treated as null: floating
 # point cannot witness exact nullity off the discrete variant.
@@ -247,6 +248,28 @@ def union_events(events, name: str | None = None) -> Event:
     raise ValueError("cannot union mixed event kinds exactly")
 
 
+def interval_hull(events) -> Event | None:
+    """The smallest interval event covering every event in ``events``.
+
+    None unless every event is an interval event of one variable and at
+    least one of them has a piece.
+    """
+    events = list(events)
+    pieces = [p for e in events for p in e.pieces]
+    if not pieces or any(e.kind != "intervals" or not _same_variable(e.rv, events[0].rv)
+                         for e in events):
+        return None
+    return Event.interval(events[0].rv, min(lo for lo, _ in pieces),
+                          max(hi for _, hi in pieces))
+
+
+def _inside(event: Event, hull: Event) -> bool:
+    """Whether ``event`` is an interval event of the hull's variable within ``hull``."""
+    return (event.kind == "intervals" and _same_variable(event.rv, hull.rv)
+            and all(any(a <= lo and hi <= b for a, b in hull.pieces)
+                    for lo, hi in event.pieces))
+
+
 def complement_within(space, event: Event, name: str | None = None) -> Event:
     """Complement of an event, staying on an exact event kind when possible.
 
@@ -299,12 +322,17 @@ def _frame_shape(frame) -> tuple:
     return next(iter(frame.values())).shape
 
 
+def _evaluate(fn: Callable, frame, shape: tuple, dtype=float) -> np.ndarray:
+    """``fn(frame)`` as an array broadcast to ``shape``; x/0 and 0/0 stay silent."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.broadcast_to(np.asarray(fn(frame), dtype=dtype), shape)
+
+
 def _frame_values_of(self, rv: RandomVariable) -> np.ndarray:
     """``rv`` at every frame point, read-only; a coordinate stays a broadcast view."""
     def build():
         frame = self.frame()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (np.broadcast_to(np.asarray(rv.fn(frame), dtype=float), _frame_shape(frame)),)
+        return (_evaluate(rv.fn, frame, _frame_shape(frame)),)
 
     return _memo(self, ("rv", id(rv)), rv, build)[0]
 
@@ -334,8 +362,7 @@ def _frame_indicator(self, event: Event) -> np.ndarray:
         if event.kind == "intervals":
             return _interval_mask(self.values_of(event.rv), event.pieces)
         frame = self.frame()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ind = np.broadcast_to(np.asarray(event.pred(frame)), _frame_shape(frame))
+        ind = _evaluate(event.pred, frame, _frame_shape(frame), dtype=None)
     except Exception as exc:
         raise UndefinedPredicate(f"event {event.name!r} failed on the frame: {exc}") from exc
     if ind.dtype != bool:
@@ -441,8 +468,9 @@ def _grid_setup(space) -> None:
     Both grid variants run on ``axes`` (coordinate names), ``ranges``
     ((lo, hi) per axis), ``grid`` (uniform nodes per axis) and ``pitches``;
     ``values[i, j, ...]`` is the density at ``(grid[0][i], grid[1][j], ...)``.
-    The density must be non-negative and integrate to 1 within ``quad_tol``
-    under the trapezoid rule; the defect is recorded in ``meta``.
+    The density must be non-negative, not NaN, and integrate to a finite
+    mass within ``quad_tol`` of 1 under the trapezoid rule; the defect is
+    recorded in ``meta``.
     """
     space.values = np.asarray(space.values, dtype=float)
     if space.values.ndim != len(space.ranges):
@@ -452,10 +480,10 @@ def _grid_setup(space) -> None:
     space.grid = tuple(np.linspace(lo, hi, n)
                        for (lo, hi), n in zip(space.ranges, space.values.shape))
     space.pitches = tuple(float(nodes[1] - nodes[0]) for nodes in space.grid)
-    if np.any(space.values < 0):
-        raise ValueError("density values must be non-negative")
+    if not np.all(space.values >= 0):  # NaN fails this test too
+        raise ValueError("density values must be non-negative numbers")
     defect = float(_trapezoid(space.values, space.pitches)) - 1.0
-    if abs(defect) > space.quad_tol:
+    if not math.isfinite(defect) or abs(defect) > space.quad_tol:  # an infinite node too
         raise ValueError(f"density integrates to 1{defect:+e}, beyond quad_tol")
     space.meta.setdefault("normalization_defect", defect)
 
@@ -585,35 +613,150 @@ class DensityGrid2D:
     cond = _ratio_cond
 
 
-def _draw_standard_normal_pair(rng, n, params):
-    return {"z": rng.standard_normal(n), "y": rng.standard_normal(n)}
+# Rows per block when a draw family streams its last column.  Small blocks
+# keep the per-block temporaries, which stay in malloc's per-thread pools,
+# small: with 2^20-row blocks the shipped scenarios peaked at 121-132 MiB
+# against 89-91 MiB.
+DRAW_BLOCK = 1 << 16
 
 
-def _draw_bivariate_normal(rng, n, params):
+@dataclass(frozen=True)
+class DrawFamily:
+    """A built-in sample family: a head column drawn whole, then a last
+    column drawn block by block.
+
+    ``head(rng, out, params)`` draws the head column into the buffer ``out``
+    and returns it by name.  ``last(rng, rows, out, params)`` draws one block
+    of the last column into ``out`` and returns it with any column derived
+    from it; ``rows`` holds the head column of that block.  Calling the
+    family draws all ``n`` rows, the protocol of a custom ``draw`` callable.
+    """
+
+    head: Callable
+    last: Callable
+
+    def __call__(self, rng, n, params) -> dict:
+        return _stream(self, rng, int(n), params, None)
+
+
+# Anonymous maps private to this process (Windows maps take no flags and are).
+_MAP_FLAGS = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def _mapped(n: int, dtype=float) -> np.ndarray:
+    """An ``n``-row column in its own anonymous memory map.
+
+    The map goes back to the system when the column's last view dies, on
+    whichever thread made it, and a page takes memory only once written.
+    """
+    dtype = np.dtype(dtype)
+    region = mmap.mmap(-1, max(n, 1) * dtype.itemsize, **_MAP_FLAGS)
+    return np.frombuffer(region, dtype=dtype, count=n)
+
+
+def _release(col: np.ndarray, lo: int, hi: int) -> None:
+    """Give the whole pages inside rows ``[lo, hi)`` of a mapped column back
+    to the system; they read as zeros until written again."""
+    region = getattr(col.base, "obj", None)
+    if not isinstance(region, mmap.mmap) or not hasattr(region, "madvise"):
+        return
+    first = -(-lo * col.itemsize // mmap.PAGESIZE) * mmap.PAGESIZE
+    end = hi * col.itemsize // mmap.PAGESIZE * mmap.PAGESIZE
+    if first < end:
+        region.madvise(mmap.MADV_DONTNEED, first, end - first)
+
+
+def _normal_z(rng, out, params):
+    return {"z": rng.standard_normal(out=out)}
+
+
+def _bivariate_last(rng, rows, out, params):
+    # s * noise + rho * z in place: IEEE sums commute, so this is rho * z + s * noise
     rho = float(params["rho"])
-    z = rng.standard_normal(n)
-    y = rho * z + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
-    return {"z": z, "y": y}
+    y = rng.standard_normal(out=out)
+    y *= math.sqrt(1.0 - rho * rho)
+    y += rho * rows["z"]
+    return {"y": y}
 
 
-def _draw_gaussian_sum(rng, n, params):
-    sd_x = math.sqrt(float(params.get("var_x", 1.0)))
-    sd_e = math.sqrt(float(params.get("var_noise", 1.0)))
-    x = sd_x * rng.standard_normal(n)
-    eps = sd_e * rng.standard_normal(n)
-    return {"x": x, "eps": eps, "y": x + eps}
+def _gaussian_sum_head(rng, out, params):
+    x = rng.standard_normal(out=out)
+    x *= math.sqrt(float(params.get("var_x", 1.0)))
+    return {"x": x}
 
 
-def _draw_uniform_square(rng, n, params):
-    return {"z": rng.random(n), "y": rng.random(n)}
+def _gaussian_sum_last(rng, rows, out, params):
+    eps = rng.standard_normal(out=out)
+    eps *= math.sqrt(float(params.get("var_noise", 1.0)))
+    return {"eps": eps, "y": rows["x"] + eps}
 
+
+_draw_gaussian_sum = DrawFamily(_gaussian_sum_head, _gaussian_sum_last)
 
 DRAW_FAMILIES = {
-    "standard-normal-pair": _draw_standard_normal_pair,
-    "bivariate-normal": _draw_bivariate_normal,
+    "standard-normal-pair": DrawFamily(
+        _normal_z, lambda rng, rows, out, params: {"y": rng.standard_normal(out=out)}),
+    "bivariate-normal": DrawFamily(_normal_z, _bivariate_last),
     "gaussian-sum": _draw_gaussian_sum,
-    "uniform-square": _draw_uniform_square,
+    "uniform-square": DrawFamily(lambda rng, out, params: {"z": rng.random(out=out)},
+                                 lambda rng, rows, out, params: {"y": rng.random(out=out)}),
 }
+
+
+def _stream(draw: Callable, rng, n: int, params, hull: Event | None) -> dict:
+    """The ``n`` rows of ``draw``, or only those inside the interval event ``hull``.
+
+    A ``DrawFamily`` draws its head column whole into an ``n``-row mapped
+    column and its last column in blocks of ``DRAW_BLOCK`` rows; a custom
+    ``draw`` callable is one block.  Blocks come in order from one
+    generator, so their numbers equal one whole-array draw.  Without a hull
+    each block is drawn straight into its place in a mapped column, and a
+    column derived from it is copied into one.  With a hull, each block's
+    frame is tested against it and its selected rows are written, in order,
+    after the rows already kept at the front of every column; the head rows
+    left behind go back to the system as the draw proceeds, so a draw holds
+    about one head column plus the kept rows.
+    """
+    if isinstance(draw, DrawFamily):
+        cols, size, tail = draw.head(rng, _mapped(n), params), DRAW_BLOCK, _mapped(n)
+        # with a hull, last-column blocks go through one reused, cache-warm buffer
+        buf = tail if hull is None else np.empty(min(size, n))
+    else:
+        cols, size, tail = draw(rng, n, params), max(n, 1), None
+        if hull is not None:  # compacted in place below
+            cols = {name: np.array(col) for name, col in cols.items()}
+    kept = 0
+    for start in range(0, max(n, 1), size):
+        stop = min(start + size, n)
+        frame = {name: col[start:stop] for name, col in cols.items()}
+        if tail is not None:
+            block = buf[start:stop] if hull is None else buf[:stop - start]
+            drawn = draw.last(rng, frame, block, params)
+            for name, col in drawn.items():
+                if name not in cols:
+                    cols[name] = tail if col is block else _mapped(n, col.dtype)
+                if hull is None and col is not block:
+                    cols[name][start:stop] = col
+            frame |= drawn
+        if hull is None:
+            continue
+        try:
+            keep = np.flatnonzero(_interval_mask(
+                _evaluate(hull.rv.fn, frame, (stop - start,)), hull.pieces))
+        except Exception as exc:
+            raise UndefinedPredicate(f"event {hull.name!r} failed on the frame: {exc}") from exc
+        for name, col in cols.items():
+            col[kept:kept + keep.size] = frame[name].take(keep)
+            _release(col, kept + keep.size, stop)
+        kept += keep.size
+    return cols if hull is None else {name: col[:kept] for name, col in cols.items()}
+
+
+def _draw(sampler: "Sampler") -> dict:
+    """The sampler's columns: every row, or only the rows inside its hull."""
+    rng = np.random.default_rng(np.random.SeedSequence(sampler.seed, spawn_key=sampler.spawn))
+    draw = sampler.draw if sampler.draw is not None else DRAW_FAMILIES[sampler.family]
+    return _stream(draw, rng, int(sampler.budget), sampler.params, sampler.hull)
 
 
 class _RowFrame(Mapping):
@@ -652,7 +795,8 @@ class Sampler:
     Rows are drawn once, lazily, from ``DRAW_FAMILIES[family]`` (or a custom
     ``draw`` callable) with a PCG64 generator; the same seed always yields
     the identical sample, and ``substream(i)`` derives an independent child
-    stream for parallel use.
+    stream for parallel use.  ``restricted(hull)`` keeps only the rows
+    inside an interval event; ``hull`` is None on a full stream.
     """
 
     family: str
@@ -664,40 +808,81 @@ class Sampler:
     name: str = "sampler"
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
+    hull: Event | None = field(default=None, init=False, repr=False)
 
     def columns(self) -> dict:
+        """The drawn rows by column name: only the kept rows on a restricted stream."""
         cols = self._cache.get("columns")
         if cols is None:
-            seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn)
-            rng = np.random.default_rng(seq)
-            draw = self.draw if self.draw is not None else DRAW_FAMILIES[self.family]
-            cols = draw(rng, int(self.budget), self.params)
-            self._cache["columns"] = cols
+            cols = self._cache["columns"] = _draw(self)
         return cols
 
     def substream(self, index: int) -> "Sampler":
         return replace(self, spawn=self.spawn + (int(index),),
                        meta=dict(self.meta), _cache={})
 
+    def restricted(self, hull: Event) -> "Sampler":
+        """This stream keeping only its rows inside the interval event ``hull``.
+
+        The rows are drawn now, so on any thread; they are the full stream's
+        rows inside the hull, in order, so every window inside the hull gives
+        the numbers of the full stream, and ``budget`` stays the row count
+        behind every probability.  ``columns()`` gives the kept rows.  Every
+        query that reads rows as the sample (``frame``, ``values_of``,
+        ``indicator``, an unconditional moment, ``pushforward``) raises
+        OutsideHull, and so does an event that is not an interval of the
+        hull's variable within it.
+        """
+        if hull.kind != "intervals":
+            raise ValueError("a sampler stream restricts to an interval event")
+        out = replace(self, meta=dict(self.meta), _cache={})
+        out.hull = hull
+        out._cache["columns"] = _draw(out)
+        return out
+
+    def _full_stream(self, query: str) -> None:
+        if self.hull is not None:
+            raise OutsideHull(f"{query} on {self.name!r} needs the full stream; "
+                              f"it keeps only the rows inside {self.hull.name!r}")
+
+    def _rows(self, event: Event) -> np.ndarray:
+        """Indices of the rows inside ``event``."""
+        if self.hull is None:
+            return np.flatnonzero(self.indicator(event))
+        if not _inside(event, self.hull):
+            raise OutsideHull(f"event {event.name!r} is not an interval of "
+                              f"{self.hull.rv.name!r} within {self.hull.name!r}")
+        # the hull's variable on the kept rows, memoised as values_of would
+        kept = self.columns()
+        v, = _memo(self, ("rv", id(event.rv)), event.rv,
+                   lambda: (_evaluate(event.rv.fn, kept, _frame_shape(kept)),))
+        return np.flatnonzero(_interval_mask(v, event.pieces))
+
     def frame(self) -> dict:
+        self._full_stream("a frame")
         return self.columns()
 
-    values_of = _frame_values_of
-    indicator = _frame_indicator
+    def values_of(self, rv: RandomVariable) -> np.ndarray:
+        # checked before the memo, which a restricted stream fills for its windows
+        self._full_stream(f"the values of {rv.name!r}")
+        return _frame_values_of(self, rv)
+
+    def indicator(self, event: Event) -> np.ndarray:
+        self._full_stream(f"the indicator of {event.name!r}")
+        return _frame_indicator(self, event)
 
     def _masked_values(self, rv: RandomVariable, rows: np.ndarray, k: int) -> np.ndarray:
-        frame = _RowFrame(self.columns(), rows)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.broadcast_to(np.asarray(rv.fn(frame), dtype=float), (k,))
+        return _evaluate(rv.fn, _RowFrame(self.columns(), rows), (k,))
 
     def moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
         n = int(self.budget)
-        if event is None and rv is None:
-            return Estimate(1.0, 0.0, n)
         if event is None:
+            self._full_stream("an unconditional moment")
+            if rv is None:
+                return Estimate(1.0, 0.0, n)
             x = self.values_of(rv)
             return Estimate(float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)), n)
-        rows = np.flatnonzero(self.indicator(event))
+        rows = self._rows(event)
         k = rows.size
         if rv is None:
             p = k / n
@@ -710,7 +895,7 @@ class Sampler:
         return Estimate(m1, math.sqrt(max(m2 - m1 * m1, 0.0) / n), n)
 
     def cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
-        rows = np.flatnonzero(self.indicator(event))
+        rows = self._rows(event)
         k = rows.size
         n = int(self.budget)
         p = k / n

@@ -339,6 +339,16 @@ def test_bad_grid_field_is_a_config_error(kind, field, value, match):
         load_space(cfg)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
+def test_non_finite_grid_density_is_a_config_error():
+    # a zero variance makes every node 0/0
+    cfg = {"schema_version": 1, "kind": "grid1d", "range": [-5, 5],
+           "density": {"family": "normal", "var": 0}, "nodes": 101}
+    with pytest.raises(ConfigError, match="grid1d space: density values must be non-negative numbers"):
+        load_space(cfg)
+
+
 def test_run_reports_bad_grid_field(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 1, "task": "window",

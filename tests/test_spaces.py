@@ -214,6 +214,20 @@ def test_grid_normalization_validation():
 
 
 @pytest.mark.parametrize("make", [
+    lambda: cp.DensityGrid1D("y", 0.0, 1.0, np.where(np.arange(11) == 5, np.nan, 1.0)),
+    lambda: cp.DensityGrid1D("y", 0.0, 1.0, np.full(11, np.nan)),
+    lambda: cp.DensityGrid2D(("z", "y"), ((0.0, 1.0), (0.0, 1.0)),
+                             np.where(np.eye(11, dtype=bool), np.nan, 1.0)),
+    lambda: cp.DensityGrid1D("y", 0.0, 1.0, np.where(np.arange(11) == 5, np.inf, 1.0)),
+    lambda: cp.DensityGrid1D("y", 0.0, 100.0, np.full(11, 1e308)),
+], ids=["nan-node-1d", "all-nan-1d", "nan-nodes-2d", "inf-node-1d", "overflowing-mass"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing sum warns
+def test_grid_rejects_non_finite_density(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("make", [
     lambda: cp.DiscreteAtoms((0, 1, 2), np.array([0.0, 0.5, 0.5])),
     lambda: cp.DensityGrid1D("y", 0.0, 1.0, np.ones(11)),
     lambda: cp.DensityGrid2D(("z", "y"), ((0.0, 1.0), (0.0, 1.0)), np.ones((11, 11))),
