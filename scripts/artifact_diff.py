@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Compare the artifacts of `condpoint run scenarios/*.json` at a git ref and
-in the working tree.
+"""Compare the artifacts of `condpoint run scenarios/*.json`, and the outputs
+of a fixed list of inline subcommands, at a git ref and in the working tree.
 
     python3 scripts/artifact_diff.py <git-ref>
 
 The ref's tree is exported with `git archive` into a temporary directory;
-each tree then runs its own scenarios with its own source.  For every output
-file the script prints how many numbers differ and the largest absolute
-difference, or that the text around the numbers differs, or that the file
-exists on one side only.  It exits 1 on any difference and 0 when every file
-is byte-identical.
+each tree then runs its own scenarios and inline commands with its own
+source.  An inline command's stdout, stderr and exit code are kept as files
+beside the files it writes.  For every output file the script prints how
+many numbers differ and the largest absolute difference, or that the text
+around the numbers differs, or that the file exists on one side only.  It
+exits 1 on any difference and 0 when every file is byte-identical.
 """
 
 import math
@@ -24,13 +25,65 @@ ROOT = Path(__file__).resolve().parent.parent
 NUMBER = re.compile(r"-?(?:\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|Infinity)|NaN")
 
 
+SPACES = "scenarios/spaces/"
+# (label, argv) of each inline command; "{out}" is the output directory.  The
+# list covers every subcommand, each optional flag, and errors that exit 1 or 2.
+INLINE = [
+    ("window-at", ["window", "--space", SPACES + "gaussian-sum-grid.json", "--x", "X",
+                   "--y", "Y", "--at", "2.0", "--out", "{out}/inline-window-at.json"]),
+    ("window-grid", ["window", "--space", SPACES + "bivariate-05.json", "--x", "Z",
+                     "--y", "Y", "--grid", "-2:2:9", "--tol", "1e-5"]),
+    ("window-one-node", ["window", "--space", SPACES + "bivariate-05.json", "--x", "Z",
+                         "--y", "Y", "--grid", "-1:1:1"]),
+    ("window-outside", ["window", "--space", SPACES + "bivariate-05.json", "--x", "Z",
+                        "--y", "Y", "--at", "50"]),
+    ("window-sampler", ["window", "--space", SPACES + "gaussian-sum-sampler.json",
+                        "--x", "X", "--y", "Y", "--at", "2.0", "--seed", "7"]),
+    ("density", ["density", "--joint", SPACES + "bivariate-05.json", "--at", "1.0",
+                 "--emit-density", "{out}/inline-density.csv",
+                 "--out", "{out}/inline-density.json"]),
+    ("density-expect", ["density", "--joint", SPACES + "bivariate-05.json", "--at", "-0.5",
+                        "--expect", "z * z"]),
+    ("density-sampler", ["density", "--joint", SPACES + "gaussian-sum-sampler.json",
+                         "--at", "0", "--out", "{out}/inline-density-sampler.json"]),
+    ("factorize-atoms", ["factorize", "--space", SPACES + "coin-pair.json",
+                         "--g", "sum_given_first", "--y", "first", "--levels", "0,1"]),
+    ("factorize-band", ["factorize", "--space", SPACES + "bivariate-05.json", "--g", "Z",
+                        "--y", "Y", "--levels", "0,0.5", "--band", "0.05"]),
+    ("verify", ["verify", "--space", SPACES + "d8-null.json", "--x", "X",
+                "--candidate", "candidate_17_on_null", "--generators", "null-algebra",
+                "--out", "{out}/inline-verify.json"]),
+    ("paradox", ["paradox", "--budget", "200000", "--seed", "20260811"]),
+    ("paradox-no-control", ["paradox", "--budget", "200000", "--seed", "3",
+                            "--no-control", "--tol", "1e-4"]),
+    ("paradox-unknown", ["paradox", "--instance", "nope"]),
+    ("missing-space", ["verify", "--space", SPACES + "nope.json", "--x", "X",
+                       "--candidate", "X", "--generators", "g"]),
+]
+
+
+def _condpoint(tree: Path, argv: list, **kwargs) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.run([sys.executable, "-m", "condpoint.cli", *argv],
+                          cwd=tree, env=env, **kwargs)
+
+
 def run_scenarios(tree: Path, outdir: Path) -> int:
     """Exit code of `condpoint run` over the tree's shipped scenarios."""
     scenarios = sorted(str(p.relative_to(tree)) for p in (tree / "scenarios").glob("*.json"))
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    return subprocess.run([sys.executable, "-m", "condpoint.cli", "run", *scenarios,
-                           "--outdir", str(outdir)],
-                          cwd=tree, env=env, stdout=subprocess.DEVNULL).returncode
+    return _condpoint(tree, ["run", *scenarios, "--outdir", str(outdir)],
+                      stdout=subprocess.DEVNULL).returncode
+
+
+def run_inline(tree: Path, outdir: Path) -> None:
+    """Run every INLINE command, keeping its stdout, stderr and exit code in
+    ``outdir`` as inline-<label>.stdout, .stderr and .exit."""
+    for label, argv in INLINE:
+        done = _condpoint(tree, [a.replace("{out}", str(outdir)) for a in argv],
+                          capture_output=True)
+        for ext, data in (("stdout", done.stdout), ("stderr", done.stderr),
+                          ("exit", f"{done.returncode}\n".encode())):
+            (outdir / f"inline-{label}.{ext}").write_bytes(data)
 
 
 def number_diff(a: str, b: str) -> tuple[int, float] | None:
@@ -61,6 +114,7 @@ def main(argv: list[str]) -> int:
         outs = {side: Path(tmp) / f"out-{side}" for side in ("ref", "tree")}
         for side, tree in (("ref", base), ("tree", ROOT)):
             print(f"{side}: condpoint run exited {run_scenarios(tree, outs[side])}")
+            run_inline(tree, outs[side])
         names = sorted({p.name for out in outs.values() for p in out.glob("*")})
         differ = 0
         for name in names:

@@ -19,29 +19,15 @@ import numpy as np
 
 from . import density as density_mod
 from . import pathology
-from .config import SCHEMA_VERSION, Scenario, load_scenario, load_space, expression_variable
-from .errors import CondpointError, ConfigError, GridMismatch, TaskError
+from .config import SCHEMA_VERSION, Scenario, expression_variable, load_scenario, param_value
+from .errors import CondpointError, GridMismatch, TaskError
 from .factorization import factorize
 from .partition import partition_cond_exp, verify_cond_exp
 from .serialize import to_json, write_csv, write_json
 from .spaces import DensityGrid2D, expectation
-from .window import Schedule, evaluate_on_grid, window_estimate
+from .window import evaluate_on_grid, window_estimate
 
 PARADOX_INSTANCES = {"ratio-normal": pathology.ratio_normal_instance}
-
-
-def _schedule_from(params: dict) -> Schedule:
-    spec = params.get("schedule") or {}
-    return Schedule(eps0=spec.get("eps0"), factor=float(spec.get("factor", 0.5)),
-                    depth=int(spec.get("depth", 20)))
-
-
-def _parse_grid(text: str) -> np.ndarray:
-    try:
-        a, b, n = text.split(":")
-        return np.linspace(float(a), float(b), int(n))
-    except ValueError as exc:
-        raise ConfigError(f"grid spec must be 'a:b:n', got {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +36,8 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _task_partition(scn: Scenario):
     bundle = scn.bundle
-    X = bundle.variable(scn.params["x"])
-    part = bundle.partition(scn.params["partition"])
+    X = bundle.variable(scn.param("x"))
+    part = bundle.partition(scn.param("partition"))
     pce = partition_cond_exp(bundle.space, X, part)
     doc = pce.to_json_dict()
     doc["expectation"] = expectation(bundle.space, X).value
@@ -60,19 +46,17 @@ def _task_partition(scn: Scenario):
 
 def _task_window(scn: Scenario):
     bundle = scn.bundle
-    X = bundle.variable(scn.params["x"])
-    Y = bundle.variable(scn.params["y"])
-    tol = scn.tol if scn.tol is not None else 1e-6
-    schedule = _schedule_from(scn.params)
-    if "at" in scn.params:
-        trace = window_estimate(bundle.space, X, Y, float(scn.params["at"]),
-                                schedule=schedule, tol=tol)
+    X = bundle.variable(scn.param("x"))
+    Y = bundle.variable(scn.param("y"))
+    schedule = scn.param("schedule", None)
+    at = scn.param("at", None)
+    if at is not None:
+        trace = window_estimate(bundle.space, X, Y, at, schedule=schedule, tol=scn.tol)
         rows = [(s.eps, s.estimate, s.se, s.n, s.prob) for s in trace.steps]
         return (trace.verdict == "Converged", trace.to_json_dict(),
                 (["eps", "estimate", "se", "n", "prob"], rows))
-    grid_spec = scn.params["grid"]
-    y_grid = np.linspace(float(grid_spec[0]), float(grid_spec[1]), int(grid_spec[2]))
-    table = evaluate_on_grid(bundle.space, X, Y, y_grid, schedule=schedule, tol=tol)
+    table = evaluate_on_grid(bundle.space, X, Y, np.linspace(*scn.param("grid")),
+                             schedule=schedule, tol=scn.tol)
     doc = table.to_json_dict()
     rows = list(zip(doc["grid"], doc["values"], doc["verdicts"]))
     ok = all(v == "Converged" for v in table.verdicts)
@@ -80,51 +64,44 @@ def _task_window(scn: Scenario):
 
 
 def _task_density(scn: Scenario):
-    bundle = scn.bundle
-    joint = bundle.space
+    joint = scn.bundle.space
     if not isinstance(joint, DensityGrid2D):
         raise TaskError("density tasks need a grid2d joint space")
-    y = float(scn.params["at"])
+    y = scn.param("at")
     cd = density_mod.conditional_density(joint, y)
     doc = {"kind": "conditional_density_summary",
            "y": y, "marginal": cd.marginal_value, "defect": cd.defect,
            "mean": cd.expectation()}
-    if "expect" in scn.params:
-        g = expression_variable("g", scn.params["expect"])
-        doc["expect"] = {"expr": scn.params["expect"],
-                         "value": cd.expectation(lambda z: g.fn({"z": z}))}
+    expect = scn.param("expect", None)
+    if expect is not None:
+        g = expression_variable("g", expect)
+        doc["expect"] = {"expr": expect, "value": cd.expectation(lambda z: g.fn({"z": z}))}
     return True, doc, (["z", "density"], zip(cd.nodes, cd.values))
 
 
 def _task_factorize(scn: Scenario):
     bundle = scn.bundle
-    g = bundle.variable(scn.params["g"])
-    Y = bundle.variable(scn.params["y"])
-    res = factorize(bundle.space, g, Y, scn.params["levels"],
-                    band=scn.params.get("band"))
+    g = bundle.variable(scn.param("g"))
+    Y = bundle.variable(scn.param("y"))
+    res = factorize(bundle.space, g, Y, scn.param("levels"), band=scn.param("band", None))
     return res.verdict == "Factored", res.to_json_dict(), None
 
 
 def _task_paradox(scn: Scenario):
-    name = scn.params.get("instance", "ratio-normal")
+    name = scn.param("instance", "ratio-normal")
     if name not in PARADOX_INSTANCES:
         raise TaskError(f"unknown paradox instance {name!r}")
-    kwargs = {}
-    if scn.seed is not None:
-        kwargs["seed"] = scn.seed
-    if "budget" in scn.params:
-        kwargs["budget"] = int(scn.params["budget"])
-    inst = PARADOX_INSTANCES[name](**kwargs)
-    tol = scn.tol if scn.tol is not None else 1e-6
+    given = {"seed": scn.seed, "budget": scn.param("budget", None)}
+    inst = PARADOX_INSTANCES[name](**{k: v for k, v in given.items() if v is not None})
     report = pathology.borel_kolmogorov(inst["space"], inst["X"], inst["families"],
-                                        inst["schedule"], tol=tol,
+                                        inst["schedule"], tol=scn.tol,
                                         description=inst["description"])
     doc = report.to_json_dict()
     ok = all(t.verdict == "Converged" for t in report.traces.values())
-    if scn.params.get("control", True):
+    if scn.param("control", True):
         control = pathology.borel_kolmogorov(inst["space"], inst["X"],
                                              inst["control_families"],
-                                             inst["schedule"], tol=tol,
+                                             inst["schedule"], tol=scn.tol,
                                              description="control: two window "
                                                          "families of one variable")
         doc["control"] = control.to_json_dict()
@@ -134,9 +111,9 @@ def _task_paradox(scn: Scenario):
 
 def _task_verify(scn: Scenario):
     bundle = scn.bundle
-    X = bundle.variable(scn.params["x"])
-    candidate = bundle.variable(scn.params["candidate"])
-    gens = bundle.generator_events(scn.params["generators"])
+    X = bundle.variable(scn.param("x"))
+    candidate = bundle.variable(scn.param("candidate"))
+    gens = bundle.generator_events(scn.param("generators"))
     report = verify_cond_exp(bundle.space, X, candidate, gens)
     return report.passed, report.to_json_dict(), None
 
@@ -189,7 +166,6 @@ def _run_path(path_str: str, outdir_str: str) -> dict:
 
 
 def run_paths(paths, outdir: Path, parallel: bool = False) -> dict:
-    entries = []
     if parallel and len(paths) > 1:
         with ProcessPoolExecutor() as pool:
             entries = list(pool.map(_run_path, [str(p) for p in paths],
@@ -256,38 +232,43 @@ def _add_common(p):
     p.add_argument("--out", type=Path, default=None, help="output JSON path")
 
 
+# Each inline subcommand flag's dest is its task param, and its type gives the
+# value the scenario schema expects; optional params stay absent when unset.
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="condpoint")
     sub = parser.add_subparsers(dest="command", required=True)
+    unset = argparse.SUPPRESS
 
     p = sub.add_parser("window", help="shrinking-window conditional expectation")
     p.add_argument("--space", required=True, type=Path)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--at", type=float)
-    group.add_argument("--grid", type=str, help="a:b:n")
+    group.add_argument("--at", type=float, default=unset)
+    group.add_argument("--grid", default=unset, help="a:b:n",
+                       type=lambda text: param_value("grid", text.split(":"), "--grid"))
     _add_common(p)
 
     p = sub.add_parser("density", help="conditional density from a 2D joint")
-    p.add_argument("--joint", required=True, type=Path)
+    p.add_argument("--joint", dest="space", required=True, type=Path)
     p.add_argument("--at", required=True, type=float)
     p.add_argument("--emit-density", type=Path, default=None)
-    p.add_argument("--expect", type=str, default=None, help="expression in z")
+    p.add_argument("--expect", default=unset, help="expression in z")
     _add_common(p)
 
     p = sub.add_parser("factorize", help="factor a variable through another")
     p.add_argument("--space", required=True, type=Path)
     p.add_argument("--g", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--levels", required=True, help="comma-separated level values")
-    p.add_argument("--band", type=float, default=None)
+    p.add_argument("--levels", required=True, help="comma-separated level values",
+                   type=lambda text: param_value("levels", text.split(","), "--levels"))
+    p.add_argument("--band", type=float, default=unset)
     _add_common(p)
 
     p = sub.add_parser("paradox", help="two-family conditioning paradox")
     p.add_argument("--instance", default="ratio-normal")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--no-control", action="store_true")
+    p.add_argument("--budget", type=int, default=unset)
+    p.add_argument("--no-control", dest="control", action="store_false")
     _add_common(p)
 
     p = sub.add_parser("verify", help="check a conditional-expectation candidate")
@@ -301,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenarios", nargs="*", type=Path)
     p.add_argument("--outdir", type=Path, default=Path("out"))
     p.add_argument("--parallel", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("compare", help="diff two trace artifacts")
     p.add_argument("a", type=Path)
@@ -311,15 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family-b", default=None)
     p.add_argument("--out", type=Path, default=None)
     return parser
-
-
-def _inline_scenario(args, task: str, params: dict, space_path=None) -> Scenario:
-    bundle = load_space(space_path) if space_path is not None else None
-    if bundle is not None:
-        bundle.reseed(args.seed)
-    name = args.out.stem if args.out is not None else task
-    return Scenario(name=name, bundle=bundle, task=task, params=params,
-                    seed=args.seed, tol=args.tol, out_base=None)
 
 
 def _emit_result(doc: dict, out: Path | None) -> None:
@@ -334,12 +305,15 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "--grid" and ":" in argv[i]:
             argv[i - 1:i + 1] = [f"--grid={argv[i]}"]
-    args = _build_parser().parse_args(argv)
-    try:
-        return _dispatch(args)
+    try:  # a --grid or --levels that does not convert is a ConfigError
+        return _dispatch(_build_parser().parse_args(argv))
     except CondpointError as exc:
         sys.stderr.write(to_json({"error": type(exc).__name__, "message": str(exc)}))
         return 2
+
+
+# Parsed fields of an inline subcommand that are not task params
+_NOT_PARAMS = ("command", "space", "seed", "tol", "out", "emit_density")
 
 
 def _dispatch(args) -> int:
@@ -355,42 +329,19 @@ def _dispatch(args) -> int:
         _emit_result(doc, args.out)
         return 0 if doc["passed"] else 1
 
-    if args.command == "window":
-        params = {"x": args.x, "y": args.y}
-        if args.at is not None:
-            params["at"] = args.at
-        else:
-            g = _parse_grid(args.grid)
-            params["grid"] = [float(g[0]), float(g[-1]), len(g)]
-        scn = _inline_scenario(args, "window", params, args.space)
-    elif args.command == "density":
-        params = {"at": args.at}
-        if args.expect is not None:
-            params["expect"] = args.expect
-        scn = _inline_scenario(args, "density", params, args.joint)
-    elif args.command == "factorize":
-        levels = [float(v) for v in args.levels.split(",")]
-        params = {"g": args.g, "y": args.y, "levels": levels}
-        if args.band is not None:
-            params["band"] = args.band
-        scn = _inline_scenario(args, "factorize", params, args.space)
-    elif args.command == "paradox":
-        params = {"instance": args.instance, "control": not args.no_control}
-        if args.budget is not None:
-            params["budget"] = args.budget
-        scn = _inline_scenario(args, "paradox", params)
-    elif args.command == "verify":
-        params = {"x": args.x, "candidate": args.candidate,
-                  "generators": args.generators}
-        scn = _inline_scenario(args, "verify", params, args.space)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown command {args.command!r}")
+    # an inline subcommand is the scenario document of its flags
+    scn = load_scenario({
+        "schema_version": SCHEMA_VERSION, "task": args.command,
+        "name": args.out.stem if args.out is not None else args.command,
+        "space": getattr(args, "space", None),
+        "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS},
+        "seed": args.seed, "tol": args.tol})
     entry, doc, csv = _compute(scn)
     if doc is None:
         _emit_result(entry, args.out)
         sys.stderr.write(to_json({"error": entry["error"]}))
         return 1
-    if args.command == "density" and args.emit_density is not None:
+    if getattr(args, "emit_density", None) is not None:
         write_csv(args.emit_density, *csv)
     _emit_result(doc, args.out)
     return 0 if entry["ok"] else 1

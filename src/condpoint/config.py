@@ -29,6 +29,7 @@ from .spaces import (
     Sampler,
     coordinate,
 )
+from .window import DEFAULT_TOL, Schedule
 
 SCHEMA_VERSION = 1
 
@@ -185,6 +186,14 @@ def _as_float(value, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
 
 
+def _as_count(value, what: str) -> int:
+    """An integer >= 1; a number with a fraction is not one."""
+    n = _as_float(value, what)
+    if not (n >= 1 and n.is_integer()):
+        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(n)
+
+
 def _as_pair(value, what: str, convert) -> tuple:
     """A list of two entries, each through ``convert(entry, what)``."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
@@ -234,7 +243,7 @@ def build_space(cfg: dict):
         return Sampler(cfg.get("family", "standard-normal-pair"),
                        params=dict(cfg.get("params", {})),
                        seed=_as_int(cfg["seed"], "sampler seed"),
-                       budget=_as_int(cfg.get("budget", 100_000), "sampler budget"),
+                       budget=_as_count(cfg.get("budget", 100_000), "sampler budget"),
                        name=cfg.get("name", "sampler"))
     raise ConfigError(f"unknown space kind {kind!r}")
 
@@ -265,18 +274,11 @@ class SpaceBundle:
     space: object
     variables: dict
     partition_specs: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
 
     def variable(self, name: str) -> RandomVariable:
         if name not in self.variables:
             raise ConfigError(f"unknown variable {name!r}; have {sorted(self.variables)}")
         return self.variables[name]
-
-    def reseed(self, seed: int | None) -> None:
-        """Reseed a sampler space and drop its drawn rows; no-op for None or other spaces."""
-        if seed is not None and isinstance(self.space, Sampler):
-            self.space.seed = seed
-            self.space._cache.clear()
 
     def partition(self, name: str) -> Partition:
         return Partition(self.space, tuple(self.generator_events(name)))
@@ -308,8 +310,9 @@ class SpaceBundle:
         raise ConfigError(f"partition cell needs 'atoms', 'interval', or 'expr': {cell!r}")
 
 
-def load_space(source, base_dir: Path | None = None) -> SpaceBundle:
-    """Build a SpaceBundle from a config dict or a JSON file path."""
+def _document(source, what: str, base_dir: Path | None = None) -> tuple:
+    """(config dict, its file path or None) from a dict or a JSON file path."""
+    path = None
     if isinstance(source, (str, Path)):
         path = Path(source)
         if base_dir is not None and not path.is_absolute():
@@ -317,19 +320,70 @@ def load_space(source, base_dir: Path | None = None) -> SpaceBundle:
         try:
             cfg = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
-            raise ConfigError(f"space config not found: {path}") from exc
+            raise ConfigError(f"{what} not found: {path}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"space config is not valid JSON: {path}: {exc}") from exc
+            raise ConfigError(f"{what} is not valid JSON: {path}: {exc}") from exc
     else:
-        cfg = dict(source)
-    if cfg.get("schema_version") != SCHEMA_VERSION:
+        cfg = source
+    if not isinstance(cfg, dict) or cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
+    return dict(cfg), path
+
+
+def load_space(source, base_dir: Path | None = None) -> SpaceBundle:
+    """Build a SpaceBundle from a config dict or a JSON file path."""
+    cfg, _ = _document(source, "space config", base_dir)
     space = build_space(cfg)
     discrete = isinstance(space, DiscreteAtoms)
     variables = {}
     for name, spec in (cfg.get("variables") or {}).items():
         variables[name] = build_variable(name, spec, discrete)
-    return SpaceBundle(space, variables, dict(cfg.get("partitions") or {}), cfg)
+    return SpaceBundle(space, variables, dict(cfg.get("partitions") or {}))
+
+
+def _of_type(kind, label: str):
+    """A converter that passes a ``kind`` through and rejects anything else."""
+    def check(value, what: str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{what} must be {label}, got {value!r}")
+        return value
+    return check
+
+
+_as_str = _of_type(str, "a string")
+_as_list = _of_type((list, tuple), "a list")
+
+
+def _as_grid(value, what: str) -> list:
+    """``[a, b, n]``: two bounds and a node count n >= 1."""
+    grid = _as_list(value, what)
+    if len(grid) != 3:
+        raise ConfigError(f"{what} must be [a, b, n], got {value!r}")
+    return [_as_float(grid[0], what), _as_float(grid[1], what), _as_count(grid[2], f"{what} n")]
+
+
+def _as_schedule(value, what: str) -> Schedule:
+    """A Schedule from ``{"eps0", "factor", "depth"}``, each optional."""
+    spec = _of_type(dict, "an object")(value, what)
+    eps0 = spec.get("eps0")
+    try:
+        return Schedule(eps0=None if eps0 is None else _as_float(eps0, f"{what} eps0"),
+                        factor=_as_float(spec.get("factor", 0.5), f"{what} factor"),
+                        depth=_as_int(spec.get("depth", 20), f"{what} depth"))
+    except ValueError as exc:  # the schedule's own checks
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+# The type of each task param that is not a name (a string)
+_PARAM_TYPES = {"at": _as_float, "band": _as_float, "budget": _as_count,
+                "control": _of_type(bool, "true or false"), "grid": _as_grid,
+                "levels": lambda value, what: [_as_float(v, what) for v in _as_list(value, what)],
+                "schedule": _as_schedule}
+
+
+def param_value(key: str, value, what: str):
+    """``value`` as task param ``key`` expects it; ConfigError naming ``what`` if not."""
+    return _PARAM_TYPES.get(key, _as_str)(value, what)
 
 
 @dataclass(eq=False)
@@ -341,38 +395,48 @@ class Scenario:
     task: str
     params: dict
     seed: int | None = None
-    tol: float | None = None
+    tol: float = DEFAULT_TOL
     out_base: str | None = None
 
     TASKS = ("partition", "window", "density", "factorize", "paradox", "verify")
 
+    def param(self, key: str, default=...):
+        """Task param ``key`` through ``param_value``; ``default`` when it is
+        absent or null, where the default ``...`` means required.  Every
+        failure is a ConfigError naming the task and the field."""
+        if self.params.get(key) is None:
+            if default is ...:
+                raise ConfigError(f"{self.task} {key} is missing")
+            return default
+        return param_value(key, self.params[key], f"{self.task} {key}")
 
-def load_scenario(path) -> Scenario:
-    path = Path(path)
-    try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"scenario not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario is not valid JSON: {path}: {exc}") from exc
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
+
+def load_scenario(source) -> Scenario:
+    """Build a Scenario from a scenario document or a JSON file path.
+
+    A relative space path is read against the scenario file's directory, or
+    against the working directory for a document.
+    """
+    cfg, path = _document(source, "scenario")
     task = cfg.get("task")
     if task not in Scenario.TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {Scenario.TASKS}")
-    name = cfg.get("name") or path.stem
+    name = _as_str(cfg.get("name") or (path.stem if path is not None else task),
+                   "scenario name")
+    params = _of_type(dict, "an object")(cfg.get("params") or {}, "scenario params")
     space_field = cfg.get("space")
     if space_field is None and task != "paradox":
         raise ConfigError("scenario needs a 'space' (path or inline config)")
     seed = cfg.get("seed")
     if seed is not None:
         seed = _as_int(seed, "scenario seed")
+    tol = cfg.get("tol")
+    tol = DEFAULT_TOL if tol is None else _as_float(tol, "scenario tol")
     bundle = None
     if space_field is not None:
-        bundle = load_space(space_field, base_dir=path.parent)
-        bundle.reseed(seed)
-    tol = cfg.get("tol")
+        bundle = load_space(space_field, base_dir=None if path is None else path.parent)
+        if seed is not None and isinstance(bundle.space, Sampler):
+            bundle.space.seed = seed  # nothing is drawn yet
     return Scenario(name=name, bundle=bundle, task=task,
-                    params=dict(cfg.get("params") or {}), seed=seed,
-                    tol=None if tol is None else float(tol),
+                    params=dict(params), seed=seed, tol=tol,
                     out_base=cfg.get("out"))

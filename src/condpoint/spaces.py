@@ -135,11 +135,6 @@ def coordinate(name: str) -> RandomVariable:
     return RandomVariable(name, lambda frame: frame[name], coord=name)
 
 
-def from_table(name: str, table: dict) -> RandomVariable:
-    """Atom-indexed lookup table, for discrete spaces."""
-    return RandomVariable(name, lambda atom: table[atom])
-
-
 def constant(value: float, name: str | None = None) -> RandomVariable:
     return RandomVariable(name or repr(value), lambda arg: value)
 
@@ -150,10 +145,7 @@ def constant(value: float, name: str | None = None) -> RandomVariable:
 
 @dataclass(frozen=True, eq=False)
 class Event:
-    """A measurable set: atom subset, predicate, interval union, or complement.
-
-    The first computed probability per space is cached on the event.
-    """
+    """A measurable set: atom subset, predicate, interval union, or complement."""
 
     name: str
     kind: str  # "atoms" | "pred" | "intervals" | "complement"
@@ -162,7 +154,6 @@ class Event:
     rv: RandomVariable | None = None
     pieces: tuple = ()
     base: "Event | None" = None
-    _prob: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_atoms(cls, atoms, name: str | None = None) -> "Event":
@@ -303,17 +294,18 @@ def _evict(space_ref, key, _dead) -> None:
         space._cache.pop(key, None)
 
 
-def _memo(space, key, rv: RandomVariable | None, build: Callable) -> tuple:
+def _memo(space, key, owner, build: Callable) -> tuple:
     """The result tuple of ``build()``, cached on ``space`` as ``(slot, *result)``.
 
-    ``slot`` holds ``rv`` weakly; its callback drops the entry when ``rv``
-    dies, so an id is never reused while its entry lives.  The callback holds
-    the space weakly too, so no cycle keeps a dead space's arrays alive.
+    ``slot`` holds ``owner``, the variable or event keyed by id (or None),
+    weakly; its callback drops the entry when ``owner`` dies, so an id is never
+    reused while its entry lives.  The callback holds the space weakly too, so
+    no cycle keeps a dead space's arrays alive.
     """
     hit = space._cache.get(key)
     if hit is None:
-        slot = None if rv is None else weakref.ref(
-            rv, functools.partial(_evict, weakref.ref(space), key))
+        slot = None if owner is None else weakref.ref(
+            owner, functools.partial(_evict, weakref.ref(space), key))
         hit = space._cache[key] = (slot, *build())
     return hit[1:]
 
@@ -491,12 +483,11 @@ def _grid_setup(space) -> None:
 def _grid_frame(self) -> dict:
     """Coordinate of every node, one array per axis name, built once as
     broadcast views of the axis nodes (no per-node copies)."""
-    frame = self._cache.get("frame")
-    if frame is None:
+    def build():
         views = np.meshgrid(*self.grid, indexing="ij", copy=False)
-        frame = {name: _frozen(view) for name, view in zip(self.axes, views)}
-        self._cache["frame"] = frame
-    return frame
+        return ({name: _frozen(view) for name, view in zip(self.axes, views)},)
+
+    return _memo(self, "frame", None, build)[0]
 
 
 def _grid_product(space, rv: RandomVariable | None) -> np.ndarray:
@@ -812,10 +803,7 @@ class Sampler:
 
     def columns(self) -> dict:
         """The drawn rows by column name: only the kept rows on a restricted stream."""
-        cols = self._cache.get("columns")
-        if cols is None:
-            cols = self._cache["columns"] = _draw(self)
-        return cols
+        return _memo(self, "columns", None, lambda: (_draw(self),))[0]
 
     def substream(self, index: int) -> "Sampler":
         return replace(self, spawn=self.spawn + (int(index),),
@@ -837,7 +825,7 @@ class Sampler:
             raise ValueError("a sampler stream restricts to an interval event")
         out = replace(self, meta=dict(self.meta), _cache={})
         out.hull = hull
-        out._cache["columns"] = _draw(out)
+        _memo(out, "columns", None, lambda: (_draw(out),))
         return out
 
     def _full_stream(self, query: str) -> None:
@@ -916,14 +904,9 @@ ProbabilitySpace = DiscreteAtoms | GridSpace | Sampler
 
 
 def probability(space: ProbabilitySpace, event: Event) -> Estimate:
-    """P(A) by exact weight sum, clipped quadrature, or sample fraction."""
-    hit = event._prob.get(id(space))
-    if hit is not None:
-        return hit[1]
-    est = space.moment(None, event)
-    # keep the space alive alongside its estimate so the id cannot be reused
-    event._prob[id(space)] = (space, est)
-    return est
+    """P(A) by exact weight sum, clipped quadrature, or sample fraction;
+    memoised on the space while ``event`` lives."""
+    return _memo(space, ("prob", id(event)), event, lambda: (space.moment(None, event),))[0]
 
 
 def expectation(space: ProbabilitySpace, rv: RandomVariable) -> Estimate:

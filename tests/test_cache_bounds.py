@@ -179,3 +179,23 @@ def test_queried_space_is_freed_without_the_cycle_collector(make):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_probability_does_not_keep_its_spaces_alive():
+    base = cp.Sampler("standard-normal-pair", seed=1, budget=10**4)
+    event = cp.Event.window(cp.coordinate("y"), 0.0, 0.5)
+    refs = []
+    for i in range(3):
+        space = base.substream(i)
+        assert 0.0 < cp.probability(space, event).value < 1.0
+        refs.append(weakref.ref(space))
+    del space
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+    # and the entry leaves a live space with its event
+    space = base.substream(3)
+    cp.probability(space, event)
+    key = ("prob", id(event))
+    assert key in space._cache
+    del event
+    assert key not in space._cache

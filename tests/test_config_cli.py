@@ -364,3 +364,65 @@ def test_run_reports_bad_grid_field(tmp_path, capsys):
     assert by_name["dice-partition"]["ok"]
     assert not by_name["bad"]["ok"]
     assert by_name["bad"]["error"].startswith("ConfigError: grid1d nodes")
+
+
+SAMPLER_BUDGET_0 = {"schema_version": 1, "kind": "sampler", "seed": 1, "budget": 0,
+                    "variables": {"Y": {"coord": "y"}}}
+
+
+@pytest.mark.parametrize("task, space, params, tol, error", [
+    ("window", "bivariate-05.json", {"x": "Z", "y": "Y", "grid": [-1, 1]}, None, "window grid"),
+    ("window", "bivariate-05.json", {"x": "Z", "y": "Y", "grid": [0, 1, 0]}, None,
+     "window grid n"),
+    ("window", "bivariate-05.json", {"x": "Z", "y": "Y", "at": 0, "schedule": {"depth": 1}},
+     None, "window schedule"),
+    ("partition", "dice.json", {"x": "X", "partition": "halves"}, "abc", "scenario tol"),
+    ("partition", "dice.json", {"partition": "halves"}, None, "partition x"),
+    ("factorize", "coin-pair.json", {"g": "sum", "y": "first", "levels": 1}, None,
+     "factorize levels"),
+    ("paradox", None, {"budget": 0}, None, "paradox budget"),
+    ("window", SAMPLER_BUDGET_0, {"x": "Y", "y": "Y", "at": 0}, None, "sampler budget"),
+])
+def test_run_reports_bad_task_params(tmp_path, capsys, task, space, params, tol, error):
+    bad = tmp_path / "bad.json"
+    if isinstance(space, str):
+        space = str(SCENARIO_DIR / "spaces" / space)
+    bad.write_text(json.dumps({"schema_version": 1, "task": task, "space": space,
+                               "params": params, "tol": tol}))
+    outdir = tmp_path / "o"
+    rc = cli.main(["run", str(bad), str(SCENARIO_DIR / "dice-partition.json"),
+                   "--outdir", str(outdir)])
+    assert rc == 1
+    capsys.readouterr()
+    assert sorted(p.name for p in outdir.iterdir()) == ["dice-partition.json", "summary.json"]
+    by_name = {e["name"]: e for e in json.loads((outdir / "summary.json").read_text())["scenarios"]}
+    assert by_name["dice-partition"]["ok"]
+    assert not by_name["bad"]["ok"]
+    assert by_name["bad"]["error"].startswith(f"ConfigError: {error}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["window", "--space", str(SCENARIO_DIR / "spaces" / "bivariate-05.json"),
+     "--x", "Z", "--y", "Y", "--grid", "0:1:0"],
+    ["factorize", "--space", str(SCENARIO_DIR / "spaces" / "coin-pair.json"),
+     "--g", "sum_given_first", "--y", "first", "--levels", "0,x"],
+])
+def test_inline_flag_that_does_not_convert_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == "ConfigError"
+
+
+def test_inline_window_writes_the_bytes_of_its_scenario(tmp_path, capsys):
+    space = str(SCENARIO_DIR / "spaces" / "bivariate-05.json")
+    out = tmp_path / "a.json"
+    assert cli.main(["window", "--space", space, "--x", "Z", "--y", "Y", "--at", "0.5",
+                     "--out", str(out)]) == 0
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"schema_version": 1, "task": "window", "name": "a",
+                               "space": space, "params": {"x": "Z", "y": "Y", "at": 0.5}}))
+    assert cli.main(["run", str(doc), "--outdir", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "o" / "a.json").read_bytes() == out.read_bytes()
