@@ -31,6 +31,9 @@ SPACES = "scenarios/spaces/"
 INLINE = [
     ("window-at", ["window", "--space", SPACES + "gaussian-sum-grid.json", "--x", "X",
                    "--y", "Y", "--at", "2.0", "--out", "{out}/inline-window-at.json"]),
+    ("compare-self", ["compare", "{out}/inline-window-at.json", "{out}/inline-window-at.json",
+                      "--tol", "0"]),
+    ("compare-missing", ["compare", "{out}/inline-window-at.json", "nope.json"]),
     ("window-grid", ["window", "--space", SPACES + "bivariate-05.json", "--x", "Z",
                      "--y", "Y", "--grid", "-2:2:9", "--tol", "1e-5"]),
     ("window-one-node", ["window", "--space", SPACES + "bivariate-05.json", "--x", "Z",

@@ -10,7 +10,6 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -19,7 +18,8 @@ import numpy as np
 
 from . import density as density_mod
 from . import pathology
-from .config import SCHEMA_VERSION, Scenario, expression_variable, load_scenario, param_value
+from .config import (SCHEMA_VERSION, Scenario, _document, expression_variable, load_scenario,
+                     param_value)
 from .errors import CondpointError, GridMismatch, TaskError
 from .factorization import factorize
 from .partition import partition_cond_exp, verify_cond_exp
@@ -323,8 +323,7 @@ def _dispatch(args) -> int:
         return 0 if summary["ok"] else 1
 
     if args.command == "compare":
-        a = json.loads(Path(args.a).read_text(encoding="utf-8"))
-        b = json.loads(Path(args.b).read_text(encoding="utf-8"))
+        (a, _), (b, _) = (_document(path, "artifact") for path in (args.a, args.b))
         doc = compare(a, b, args.tol, args.family_a, args.family_b)
         _emit_result(doc, args.out)
         return 0 if doc["passed"] else 1

@@ -28,6 +28,7 @@ from .spaces import (
     RandomVariable,
     Sampler,
     coordinate,
+    DRAW_FAMILIES,
 )
 from .window import DEFAULT_TOL, Schedule
 
@@ -104,64 +105,52 @@ def _normal_pdf(x, mean, var):
     return np.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
 
 
-def _grid1d_values(density: dict, lo: float, hi: float, n: int) -> np.ndarray:
-    x = np.linspace(lo, hi, n)
+def _grid_values(density: dict, ranges, nodes) -> np.ndarray:
+    """The density family at every node; axis k has ``nodes[k]`` nodes over ``ranges[k]``."""
     family = density.get("family")
-    if family == "normal":
-        return _normal_pdf(x, float(density.get("mean", 0.0)), float(density.get("var", 1.0)))
     if family == "uniform":
-        return np.full(n, 1.0 / (hi - lo))
-    if family == "mixture":
-        out = np.zeros(n)
+        return np.full(tuple(nodes), 1.0 / math.prod(hi - lo for lo, hi in ranges))
+    coords = np.meshgrid(*(np.linspace(lo, hi, n) for (lo, hi), n in zip(ranges, nodes)),
+                         indexing="ij", sparse=True)
+    if len(coords) == 1 and family == "normal":
+        return _normal_pdf(coords[0], float(density.get("mean", 0.0)),
+                           float(density.get("var", 1.0)))
+    if len(coords) == 1 and family == "mixture":
+        out = np.zeros(coords[0].shape)
         for comp in density["components"]:
             out += float(comp["weight"]) * _normal_pdf(
-                x, float(comp.get("mean", 0.0)), float(comp.get("var", 1.0)))
+                coords[0], float(comp.get("mean", 0.0)), float(comp.get("var", 1.0)))
         return out
-    raise ConfigError(f"unknown 1D density family {family!r}")
-
-
-def _default_range_1d(density: dict) -> tuple:
-    family = density.get("family")
-    if family == "normal":
-        m, sd = float(density.get("mean", 0.0)), math.sqrt(float(density.get("var", 1.0)))
-        return (m - 8.0 * sd, m + 8.0 * sd)
-    if family == "mixture":
-        lo = min(float(c.get("mean", 0.0)) - 8.0 * math.sqrt(float(c.get("var", 1.0)))
-                 for c in density["components"])
-        hi = max(float(c.get("mean", 0.0)) + 8.0 * math.sqrt(float(c.get("var", 1.0)))
-                 for c in density["components"])
-        return (lo, hi)
-    raise ConfigError(f"density family {family!r} needs an explicit range")
-
-
-def _grid2d_values(density: dict, r0: tuple, r1: tuple, n0: int, n1: int) -> np.ndarray:
-    u = np.linspace(r0[0], r0[1], n0)[:, None]
-    v = np.linspace(r1[0], r1[1], n1)[None, :]
-    family = density.get("family")
-    if family == "bivariate-normal":
+    if len(coords) == 2 and family == "bivariate-normal":
+        u, v = coords
         rho = float(density.get("rho", 0.0))
         det = 1.0 - rho * rho
         q = (u * u - 2.0 * rho * u * v + v * v) / det
         return np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(det))
-    if family == "gaussian-sum":
+    if len(coords) == 2 and family == "gaussian-sum":
+        u, v = coords
         var_x = float(density.get("var_x", 1.0))
         var_e = float(density.get("var_noise", 1.0))
         return _normal_pdf(u, 0.0, var_x) * _normal_pdf(v - u, 0.0, var_e)
-    if family == "uniform":
-        area = (r0[1] - r0[0]) * (r1[1] - r1[0])
-        return np.full((n0, n1), 1.0 / area)
-    raise ConfigError(f"unknown 2D density family {family!r}")
+    raise ConfigError(f"unknown {len(coords)}D density family {family!r}")
 
 
-def _default_ranges_2d(density: dict) -> tuple:
+def _default_ranges(density: dict, dims: int) -> tuple:
+    """Eight standard deviations each side of the family's centre, per axis."""
     family = density.get("family")
-    if family == "bivariate-normal":
+    if dims == 1 and family in ("normal", "mixture"):
+        comps = density["components"] if family == "mixture" else [density]
+        ends = [(float(c.get("mean", 0.0)), 8.0 * math.sqrt(float(c.get("var", 1.0))))
+                for c in comps]
+        return ((min(m - w for m, w in ends), max(m + w for m, w in ends)),)
+    if dims == 2 and family == "bivariate-normal":
         return ((-8.0, 8.0), (-8.0, 8.0))
-    if family == "gaussian-sum":
+    if dims == 2 and family == "gaussian-sum":
         sd_x = math.sqrt(float(density.get("var_x", 1.0)))
         sd_y = math.sqrt(float(density.get("var_x", 1.0)) + float(density.get("var_noise", 1.0)))
         return ((-8.0 * sd_x, 8.0 * sd_x), (-8.0 * sd_y, 8.0 * sd_y))
-    raise ConfigError(f"density family {family!r} needs explicit ranges")
+    raise ConfigError(f"density family {family!r} needs "
+                      + ("an explicit range" if dims == 1 else "explicit ranges"))
 
 
 def _coerce_atom(a):
@@ -207,8 +196,9 @@ def build_space(cfg: dict):
         pairs = cfg.get("atoms")
         if not pairs:
             raise ConfigError("discrete space needs an 'atoms' list of [atom, weight]")
+        pairs = [_as_pair(p, "discrete atom [atom, weight]", lambda v, _: v) for p in pairs]
         atoms = tuple(_coerce_atom(a) for a, _ in pairs)
-        weights = np.array([float(w) for _, w in pairs])
+        weights = np.array([_as_float(w, f"discrete atom {a!r} weight") for a, w in pairs])
         try:
             return DiscreteAtoms(atoms, weights, name=cfg.get("name", "discrete"))
         except ValueError as exc:
@@ -218,21 +208,20 @@ def build_space(cfg: dict):
         quad_tol = _as_float(cfg.get("quad_tol", 1e-8), f"{kind} quad_tol")
         try:
             if kind == "grid1d":
-                lo, hi = (_as_pair(cfg["range"], "grid1d range", _as_float) if "range" in cfg
-                          else _default_range_1d(density))
-                n = _as_int(cfg.get("nodes", 1601), "grid1d nodes")
-                values = _grid1d_values(density, lo, hi, n)
-                space = DensityGrid1D(cfg.get("axis", "y"), lo, hi, values,
-                                      quad_tol=quad_tol, name=cfg.get("name", "grid1d"))
+                ranges = ((_as_pair(cfg["range"], "grid1d range", _as_float),)
+                          if "range" in cfg else _default_ranges(density, 1))
+                nodes = [_as_int(cfg.get("nodes", 1601), "grid1d nodes")]
+                axes = [cfg.get("axis", "y")]
             else:
                 ranges = (_as_pair(cfg["ranges"], "grid2d ranges",
                                    lambda r, what: _as_pair(r, what, _as_float))
-                          if "ranges" in cfg else _default_ranges_2d(density))
-                n0, n1 = _as_pair(cfg.get("nodes", [801, 801]), "grid2d nodes", _as_int)
+                          if "ranges" in cfg else _default_ranges(density, 2))
+                nodes = _as_pair(cfg.get("nodes", [801, 801]), "grid2d nodes", _as_int)
                 axes = _as_pair(cfg.get("axes", ["z", "y"]), "grid2d axes", lambda v, _: v)
-                space = DensityGrid2D(axes, ranges,
-                                      _grid2d_values(density, ranges[0], ranges[1], n0, n1),
-                                      quad_tol=quad_tol, name=cfg.get("name", "grid2d"))
+            values = _grid_values(density, ranges, nodes)
+            kw = {"quad_tol": quad_tol, "name": cfg.get("name", kind)}
+            space = (DensityGrid1D(axes[0], *ranges[0], values, **kw) if kind == "grid1d"
+                     else DensityGrid2D(axes, ranges, values, **kw))
         except ValueError as exc:  # density parameters and the grid's own checks
             raise ConfigError(f"{kind} space: {exc}") from exc
         space.meta["density"] = density
@@ -240,7 +229,11 @@ def build_space(cfg: dict):
     if kind == "sampler":
         if "seed" not in cfg:
             raise ConfigError("sampler spaces require an explicit seed")
-        return Sampler(cfg.get("family", "standard-normal-pair"),
+        family = cfg.get("family", "standard-normal-pair")
+        if family not in DRAW_FAMILIES:
+            raise ConfigError(f"unknown sampler family {family!r}; "
+                              f"expected one of {sorted(DRAW_FAMILIES)}")
+        return Sampler(family,
                        params=dict(cfg.get("params", {})),
                        seed=_as_int(cfg["seed"], "sampler seed"),
                        budget=_as_count(cfg.get("budget", 100_000), "sampler budget"),
@@ -260,7 +253,7 @@ def build_variable(name: str, spec: dict, discrete: bool) -> RandomVariable:
                 key = int(k)
             except ValueError:
                 key = k
-            table[key] = float(v)
+            table[key] = _as_float(v, f"variable {name!r} table value")
         return RandomVariable(name, lambda omega, t=table: t[omega])
     if "expr" in spec:
         return expression_variable(name, spec["expr"], discrete=discrete)
@@ -298,10 +291,11 @@ class SpaceBundle:
         if "atoms" in cell:
             return Event.from_atoms([_coerce_atom(a) for a in cell["atoms"]], name=label)
         if "interval" in cell:
-            iv = cell["interval"]
-            rv = self.variable(iv["var"]) if iv["var"] in self.variables else coordinate(iv["var"])
-            lo = float(iv.get("lo", -math.inf))
-            hi = float(iv.get("hi", math.inf))
+            iv, what = cell["interval"], f"partition cell {label!r} interval"
+            var = _as_str(iv.get("var"), f"{what} var")
+            rv = self.variable(var) if var in self.variables else coordinate(var)
+            lo = _as_float(iv.get("lo", -math.inf), f"{what} lo")
+            hi = _as_float(iv.get("hi", math.inf), f"{what} hi")
             return Event.interval(rv, lo, hi, name=label)
         if "expr" in cell:
             rv = expression_variable(label, cell["expr"],
@@ -321,7 +315,9 @@ def _document(source, what: str, base_dir: Path | None = None) -> tuple:
             cfg = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"{what} not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except OSError as exc:  # a directory, no permission
+            raise ConfigError(f"{what} cannot be read: {path}: {exc.strerror}") from exc
+        except ValueError as exc:  # not JSON, or not UTF-8 text
             raise ConfigError(f"{what} is not valid JSON: {path}: {exc}") from exc
     else:
         cfg = source

@@ -70,16 +70,6 @@ class ConditionalDensity:
         """Mass at or below x."""
         return float(quad.clip_integral(self.nodes, self.values, self.nodes[0], x))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "conditional_density",
-            "y": float(self.y),
-            "marginal": float(self.marginal_value),
-            "defect": float(self.defect),
-            "nodes": [float(v) for v in self.nodes],
-            "values": [float(v) for v in self.values],
-        }
-
 
 def conditional_density(joint: JointDensity, y: float,
                         floor: float = DENSITY_FLOOR) -> ConditionalDensity:

@@ -92,14 +92,6 @@ class TooFineReport:
     points: list  # (point description, value) samples from the event
     band_width: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "too_fine_report",
-            "witnesses": [float(w) for w in self.witnesses],
-            "points": [[str(p), float(v)] for p, v in self.points],
-            "band_width": None if self.band_width is None else float(self.band_width),
-        }
-
 
 def too_fine_demo(space, X: RandomVariable, A: Event,
                   band: float | None = None) -> TooFineReport:
@@ -156,10 +148,6 @@ class ParadoxReport:
     discrepancy: float
     combined_tol: float
     pair: tuple | None
-
-    @property
-    def limits(self) -> dict:
-        return {name: t.value for name, t in self.traces.items()}
 
     def to_json_dict(self) -> dict:
         return {

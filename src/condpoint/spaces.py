@@ -135,10 +135,6 @@ def coordinate(name: str) -> RandomVariable:
     return RandomVariable(name, lambda frame: frame[name], coord=name)
 
 
-def constant(value: float, name: str | None = None) -> RandomVariable:
-    return RandomVariable(name or repr(value), lambda arg: value)
-
-
 # ---------------------------------------------------------------------------
 # Events
 
@@ -184,11 +180,7 @@ class Event:
         if self.kind == "pred":
             return self.pred(arg)
         if self.kind == "intervals":
-            v = self.rv.fn(arg)
-            out = False
-            for lo, hi in self.pieces:
-                out = np.logical_or(out, np.logical_and(lo < v, v < hi))
-            return out
+            return _interval_mask(self.rv.fn(arg), self.pieces)
         return np.logical_not(self.base._eval(arg))
 
     def intersect(self, other: "Event", name: str | None = None) -> "Event":
@@ -329,18 +321,18 @@ def _frame_values_of(self, rv: RandomVariable) -> np.ndarray:
     return _memo(self, ("rv", id(rv)), rv, build)[0]
 
 
-def _interval_mask(v: np.ndarray, pieces) -> np.ndarray:
-    """Points of ``v`` inside any open piece, built in place piece by piece."""
-    out = piece = below = None
+def _interval_mask(v, pieces):
+    """Points of ``v``, an array or one value, inside any open piece; an
+    array mask is built in place piece by piece."""
+    out = None
     for lo, hi in pieces:
-        piece = np.less(lo, v, out=piece)
-        below = np.less(v, hi, out=below)
-        piece &= below
+        piece = np.less(lo, v)
+        piece &= np.less(v, hi)
         if out is None:
-            out, piece = piece, None
+            out = piece
         else:
             out |= piece
-    return np.zeros(v.shape, dtype=bool) if out is None else out
+    return np.zeros(np.shape(v), dtype=bool) if out is None else out
 
 
 def _frame_indicator(self, event: Event) -> np.ndarray:
@@ -965,11 +957,9 @@ def pushforward(space: ProbabilitySpace, rv: RandomVariable,
         if len(space.axes) == 1:
             return space
         k = space.axes.index(rv.coord)
-        dens = _trapezoid(np.moveaxis(space.values, k, 0),
-                          space.pitches[:k] + space.pitches[k + 1:])
         lo, hi = space.ranges[k]
-        return DensityGrid1D(rv.coord, lo, hi, dens, quad_tol=space.quad_tol,
-                             name=f"law({rv.name})")
+        return DensityGrid1D(rv.coord, lo, hi, _grid_marginal(space, None, k)[0],
+                             quad_tol=space.quad_tol, name=f"law({rv.name})")
     if bins is None:
         raise ValueError("pushforward of a non-coordinate variable needs bins=(lo, hi, count)")
     lo, hi, count = float(bins[0]), float(bins[1]), int(bins[2])

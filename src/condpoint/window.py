@@ -122,14 +122,12 @@ class WindowTrace:
 
 
 def _assess(steps, tol):
-    """(difference, effective tol, bound label) for the last two steps."""
+    """(effective tol, bound label) when the last two steps agree within it, else None."""
     last = steps[-1]
-    diff = abs(last.estimate - steps[-2].estimate)
-    if last.n is not None:
-        stat = 3.0 * last.se
-        if stat > tol:
-            return diff, stat, "statistical"
-    return diff, tol, "difference"
+    eff, bound = tol, "difference"
+    if last.n is not None and 3.0 * last.se > tol:
+        eff, bound = 3.0 * last.se, "statistical"
+    return (eff, bound) if abs(last.estimate - steps[-2].estimate) <= eff else None
 
 
 def _extrapolate(steps):
@@ -169,44 +167,34 @@ def shrink_trace(space, X: RandomVariable, pairs, tol: float = DEFAULT_TOL,
     """
     steps: list[WindowStep] = []
     ran_dry = False
-    verdict = None
-    bound = None
-    eff_tol = tol
     for eps, event in pairs:
         r = cond_expectation_event(space, X, event)
-        if r.degenerate:
+        if r.degenerate or (r.n is not None and r.n < n_min):
+            # a sampler window starved after some steps ends the trace
             if r.n is not None and steps:
                 ran_dry = True
                 break
             raise NonApproachablePoint(
-                f"window {event.name!r} at target {target!r} has mass {r.prob!r}")
-        if r.n is not None and r.n < n_min:
-            if steps:
-                ran_dry = True
-                break
-            raise NonApproachablePoint(
+                f"window {event.name!r} at target {target!r} has mass {r.prob!r}"
+                if r.degenerate else
                 f"window {event.name!r} holds {r.n} samples, below n_min={n_min}")
         steps.append(WindowStep(float(eps), r.value, r.se, r.n, r.prob))
-        if stop_early and len(steps) >= 2:
-            diff, eff, which = _assess(steps, tol)
-            if diff <= eff:
-                verdict, bound, eff_tol = CONVERGED, which, eff
-                break
-    if verdict is None and len(steps) >= 2:
-        diff, eff, which = _assess(steps, tol)
-        if diff <= eff:
-            verdict, bound, eff_tol = CONVERGED, which, eff
-    if verdict is None:
-        if ran_dry:
-            verdict = STARVED
-        elif len(steps) >= 4:
-            d = np.abs(np.diff([s.estimate for s in steps]))
-            growing = d[-1] > d[-2] > d[-3] and d[-1] > d[0]
-            verdict = DIVERGED if growing else PLATEAUED
-        else:
-            verdict = PLATEAUED
+        if stop_early and len(steps) >= 2 and _assess(steps, tol):
+            break
     if not steps:
         raise NonApproachablePoint(f"no adequate window at target {target!r}")
+    agreed = _assess(steps, tol) if len(steps) >= 2 else None
+    eff_tol, bound = agreed or (tol, None)
+    if agreed:
+        verdict = CONVERGED
+    elif ran_dry:
+        verdict = STARVED
+    elif len(steps) >= 4:
+        d = np.abs(np.diff([s.estimate for s in steps]))
+        growing = d[-1] > d[-2] > d[-3] and d[-1] > d[0]
+        verdict = DIVERGED if growing else PLATEAUED
+    else:
+        verdict = PLATEAUED
     if verdict in (CONVERGED, PLATEAUED) and bound != "statistical":
         value, extrapolated = _extrapolate(steps)
     else:

@@ -426,3 +426,79 @@ def test_inline_window_writes_the_bytes_of_its_scenario(tmp_path, capsys):
     assert cli.main(["run", str(doc), "--outdir", str(tmp_path / "o")]) == 0
     capsys.readouterr()
     assert (tmp_path / "o" / "a.json").read_bytes() == out.read_bytes()
+
+
+def _grid_with_cell(interval):
+    return {"schema_version": 1, "kind": "grid1d", "density": {"family": "normal"},
+            "nodes": 101, "variables": {"Y": {"coord": "y"}},
+            "partitions": {"p": [{"name": "low", "interval": interval}]}}
+
+
+def _discrete(atoms, variables=None):
+    return {"schema_version": 1, "kind": "discrete", "atoms": atoms,
+            "variables": variables or {}}
+
+
+@pytest.mark.parametrize("space, error", [
+    (_grid_with_cell({"var": "Y", "hi": "abc"}), "partition cell 'low' interval hi"),
+    (_grid_with_cell({"var": "Y", "lo": None}), "partition cell 'low' interval lo"),
+    (_grid_with_cell({"hi": 0.0}), "partition cell 'low' interval var"),
+    (_discrete([[1, "x"]]), "discrete atom 1 weight"),
+    (_discrete([[1, 0.5, 0.5]]), "discrete atom [atom, weight]"),
+    (_discrete([[1, 0.5], [2, 0.5]], {"X": {"table": {"1": "a", "2": 1}}}),
+     "variable 'X' table value"),
+    ({"schema_version": 1, "kind": "sampler", "family": "nope", "seed": 1},
+     "unknown sampler family 'nope'"),
+])
+def test_run_reports_bad_config_field(tmp_path, capsys, space, error):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema_version": 1, "task": "partition", "space": space,
+                               "params": {"x": "Y", "partition": "p"}}))
+    outdir = tmp_path / "o"
+    rc = cli.main(["run", str(bad), str(SCENARIO_DIR / "dice-partition.json"),
+                   "--outdir", str(outdir)])
+    assert rc == 1
+    capsys.readouterr()
+    assert (outdir / "dice-partition.json").exists()
+    by_name = {e["name"]: e for e in json.loads((outdir / "summary.json").read_text())["scenarios"]}
+    assert by_name["dice-partition"]["ok"]
+    assert not by_name["bad"]["ok"]
+    assert by_name["bad"]["error"].startswith(f"ConfigError: {error}")
+
+
+def test_run_reports_a_directory_as_failed(tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    outdir = tmp_path / "o"
+    rc = cli.main(["run", str(folder), str(SCENARIO_DIR / "dice-partition.json"),
+                   "--outdir", str(outdir)])
+    assert rc == 1
+    capsys.readouterr()
+    assert (outdir / "dice-partition.json").exists()
+    by_name = {e["name"]: e for e in json.loads((outdir / "summary.json").read_text())["scenarios"]}
+    assert by_name["dice-partition"]["ok"]
+    assert by_name["folder"]["error"].startswith(f"ConfigError: scenario cannot be read: {folder}")
+
+
+def test_cli_compare_exit_codes(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    assert cli.main(["window", "--space", str(SCENARIO_DIR / "spaces" / "bivariate-05.json"),
+                     "--x", "Z", "--y", "Y", "--at", "0.5", "--out", str(a)]) == 0
+    same = tmp_path / "same.json"
+    assert cli.main(["compare", str(a), str(a), "--tol", "0", "--out", str(same)]) == 0
+    doc = json.loads(same.read_text())
+    assert doc["passed"] and doc["max_diff"] == 0.0
+    shifted = json.loads(a.read_text())
+    shifted["steps"][-1]["estimate"] += 1e-3
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(shifted))
+    assert cli.main(["compare", str(a), str(b)]) == 1
+    capsys.readouterr()
+    (tmp_path / "text.json").write_text("not json")
+    for name, message in (("nope.json", "not found"), ("text.json", "is not valid JSON")):
+        assert cli.main(["compare", str(a), str(tmp_path / name)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"artifact {message}: {tmp_path / name}")

@@ -182,3 +182,17 @@ def test_total_probability_random_events(dice, mask, cut):
         dice, [set(range(1, cut + 1)), set(range(cut + 1, 7))])
     assert abs(cp.total_probability(dice, A, part)
                - cp.probability(dice, A).value) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_verify_evaluates_each_union_indicator_once(monkeypatch, n):
+    # one indicator per generator for measurability, then one per union
+    space = cp.DiscreteAtoms(tuple(range(n)), np.full(n, 1.0 / n))
+    X = cp.RandomVariable("X", lambda w: w)
+    gens = [cp.Event.from_atoms({k}, name=f"a{k}") for k in range(n)]
+    calls = []
+    indicator = cp.DiscreteAtoms.indicator
+    monkeypatch.setattr(cp.DiscreteAtoms, "indicator",
+                        lambda self, event: calls.append(event) or indicator(self, event))
+    assert cp.verify_cond_exp(space, X, X, gens).passed
+    assert len(calls) == n + 2 ** n - 1

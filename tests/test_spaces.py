@@ -360,3 +360,13 @@ def test_grid_coordinate_values_are_views_of_the_axis_nodes():
         assert vals.shape == space.values.shape
         assert np.shares_memory(vals, space.grid[k])
         assert not vals.flags.writeable
+
+
+def test_grid_complement_event_matches_complement_within(normal_grid):
+    y = cp.coordinate("y")
+    window = cp.Event.window(y, 0.5, 0.25)
+    outer = cp.complement_within(normal_grid, window)
+    assert outer.kind == "intervals" and window.complement().kind == "complement"
+    for rv in (None, y):
+        a = normal_grid.moment(rv, window.complement()).value
+        assert abs(a - normal_grid.moment(rv, outer).value) <= 1e-12

@@ -258,3 +258,11 @@ def test_trace_json_shape(gaussian_sum_sampler):
     assert doc["verdict"] == tr.verdict
     assert len(doc["steps"]) == len(tr.steps)
     assert {"eps", "estimate", "se", "n", "prob"} <= set(doc["steps"][0])
+
+
+def test_sampler_starves_on_an_empty_window_after_some_steps():
+    # uniform rows in [0, 1): the third window, (-0.5, 0), holds no row
+    space = cp.Sampler("uniform-square", seed=1, budget=10000)
+    tr = cp.window_estimate(space, Y_COORD, Y_COORD, -0.25, schedule=cp.Schedule(eps0=1.0))
+    assert tr.verdict == STARVED and tr.bound is None and tr.tol == 1e-6
+    assert [s.n for s in tr.steps] == [7499, 2555]
