@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +166,9 @@ def _run_path(path_str: str, outdir_str: str) -> dict:
 
 def run_paths(paths, outdir: Path, parallel: bool = False) -> dict:
     if parallel and len(paths) > 1:
+        # imported here: loading the process pool would slow every `import condpoint.cli`
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor() as pool:
             entries = list(pool.map(_run_path, [str(p) for p in paths],
                                     [str(outdir)] * len(paths)))

@@ -117,8 +117,8 @@ def _grid_values(density: dict, ranges, nodes) -> np.ndarray:
                            float(density.get("var", 1.0)))
     if len(coords) == 1 and family == "mixture":
         out = np.zeros(coords[0].shape)
-        for comp in density["components"]:
-            out += float(comp["weight"]) * _normal_pdf(
+        for comp in _components(density):
+            out += _as_float(comp.get("weight"), "mixture component weight") * _normal_pdf(
                 coords[0], float(comp.get("mean", 0.0)), float(comp.get("var", 1.0)))
         return out
     if len(coords) == 2 and family == "bivariate-normal":
@@ -139,7 +139,7 @@ def _default_ranges(density: dict, dims: int) -> tuple:
     """Eight standard deviations each side of the family's centre, per axis."""
     family = density.get("family")
     if dims == 1 and family in ("normal", "mixture"):
-        comps = density["components"] if family == "mixture" else [density]
+        comps = _components(density) if family == "mixture" else [density]
         ends = [(float(c.get("mean", 0.0)), 8.0 * math.sqrt(float(c.get("var", 1.0))))
                 for c in comps]
         return ((min(m - w for m, w in ends), max(m + w for m, w in ends)),)
@@ -153,6 +153,12 @@ def _default_ranges(density: dict, dims: int) -> tuple:
                       + ("an explicit range" if dims == 1 else "explicit ranges"))
 
 
+def _components(density: dict) -> list:
+    """A mixture's component objects."""
+    return [_as_object(c, "mixture component")
+            for c in _as_list(density.get("components"), "mixture components")]
+
+
 def _coerce_atom(a):
     if isinstance(a, list):
         return tuple(_coerce_atom(v) for v in a)
@@ -160,11 +166,18 @@ def _coerce_atom(a):
 
 
 def _as_int(value, what: str) -> int:
-    """``int(value)``, raising ConfigError that names the field."""
-    try:
+    """An integer, raising ConfigError that names the field.  A Python int
+    passes through exactly (seeds can exceed 2**53); a number with a
+    fraction is not one."""
+    if isinstance(value, int):
         return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+    try:
+        n = float(value)
+    except (TypeError, ValueError):
+        n = math.nan
+    if not n.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(n)
 
 
 def _as_float(value, what: str) -> float:
@@ -176,11 +189,11 @@ def _as_float(value, what: str) -> float:
 
 
 def _as_count(value, what: str) -> int:
-    """An integer >= 1; a number with a fraction is not one."""
-    n = _as_float(value, what)
-    if not (n >= 1 and n.is_integer()):
+    """An integer >= 1, through ``_as_int``."""
+    n = _as_int(value, what)
+    if n < 1:
         raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
-    return int(n)
+    return n
 
 
 def _as_pair(value, what: str, convert) -> tuple:
@@ -348,6 +361,7 @@ def _of_type(kind, label: str):
 
 _as_str = _of_type(str, "a string")
 _as_list = _of_type((list, tuple), "a list")
+_as_object = _of_type(dict, "an object")
 
 
 def _as_grid(value, what: str) -> list:
@@ -360,7 +374,7 @@ def _as_grid(value, what: str) -> list:
 
 def _as_schedule(value, what: str) -> Schedule:
     """A Schedule from ``{"eps0", "factor", "depth"}``, each optional."""
-    spec = _of_type(dict, "an object")(value, what)
+    spec = _as_object(value, what)
     eps0 = spec.get("eps0")
     try:
         return Schedule(eps0=None if eps0 is None else _as_float(eps0, f"{what} eps0"),
@@ -419,7 +433,7 @@ def load_scenario(source) -> Scenario:
         raise ConfigError(f"unknown task {task!r}; expected one of {Scenario.TASKS}")
     name = _as_str(cfg.get("name") or (path.stem if path is not None else task),
                    "scenario name")
-    params = _of_type(dict, "an object")(cfg.get("params") or {}, "scenario params")
+    params = _as_object(cfg.get("params") or {}, "scenario params")
     space_field = cfg.get("space")
     if space_field is None and task != "paradox":
         raise ConfigError("scenario needs a 'space' (path or inline config)")

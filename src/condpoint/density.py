@@ -29,12 +29,12 @@ def _column_at(joint: JointDensity, y: float) -> np.ndarray:
     c, d = joint.ranges[1]
     if not (c <= y <= d):
         raise OutOfRectangle(f"y={y!r} outside [{c!r}, {d!r}]")
-    return np.asarray(quad.interp_at(joint.nodes1, joint.values, float(y)))
+    return np.asarray(quad.interp_at(joint.grid[1], joint.values, float(y)))
 
 
 def marginal(joint: JointDensity, y: float) -> float:
     """Marginal density of the conditioning axis at y."""
-    return float(quad.integrate(_column_at(joint, y), joint.pitch0))
+    return float(quad.integrate(_column_at(joint, y), joint.pitches[0]))
 
 
 @dataclass(eq=False)
@@ -75,13 +75,13 @@ def conditional_density(joint: JointDensity, y: float,
                         floor: float = DENSITY_FLOOR) -> ConditionalDensity:
     """The ratio construction f(z, y) / f_Y(y) on the z grid."""
     col = _column_at(joint, y)
-    fy = float(quad.integrate(col, joint.pitch0))
+    fy = float(quad.integrate(col, joint.pitches[0]))
     if fy < floor:
         raise NullMarginal(f"marginal at y={y!r} is {fy!r}, below the floor {floor!r}")
     ratio = col / fy
-    raw = float(quad.integrate(ratio, joint.pitch0))
-    return ConditionalDensity(y=float(y), nodes=joint.nodes0, values=ratio / raw,
-                              marginal_value=fy, defect=raw - 1.0, pitch=joint.pitch0)
+    raw = float(quad.integrate(ratio, joint.pitches[0]))
+    return ConditionalDensity(y=float(y), nodes=joint.grid[0], values=ratio / raw,
+                              marginal_value=fy, defect=raw - 1.0, pitch=joint.pitches[0])
 
 
 def conditional_expectation_via_density(joint: JointDensity, y: float, g=None) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyLevelSet, NotMeasurable
-from .spaces import DiscreteAtoms, GridSpace, RandomVariable
+from .spaces import DiscreteAtoms, Event, GridSpace, RandomVariable, values_on
 
 FACTORED = "Factored"
 NOT_MEASURABLE = "NotMeasurable"
@@ -79,9 +79,10 @@ def factorize(space, g: RandomVariable, Y: RandomVariable, level_values,
     """Collect g over each level set of Y and check single-valuedness.
 
     Discrete spaces use exact level sets over all atoms, massless ones
-    included; grids use the band |Y - level| < band, pitch/2 by default for
-    coordinate variables.  Verdict is Factored iff every witness list is a
-    singleton; the factor table then maps level -> that value.
+    included; grids and samplers use the open window |Y - level| < band,
+    pitch/2 by default for coordinate variables.  Verdict is Factored iff
+    every witness list is a singleton; the factor table then maps level ->
+    that value.
     """
     levels = [float(lv) for lv in level_values]
     if isinstance(space, DiscreteAtoms):
@@ -93,9 +94,8 @@ def factorize(space, g: RandomVariable, Y: RandomVariable, level_values,
     else:
         tol = BAND_WITNESS_TOL if tol is None else tol
         width = level_band(space, Y, band)
-        yv = space.values_of(Y).ravel()
-        gv = space.values_of(g).ravel()
-        witnesses = [distinct_values(gv[np.abs(yv - lv) < width], tol) for lv in levels]
+        witnesses = [distinct_values(values_on(space, g, Event.window(Y, lv, width)), tol)
+                     for lv in levels]
     verdict = NOT_MEASURABLE if any(len(w) > 1 for w in witnesses) else FACTORED
     return FactorizationResult(levels, witnesses, verdict, band_width=width)
 

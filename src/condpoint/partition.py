@@ -24,9 +24,10 @@ from .spaces import (
     Sampler,
     cond_expectation_event,
     indicator_moment,
+    is_null,
     probability,
     union_events,
-    PROB_FLOOR,
+    values_on,
 )
 
 DISJOINT_TOL = 1e-12
@@ -52,11 +53,9 @@ class Partition:
         self.cells = tuple(self.cells)
         if not self.cells:
             raise InvalidPartition("a partition needs at least one cell")
-        discrete = isinstance(self.space, DiscreteAtoms)
-        floor = 0.0 if discrete else PROB_FLOOR
         probs = [probability(self.space, c).value for c in self.cells]
         for c, p in zip(self.cells, probs):
-            if p <= floor:
+            if is_null(self.space, p):
                 raise InvalidPartition(f"cell {c.name!r} has mass {p!r}, not positive")
         for (i, a), (j, b) in combinations(enumerate(self.cells), 2):
             overlap = probability(self.space, a.intersect(b)).value
@@ -181,12 +180,6 @@ class VerificationReport:
         }
 
 
-def _values_on_event(space, rv: RandomVariable, event: Event) -> np.ndarray:
-    ind = space.indicator(event)
-    vals = space.values_of(rv)
-    return vals.ravel()[ind.ravel()]
-
-
 def verify_cond_exp(space, X: RandomVariable, candidate: RandomVariable,
                     generating_events, meas_tol: float = 1e-10,
                     identity_tol: float | None = None) -> VerificationReport:
@@ -214,7 +207,7 @@ def verify_cond_exp(space, X: RandomVariable, candidate: RandomVariable,
             identity_tol = 1e-6
     entries = []
     for ev in gens:
-        vals = _values_on_event(space, candidate, ev)
+        vals = values_on(space, candidate, ev)
         spread = float(vals.max() - vals.min()) if vals.size > 1 else 0.0
         entries.append(CheckEntry("measurability", ev.name, spread, meas_tol,
                                   spread <= meas_tol))
@@ -247,6 +240,6 @@ def bayes_discrete(space, A: Event, partition: Partition, k: int) -> float:
     """Posterior mass of cell k given the event A."""
     terms = _joint_terms(space, A, partition)
     den = math.fsum(terms)
-    if den <= 0.0 or (not isinstance(space, DiscreteAtoms) and den < PROB_FLOOR):
+    if is_null(space, den):
         raise ZeroEvidence(f"event {A.name!r} has no mass under any cell")
     return terms[k] / den

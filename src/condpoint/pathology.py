@@ -31,8 +31,9 @@ from .spaces import (
     cond_expectation_event,
     expectation,
     interval_hull,
+    is_null,
     probability,
-    PROB_FLOOR,
+    values_on,
 )
 from .window import Schedule, WindowTrace, shrink_trace
 
@@ -48,8 +49,7 @@ DRAW_THREADS = 2
 
 def _require_null(space, A: Event) -> float:
     p = probability(space, A).value
-    exact = isinstance(space, DiscreteAtoms)
-    if (exact and p != 0.0) or (not exact and p >= PROB_FLOOR):
+    if not is_null(space, p):
         raise NotNull(f"event {A.name!r} has mass {p!r}")
     return p
 
@@ -115,10 +115,7 @@ def too_fine_demo(space, X: RandomVariable, A: Event,
         center = 0.5 * (lo + hi)
         # one grid pitch around the null interval, on the event's own axis
         width = band if band is not None else (hi - lo) + 2.0 * level_band(space, A.rv, None)
-        yv = space.values_of(A.rv).ravel()
-        xv = space.values_of(X).ravel()
-        sel = np.abs(yv - center) < width
-        values = xv[sel]
+        values = values_on(space, X, Event.window(A.rv, center, width))
         witnesses = distinct_values(values, BAND_WITNESS_TOL)
         step = max(1, values.size // 8)
         points = [(f"{A.rv.name}~{center:g}#{i}", float(v))

@@ -40,6 +40,12 @@ from .errors import EmptyRange, NonIntegrable, OutsideHull, UndefinedPredicate
 PROB_FLOOR = 1e-12
 
 
+def is_null(space, p: float, floor: float = PROB_FLOOR) -> bool:
+    """Whether the mass ``p`` is null on ``space``: zero, or below ``floor``
+    off discrete spaces.  Every nullity decision in the package is this one."""
+    return p <= 0.0 or (p < floor and not isinstance(space, DiscreteAtoms))
+
+
 def _fsum(terms) -> float:
     return math.fsum(float(t) for t in terms)
 
@@ -206,7 +212,8 @@ def _same_variable(a: RandomVariable, b: RandomVariable) -> bool:
 
 
 def union_events(events, name: str | None = None) -> Event:
-    """Union of homogeneous events (all atom sets, or intervals on one rv)."""
+    """Union of events: exact for all atom sets or all intervals of one
+    variable, a structural predicate otherwise, as in ``Event.intersect``."""
     events = list(events)
     if not events:
         raise ValueError("empty union has no carrier; handle it at the call site")
@@ -216,19 +223,19 @@ def union_events(events, name: str | None = None) -> Event:
         for e in events:
             merged = merged | e.atoms
         return Event(label, "atoms", atoms=merged)
-    if all(e.kind == "intervals" for e in events):
-        rv = events[0].rv
-        if not all(_same_variable(e.rv, rv) for e in events):
-            raise ValueError("interval union requires a shared variable")
+    rv = events[0].rv
+    if all(e.kind == "intervals" and _same_variable(e.rv, rv) for e in events):
         pieces = sorted(p for e in events for p in e.pieces)
         merged_pieces: list[tuple[float, float]] = []
         for lo, hi in pieces:
-            if merged_pieces and lo <= merged_pieces[-1][1]:
+            # touching open pieces stay apart: their shared endpoint may be an atom
+            if merged_pieces and lo < merged_pieces[-1][1]:
                 merged_pieces[-1] = (merged_pieces[-1][0], max(hi, merged_pieces[-1][1]))
             else:
                 merged_pieces.append((lo, hi))
         return Event(label, "intervals", rv=rv, pieces=tuple(merged_pieces))
-    raise ValueError("cannot union mixed event kinds exactly")
+    return Event(label, "pred", pred=lambda arg: functools.reduce(
+        np.logical_or, (e._eval(arg) for e in events)))
 
 
 def interval_hull(events) -> Event | None:
@@ -256,13 +263,14 @@ def _inside(event: Event, hull: Event) -> bool:
 def complement_within(space, event: Event, name: str | None = None) -> Event:
     """Complement of an event, staying on an exact event kind when possible.
 
-    Atom-set events on discrete spaces complement against the atom list;
+    Every event on a discrete space complements against the atom list, so
+    the endpoints of an open interval keep their atoms; elsewhere
     single-variable interval events complement to the outer interval pieces.
     Anything else falls back to a structural complement node.
     """
     label = name or f"not({event.name})"
-    if event.kind == "atoms" and isinstance(space, DiscreteAtoms):
-        return Event(label, "atoms", atoms=frozenset(space.atoms) - event.atoms)
+    if isinstance(space, DiscreteAtoms):
+        return Event(label, "atoms", atoms=frozenset(space.members(event.complement())))
     if event.kind == "intervals":
         edges = [-math.inf]
         for lo, hi in sorted(event.pieces):
@@ -355,9 +363,9 @@ def _frame_indicator(self, event: Event) -> np.ndarray:
 
 
 def _ratio_cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
-    """E[1_A X] / P(A); the degenerate branch when P(A) is zero or below ``floor``."""
+    """E[1_A X] / P(A); the degenerate branch when ``is_null`` holds for P(A)."""
     p = self.moment(None, event).value
-    if p == 0.0 or p < floor:
+    if is_null(self, p, floor):
         return ConditionalEstimate(0.0, prob=p, degenerate=True)
     num = self.moment(rv, event).value
     return ConditionalEstimate(num / p, prob=p)
@@ -879,7 +887,7 @@ class Sampler:
         k = rows.size
         n = int(self.budget)
         p = k / n
-        if k == 0 or p < floor:
+        if is_null(self, p, floor):
             return ConditionalEstimate(0.0, n=k, prob=p, degenerate=True)
         xs = self._masked_values(rv, rows, k)
         mean = float(xs.mean())
@@ -913,15 +921,14 @@ def indicator_moment(space: ProbabilitySpace, rv: RandomVariable, event: Event) 
 
 def cond_expectation_event(space: ProbabilitySpace, rv: RandomVariable,
                            event: Event, floor: float = PROB_FLOOR) -> ConditionalEstimate:
-    """E[X | A] = E[1_A X] / P(A) for P(A) > 0, and 0 on the degenerate branch.
-
-    A zero-mass event is degenerate on every space.  Discrete spaces ignore
-    ``floor``; grids and samplers also treat mass below it as null because
-    quadrature cannot witness exact nullity.
-    """
-    if isinstance(space, DiscreteAtoms):
-        return space.cond(rv, event, 0.0)
+    """E[X | A] = E[1_A X] / P(A), and 0 on the degenerate branch where
+    ``is_null(space, P(A), floor)`` holds."""
     return space.cond(rv, event, floor)
+
+
+def values_on(space: ProbabilitySpace, rv: RandomVariable, event: Event) -> np.ndarray:
+    """The values of ``rv`` at the points of ``event``, in frame order, as a 1D array."""
+    return space.values_of(rv)[space.indicator(event)]
 
 
 def variance(space: ProbabilitySpace, rv: RandomVariable) -> float:
@@ -970,7 +977,7 @@ def pushforward(space: ProbabilitySpace, rv: RandomVariable,
         mass = (_node_weights(space) * space.values).ravel()
     hist, edges = np.histogram(vals, bins=count, range=(lo, hi), weights=mass)
     total = float(hist.sum())
-    if total < PROB_FLOOR:
+    if is_null(space, total):
         raise EmptyRange(f"no mass of {rv.name} falls inside [{lo}, {hi}]")
     centers = 0.5 * (edges[:-1] + edges[1:])
     out = DiscreteAtoms(tuple(float(c) for c in centers), hist / total,

@@ -339,6 +339,75 @@ def test_bad_grid_field_is_a_config_error(kind, field, value, match):
         load_space(cfg)
 
 
+@pytest.mark.parametrize("kind, field, value, match", [
+    ("grid1d", "nodes", 101.9, "grid1d nodes must be an integer"),
+    ("grid2d", "nodes", [101, 101.5], "grid2d nodes must be an integer"),
+    ("sampler", "seed", 1.7, "sampler seed must be an integer"),
+    ("sampler", "budget", 100.5, "sampler budget must be an integer"),
+])
+def test_fractional_config_integer_is_a_config_error(kind, field, value, match):
+    cfg = {"schema_version": 1, "kind": kind, "seed": 1,
+           "nodes": 101 if kind == "grid1d" else [101, 101],
+           "density": {"family": "normal" if kind == "grid1d" else "bivariate-normal"}}
+    cfg[field] = value
+    with pytest.raises(ConfigError, match=match):
+        load_space(cfg)
+
+
+def test_config_integers_pass_through_exactly():
+    seed = 2**60 + 1  # not a float
+    bundle = load_space({"schema_version": 1, "kind": "sampler", "seed": seed, "budget": 100.0})
+    assert bundle.space.seed == seed and bundle.space.budget == 100
+    grid = load_space({"schema_version": 1, "kind": "grid1d", "nodes": 101.0,
+                       "density": {"family": "normal"}})
+    assert grid.space.nodes.size == 101
+
+
+@pytest.mark.parametrize("density, match", [
+    ({"family": "mixture"}, "mixture components must be a list"),
+    ({"family": "mixture", "components": [{"mean": 0.0}]}, "mixture component weight"),
+    ({"family": "mixture", "components": [1.0]}, "mixture component must be an object"),
+])
+@pytest.mark.parametrize("grid_range", [None, [-5.0, 5.0]])
+def test_bad_mixture_is_a_config_error(density, match, grid_range):
+    cfg = {"schema_version": 1, "kind": "grid1d", "nodes": 101, "density": density}
+    if grid_range is not None:
+        cfg["range"] = grid_range
+    with pytest.raises(ConfigError, match=match):
+        load_space(cfg)
+
+
+def test_table_variable_keeps_non_integer_keys():
+    bundle = load_space({"schema_version": 1, "kind": "discrete",
+                         "atoms": [["heads", 0.5], ["tails", 0.5], [2, 0.0]],
+                         "variables": {"X": {"table": {"heads": 1, "tails": 3, "2": 7}}}})
+    X = bundle.variable("X")
+    assert [X.fn(a) for a in bundle.space.atoms] == [1.0, 3.0, 7.0]
+    assert cp.expectation(bundle.space, X).value == 2.0
+
+
+def test_interval_partition_cells_from_config():
+    bundle = load_space({
+        "schema_version": 1, "kind": "grid1d", "axis": "y", "nodes": 801,
+        "density": {"family": "normal"},
+        "variables": {"Y": {"coord": "y"}, "Y2": {"expr": "y * y"}},
+        "partitions": {
+            "sign": [{"name": "neg", "interval": {"var": "Y", "hi": 0}},
+                     {"name": "pos", "interval": {"var": "y", "lo": 0}}],
+            "inner": [{"interval": {"var": "Y2", "hi": 1}},
+                      {"interval": {"var": "Y2", "lo": 1}}]}})
+    sign = bundle.partition("sign")
+    assert [c.name for c in sign.cells] == ["neg", "pos"]
+    assert [c.pieces for c in sign.cells] == [((-math.inf, 0.0),), ((0.0, math.inf),)]
+    assert sign.probs == pytest.approx([0.5, 0.5], abs=1e-8)
+    inner = bundle.generator_events("inner")
+    assert [c.name for c in inner] == ["B1", "B2"]
+    assert inner[0].rv is bundle.variable("Y2")
+    # P(Y^2 < 1) = P(|Y| < 1), by node-indicator quadrature
+    assert cp.probability(bundle.space, inner[0]).value == pytest.approx(
+        0.6826894921370859, abs=5e-3)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
 def test_non_finite_grid_density_is_a_config_error():

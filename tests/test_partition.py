@@ -83,6 +83,30 @@ def test_verify_detects_shifted_cell_value(dice, dice_X, dice_halves):
     assert any(abs(r - p_low) <= 1e-12 for r in bad.values())
 
 
+def test_verify_union_of_touching_cells_skips_their_shared_atom():
+    # the candidate differs from X only at the atom 0, which no generator holds
+    space = cp.DiscreteAtoms.uniform((-1, 0, 1))
+    X = cp.RandomVariable("X", lambda w: float(w))
+    Z = cp.RandomVariable("Z", lambda w: 5.0 if w == 0 else float(w))
+    gens = [cp.Event.interval(X, -math.inf, 0.0), cp.Event.interval(X, 0.0, math.inf)]
+    report = cp.verify_cond_exp(space, X, Z, gens)
+    assert report.passed and report.max_residual("identity") == 0.0
+
+
+def test_verify_default_sampler_tolerance():
+    space = cp.Sampler("gaussian-sum", {"var_x": 1.0, "var_noise": 1.0},
+                       seed=20260811, budget=200_000)
+    x, y = cp.coordinate("x"), cp.coordinate("y")
+    part = cp.Partition.from_interval_cuts(space, y, [-1.0, 0.0, 1.0])
+    exact = cp.partition_cond_exp(space, x, part).rv
+    report = cp.verify_cond_exp(space, x, exact, part.cells)
+    assert {e.tol for e in report.entries if e.kind == "identity"} == {1e-10}
+    assert report.passed and report.max_residual("identity") <= 1e-14
+    constant = cp.RandomVariable("zero", lambda f: np.zeros_like(f["y"]))
+    report = cp.verify_cond_exp(space, x, constant, part.cells)
+    assert report.measurable and not report.identity_ok
+
+
 def test_verify_report_json_roundtrip(dice, dice_X, dice_halves):
     pce = cp.partition_cond_exp(dice, dice_X, dice_halves)
     doc = cp.verify_cond_exp(dice, dice_X, pce.rv, list(dice_halves.cells)).to_json_dict()

@@ -43,6 +43,17 @@ def test_too_coarse_empty_null_event(d8_null):
     assert all(natural.fn(w) == planted.fn(w) for w in space.atoms)
 
 
+def test_too_coarse_on_an_empty_open_interval_conditions_on_every_atom():
+    space = cp.DiscreteAtoms.uniform((-1, 0, 1))
+    X = cp.RandomVariable("X", lambda w: float(w))
+    A = cp.Event.interval(X, 0.0, 1.0)
+    natural, planted = cp.too_coarse_demo(space, X, A)
+    # not-A holds all three atoms, so the value off A is E[X] = 0
+    assert [natural.fn(w) for w in space.atoms] == [0.0, 0.0, 0.0]
+    for cand in (natural, planted):
+        assert cp.verify_cond_exp(space, X, cand, four_set_algebra(space, A)).passed
+
+
 def test_too_coarse_rejects_positive_event(d8_null):
     space, X, _ = d8_null
     with pytest.raises(NotNull):

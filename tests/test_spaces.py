@@ -103,6 +103,18 @@ def test_pushforward_binned_sampler(gaussian_sum_sampler):
     assert law.meta["mass_defect"] <= 1e-6
 
 
+def test_pushforward_binned_grid_variable(normal_grid):
+    y = cp.coordinate("y")
+    law = cp.pushforward(normal_grid, y * y, bins=(0.0, 9.0, 30))
+    edges = np.linspace(0.0, 9.0, 31)
+    assert law.atoms == tuple(0.5 * (edges[:-1] + edges[1:]))
+    assert abs(math.fsum(law.weights) - 1.0) <= 1e-12
+    # P(a < Y^2 < b) = 2 (Phi(sqrt b) - Phi(sqrt a)); node masses smear each bin edge
+    ref = 2.0 * np.diff(oracles.normal_cdf(np.sqrt(edges)))
+    assert np.abs(law.weights * (1.0 - law.meta["mass_defect"]) - ref).max() <= 5e-3
+    assert abs(law.meta["mass_defect"] - 2.0 * (1.0 - oracles.normal_cdf(3.0))) <= 1e-4
+
+
 def test_pushforward_empty_range(gaussian_sum_sampler):
     with pytest.raises(EmptyRange):
         cp.pushforward(gaussian_sum_sampler, cp.coordinate("y"), bins=(100.0, 200.0, 4))
@@ -155,6 +167,23 @@ def test_event_complement_and_intersection(dice, dice_X):
     w2 = cp.Event.interval(y, 0.0, 3.0)
     both = w1.intersect(w2)
     assert both.kind == "intervals" and both.pieces == ((0.0, 1.0),)
+
+
+def test_touching_open_intervals_keep_their_shared_atom():
+    space = cp.DiscreteAtoms.uniform((-1, 0, 1))
+    x = cp.RandomVariable("X", lambda w: float(w))
+    union = cp.union_events([cp.Event.interval(x, -math.inf, 0.0),
+                             cp.Event.interval(x, 0.0, math.inf)])
+    assert union.pieces == ((-math.inf, 0.0), (0.0, math.inf))
+    assert cp.probability(space, union).value == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+def test_discrete_complement_keeps_interval_endpoints():
+    space = cp.DiscreteAtoms.uniform((-1, 0, 1))
+    x = cp.RandomVariable("X", lambda w: float(w))
+    comp = cp.complement_within(space, cp.Event.interval(x, 0.0, 1.0))
+    assert comp.kind == "atoms" and comp.atoms == frozenset(space.atoms)
+    assert cp.probability(space, comp).value == 1.0
 
 
 def test_interval_complement_pieces():

@@ -156,6 +156,22 @@ def test_outside_support_mixture():
                            schedule=cp.Schedule(eps0=0.5, depth=12))
 
 
+def test_evaluate_on_grid_flags_a_node_outside_the_support():
+    from condpoint.config import build_space
+    space = build_space({
+        "kind": "grid1d", "axis": "y", "nodes": 2001, "range": [-9.0, 9.0],
+        "density": {"family": "mixture",
+                    "components": [{"weight": 0.5, "mean": -5.0, "var": 0.1},
+                                   {"weight": 0.5, "mean": 5.0, "var": 0.1}]}})
+    pw = cp.evaluate_on_grid(space, Y_COORD * Y_COORD, Y_COORD, [-5.0, 0.0, 5.0],
+                             schedule=cp.Schedule(eps0=0.5, depth=12))
+    assert pw.verdicts == [CONVERGED, "NonApproachablePoint", CONVERGED]
+    assert [y for y, _ in pw.flags] == [0.0]
+    assert math.isnan(pw.values[1])
+    values = pw.to_json_dict()["values"]
+    assert values[1] is None and values[0] == pytest.approx(25.0, abs=1e-4)
+
+
 def test_grid_window_requires_coordinate(gaussian_sum_grid):
     derived = X_COORD + Y_COORD
     with pytest.raises(ValueError):
@@ -204,6 +220,16 @@ def test_convergence_order_kink(normal_grid):
                             tol=1e-12, stop_early=False)
     order = cp.convergence_order(tr)
     assert 0.8 <= order <= 1.2
+
+
+def test_convergence_order_sampler_trace_inside_its_noise():
+    from condpoint.pathology import ratio_normal_instance
+    inst = ratio_normal_instance(budget=2_000_000)
+    tr = cp.window_estimate(inst["space"], inst["X"], Y_COORD, 0.0,
+                            schedule=cp.Schedule(eps0=0.8, depth=6), stop_early=False)
+    # every step lies within three standard errors of the last one
+    with pytest.raises(InsufficientTrace):
+        cp.convergence_order(tr)
 
 
 def test_convergence_order_needs_three_steps(dice):
