@@ -47,6 +47,8 @@ INLINE = [
                  "--out", "{out}/inline-density.json"]),
     ("density-expect", ["density", "--joint", SPACES + "bivariate-05.json", "--at", "-0.5",
                         "--expect", "z * z"]),
+    ("density-expect-unknown", ["density", "--joint", SPACES + "bivariate-05.json",
+                                "--at", "1.0", "--expect", "y * 2"]),
     ("density-sampler", ["density", "--joint", SPACES + "gaussian-sum-sampler.json",
                          "--at", "0", "--out", "{out}/inline-density-sampler.json"]),
     ("factorize-atoms", ["factorize", "--space", SPACES + "coin-pair.json",

@@ -23,7 +23,7 @@ from .errors import CondpointError, GridMismatch, TaskError
 from .factorization import factorize
 from .partition import partition_cond_exp, verify_cond_exp
 from .serialize import to_json, write_csv, write_json
-from .spaces import DensityGrid2D, expectation
+from .spaces import DensityGrid2D, _evaluate, expectation
 from .window import evaluate_on_grid, window_estimate
 
 PARADOX_INSTANCES = {"ratio-normal": pathology.ratio_normal_instance}
@@ -74,7 +74,8 @@ def _task_density(scn: Scenario):
     expect = scn.param("expect", None)
     if expect is not None:
         g = expression_variable("g", expect)
-        doc["expect"] = {"expr": expect, "value": cd.expectation(lambda z: g.fn({"z": z}))}
+        doc["expect"] = {"expr": expect, "value": cd.expectation(
+            lambda z: _evaluate(f"expect {expect!r}", g, {"z": z}, z.shape))}
     return True, doc, (["z", "density"], zip(cd.nodes, cd.values))
 
 

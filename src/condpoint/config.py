@@ -313,7 +313,7 @@ class SpaceBundle:
         if "expr" in cell:
             rv = expression_variable(label, cell["expr"],
                                      discrete=isinstance(self.space, DiscreteAtoms))
-            return Event.where(lambda arg, f=rv.fn: f(arg), name=label)
+            return Event.where(rv.fn, name=label)
         raise ConfigError(f"partition cell needs 'atoms', 'interval', or 'expr': {cell!r}")
 
 

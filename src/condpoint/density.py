@@ -71,13 +71,13 @@ class ConditionalDensity:
         return float(quad.clip_integral(self.nodes, self.values, self.nodes[0], x))
 
 
-def conditional_density(joint: JointDensity, y: float,
-                        floor: float = DENSITY_FLOOR) -> ConditionalDensity:
-    """The ratio construction f(z, y) / f_Y(y) on the z grid."""
+def conditional_density(joint: JointDensity, y: float) -> ConditionalDensity:
+    """The ratio construction f(z, y) / f_Y(y) on the z grid; NullMarginal
+    when the marginal is below ``DENSITY_FLOOR`` (1e-12)."""
     col = _column_at(joint, y)
     fy = float(quad.integrate(col, joint.pitches[0]))
-    if fy < floor:
-        raise NullMarginal(f"marginal at y={y!r} is {fy!r}, below the floor {floor!r}")
+    if fy < DENSITY_FLOOR:
+        raise NullMarginal(f"marginal at y={y!r} is {fy!r}, below the floor {DENSITY_FLOOR!r}")
     ratio = col / fy
     raw = float(quad.integrate(ratio, joint.pitches[0]))
     return ConditionalDensity(y=float(y), nodes=joint.grid[0], values=ratio / raw,

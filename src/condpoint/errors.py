@@ -6,7 +6,7 @@ class CondpointError(Exception):
 
 
 class UndefinedPredicate(CondpointError):
-    """An event predicate could not be evaluated at some point of the space."""
+    """An event or a variable could not be evaluated at some point of the space."""
 
 
 class NonIntegrable(CondpointError):

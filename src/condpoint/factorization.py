@@ -75,27 +75,26 @@ def level_band(space, Y: RandomVariable, band: float | None) -> float:
 
 
 def factorize(space, g: RandomVariable, Y: RandomVariable, level_values,
-              tol: float | None = None, band: float | None = None) -> FactorizationResult:
+              band: float | None = None) -> FactorizationResult:
     """Collect g over each level set of Y and check single-valuedness.
 
     Discrete spaces use exact level sets over all atoms, massless ones
-    included; grids and samplers use the open window |Y - level| < band,
-    pitch/2 by default for coordinate variables.  Verdict is Factored iff
-    every witness list is a singleton; the factor table then maps level ->
-    that value.
+    included, and tell values apart beyond ``DISCRETE_WITNESS_TOL`` (1e-12);
+    grids and samplers use the open window |Y - level| < band, pitch/2 by
+    default for coordinate variables, and ``BAND_WITNESS_TOL`` (1e-10).
+    Verdict is Factored iff every witness list is a singleton; the factor
+    table then maps level -> that value.
     """
     levels = [float(lv) for lv in level_values]
     if isinstance(space, DiscreteAtoms):
-        tol = DISCRETE_WITNESS_TOL if tol is None else tol
         yv = space.values_of(Y)
         gv = space.values_of(g)
-        witnesses = [distinct_values(gv[yv == lv], tol) for lv in levels]
+        witnesses = [distinct_values(gv[yv == lv], DISCRETE_WITNESS_TOL) for lv in levels]
         width = None
     else:
-        tol = BAND_WITNESS_TOL if tol is None else tol
         width = level_band(space, Y, band)
-        witnesses = [distinct_values(values_on(space, g, Event.window(Y, lv, width)), tol)
-                     for lv in levels]
+        witnesses = [distinct_values(values_on(space, g, Event.window(Y, lv, width)),
+                                     BAND_WITNESS_TOL) for lv in levels]
     verdict = NOT_MEASURABLE if any(len(w) > 1 for w in witnesses) else FACTORED
     return FactorizationResult(levels, witnesses, verdict, band_width=width)
 

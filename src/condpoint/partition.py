@@ -33,6 +33,7 @@ from .spaces import (
 DISJOINT_TOL = 1e-12
 EXHAUSTIVE_TOL = 1e-12
 RESIDUAL_CELL_CAP = 1e-10
+MEASURABILITY_TOL = 1e-10
 
 
 @dataclass(eq=False)
@@ -181,36 +182,31 @@ class VerificationReport:
 
 
 def verify_cond_exp(space, X: RandomVariable, candidate: RandomVariable,
-                    generating_events, meas_tol: float = 1e-10,
-                    identity_tol: float | None = None) -> VerificationReport:
+                    generating_events) -> VerificationReport:
     """Check a candidate conditional expectation against its generators.
 
     Measurability is tested as constancy of the candidate on each generator
-    (spread max-min, including zero-mass points).  The integral identity is
-    tested as one moment, |E[1_U (X - Z)]|, on every finite union U of
-    generators, which is exhaustive for the generated algebra of a finite
-    list.  Failures are report entries, never exceptions.
+    (spread max-min, including zero-mass points) within
+    ``MEASURABILITY_TOL``, 1e-10.  The integral identity is tested as one
+    moment, |E[1_U (X - Z)]|, on every finite union U of generators, which is
+    exhaustive for the generated algebra of a finite list.  Failures are
+    report entries, never exceptions.
 
-    Default identity tolerance: 1e-12 on atoms, 1e-10 on samplers (the
-    identity holds exactly for the empirical measure), 1e-6 on grids where a
-    discontinuous candidate is smeared by interpolation near cell cuts.
+    Identity tolerance: 1e-12 on atoms, 1e-10 on samplers (the identity holds
+    exactly for the empirical measure), 1e-6 on grids where a discontinuous
+    candidate is smeared by interpolation near cell cuts.
     """
     gens = list(generating_events)
     if 2 ** len(gens) > 4096:
         raise ValueError("too many generators for exhaustive union checking")
-    if identity_tol is None:
-        if isinstance(space, DiscreteAtoms):
-            identity_tol = 1e-12
-        elif isinstance(space, Sampler):
-            identity_tol = 1e-10
-        else:
-            identity_tol = 1e-6
+    identity_tol = (1e-12 if isinstance(space, DiscreteAtoms)
+                    else 1e-10 if isinstance(space, Sampler) else 1e-6)
     entries = []
     for ev in gens:
         vals = values_on(space, candidate, ev)
         spread = float(vals.max() - vals.min()) if vals.size > 1 else 0.0
-        entries.append(CheckEntry("measurability", ev.name, spread, meas_tol,
-                                  spread <= meas_tol))
+        entries.append(CheckEntry("measurability", ev.name, spread, MEASURABILITY_TOL,
+                                  spread <= MEASURABILITY_TOL))
     entries.append(CheckEntry("identity", "empty", 0.0, identity_tol, True))
     gap = X - candidate
     for r in range(1, len(gens) + 1):

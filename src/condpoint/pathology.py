@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import DegenerateA, FamilyNotShrinking, NonApproachablePoint, NotNull
 from .factorization import BAND_WITNESS_TOL, DISCRETE_WITNESS_TOL, distinct_values, level_band
+from .partition import _piecewise_rv
 from .spaces import (
     DiscreteAtoms,
     Event,
@@ -54,14 +53,6 @@ def _require_null(space, A: Event) -> float:
     return p
 
 
-def _piecewise(A: Event, on_a: float, off_a: float, name: str) -> RandomVariable:
-    def fn(arg):
-        out = np.where(A._eval(arg), on_a, off_a)
-        return out[()] if np.ndim(out) == 0 else out
-
-    return RandomVariable(name, fn)
-
-
 def four_set_algebra(space, A: Event) -> list[Event]:
     """Generators [A, complement of A] of the coarse algebra around A."""
     return [A, complement_within(space, A)]
@@ -78,9 +69,10 @@ def too_coarse_demo(space, X: RandomVariable, A: Event) -> tuple[RandomVariable,
     comp = complement_within(space, A)
     off_a = cond_expectation_event(space, X, comp).value
     mean = expectation(space, X).value
-    natural = _piecewise(A, mean, off_a, f"E[{X.name}|coarse]:mean-on-null")
-    planted = _piecewise(A, ARBITRARY_NULL_VALUE, off_a,
-                         f"E[{X.name}|coarse]:{ARBITRARY_NULL_VALUE:g}-on-null")
+    cells = (A, A.complement())
+    natural = _piecewise_rv(cells, (mean, off_a), f"E[{X.name}|coarse]:mean-on-null")
+    planted = _piecewise_rv(cells, (ARBITRARY_NULL_VALUE, off_a),
+                            f"E[{X.name}|coarse]:{ARBITRARY_NULL_VALUE:g}-on-null")
     return natural, planted
 
 
@@ -103,10 +95,9 @@ def too_fine_demo(space, X: RandomVariable, A: Event,
     """
     _require_null(space, A)
     if isinstance(space, DiscreteAtoms):
-        members = space.members(A)
-        values = [float(X.fn(a)) for a in members]
+        values = values_on(space, X, A)
         witnesses = distinct_values(values, DISCRETE_WITNESS_TOL)
-        points = list(zip(members, values))
+        points = [(a, float(v)) for a, v in zip(space.members(A), values)]
         width = None
     else:
         if A.kind != "intervals" or len(A.pieces) != 1:

@@ -12,12 +12,14 @@ Four space variants share one estimator API:
 * ``Sampler``         -- a seeded Monte Carlo column store; every estimate
   carries a standard error and an effective sample count.
 
-Random variables evaluate on a space's "frame": the atom itself on discrete
-spaces, a dict of named coordinate arrays on grids and samplers, which share
-one ``values_of`` and one ``indicator`` over it.  Per-variable results are
-memoised on the space and leave with their variable.  Events are atom sets,
-predicates, unions of open intervals of a random variable, or complements of
-those.
+Every space reads variables and events through one ``values_of`` and one
+``indicator``; they differ only in ``_apply``, which applies a function once
+per atom on discrete spaces and once to the "frame", a dict of named
+coordinate arrays, on grids and samplers.  A function that fails is an
+UndefinedPredicate.  Values are memoised on the space while their variable
+lives, and a sum, difference, product or negation reads its operands'.
+Events are atom sets, predicates, unions of open intervals of a random
+variable, or complements of those.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import mmap
+import operator
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -73,21 +76,15 @@ class Estimate:
 
 
 @dataclass(frozen=True)
-class ConditionalEstimate:
-    """Result of conditioning on an event.
+class ConditionalEstimate(Estimate):
+    """Result of conditioning on an event: an estimate with the event's mass.
 
     ``degenerate`` marks the defined-by-convention branch where the event has
     (floored) zero probability and the value is 0.
     """
 
-    value: float
-    se: float = 0.0
-    n: int | None = None
     prob: float = 0.0
     degenerate: bool = False
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -101,39 +98,47 @@ class RandomVariable:
     ``fn`` receives the space's frame: the atom on discrete spaces, a dict of
     named coordinate arrays on grids and samplers.  ``coord`` marks pure
     coordinate extractors; interval events on such variables use the exact
-    clipped-quadrature path on grids.
+    clipped-quadrature path on grids.  An arithmetic combination records its
+    operator ``op`` and its ``operands`` (variables or constants), so
+    ``values_of`` can apply ``op`` to the operands' memoised values.
     """
 
     name: str
     fn: Callable
     coord: str | None = None
+    op: Callable | None = None
+    operands: tuple = ()
 
     def __call__(self, arg):
         return self.fn(arg)
 
     def _lift(self, other, op, sym):
-        if isinstance(other, RandomVariable):
-            f, g = self.fn, other.fn
-            return RandomVariable(f"({self.name}{sym}{other.name})", lambda a: op(f(a), g(a)))
-        f, c = self.fn, other
-        return RandomVariable(f"({self.name}{sym}{other!r})", lambda a: op(f(a), c))
+        label = other.name if isinstance(other, RandomVariable) else repr(other)
+        return _combination(f"({self.name}{sym}{label})", op, self, other)
 
     def __add__(self, other):
-        return self._lift(other, lambda x, y: x + y, "+")
+        return self._lift(other, operator.add, "+")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._lift(other, lambda x, y: x - y, "-")
+        return self._lift(other, operator.sub, "-")
 
     def __mul__(self, other):
-        return self._lift(other, lambda x, y: x * y, "*")
+        return self._lift(other, operator.mul, "*")
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        f = self.fn
-        return RandomVariable(f"(-{self.name})", lambda a: -f(a))
+        return _combination(f"(-{self.name})", operator.neg, self)
+
+
+def _combination(name: str, op: Callable, *operands) -> RandomVariable:
+    """``op`` applied to ``operands``, variables or constants, at each point."""
+    def fn(arg):
+        return op(*(x.fn(arg) if isinstance(x, RandomVariable) else x for x in operands))
+
+    return RandomVariable(name, fn, op=op, operands=operands)
 
 
 def coordinate(name: str) -> RandomVariable:
@@ -219,10 +224,7 @@ def union_events(events, name: str | None = None) -> Event:
         raise ValueError("empty union has no carrier; handle it at the call site")
     label = name or "|".join(e.name for e in events)
     if all(e.kind == "atoms" for e in events):
-        merged: frozenset = frozenset()
-        for e in events:
-            merged = merged | e.atoms
-        return Event(label, "atoms", atoms=merged)
+        return Event(label, "atoms", atoms=frozenset().union(*(e.atoms for e in events)))
     rv = events[0].rv
     if all(e.kind == "intervals" and _same_variable(e.rv, rv) for e in events):
         pieces = sorted(p for e in events for p in e.pieces)
@@ -314,17 +316,36 @@ def _frame_shape(frame) -> tuple:
     return next(iter(frame.values())).shape
 
 
-def _evaluate(fn: Callable, frame, shape: tuple, dtype=float) -> np.ndarray:
-    """``fn(frame)`` as an array broadcast to ``shape``; x/0 and 0/0 stay silent."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.broadcast_to(np.asarray(fn(frame), dtype=dtype), shape)
+def _evaluate(what: str, fn: Callable, frame, shape: tuple, dtype=float) -> np.ndarray:
+    """``fn(frame)`` as an array broadcast to ``shape``; x/0 and 0/0 stay silent.
+    A predicate (``dtype`` bool) must return booleans.  This is the one place
+    where a failing variable or predicate becomes an UndefinedPredicate naming ``what``."""
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.broadcast_to(np.asarray(fn(frame), dtype=None if dtype is bool else dtype),
+                                  shape)
+    except Exception as exc:
+        raise UndefinedPredicate(f"{what} failed: {type(exc).__name__}: {exc}") from exc
+    if out.dtype != dtype:
+        raise UndefinedPredicate(f"{what} is not boolean")
+    return out
 
 
-def _frame_values_of(self, rv: RandomVariable) -> np.ndarray:
-    """``rv`` at every frame point, read-only; a coordinate stays a broadcast view."""
+def _frame_apply(self, what: str, fn: Callable, dtype=float) -> np.ndarray:
+    """``fn`` at every point of a grid or sampler: once, on the whole frame."""
+    frame = self.frame()
+    return _evaluate(what, fn, frame, _frame_shape(frame), dtype)
+
+
+def _values_of(self, rv: RandomVariable) -> np.ndarray:
+    """``rv`` at every point, read-only and memoised; a coordinate stays a
+    broadcast view, and an arithmetic combination applies its operator to
+    its operands' memoised values."""
     def build():
-        frame = self.frame()
-        return (_evaluate(rv.fn, frame, _frame_shape(frame)),)
+        if rv.op is None:
+            return (self._apply(f"variable {rv.name!r}", rv.fn),)
+        args = [self.values_of(x) if isinstance(x, RandomVariable) else x for x in rv.operands]
+        return (_evaluate(f"variable {rv.name!r}", lambda a: rv.op(*a), args, args[0].shape),)
 
     return _memo(self, ("rv", id(rv)), rv, build)[0]
 
@@ -343,23 +364,15 @@ def _interval_mask(v, pieces):
     return np.zeros(np.shape(v), dtype=bool) if out is None else out
 
 
-def _frame_indicator(self, event: Event) -> np.ndarray:
-    """Membership of every frame point; intervals test the memoised values of
-    their variable.  Any failure of either kind is an UndefinedPredicate."""
+def _indicator(self, event: Event) -> np.ndarray:
+    """Membership of every point: an interval tests its variable's memoised
+    values, an atom set membership (undefined on a frame), a predicate itself."""
     if event.kind == "complement":
         return ~self.indicator(event.base)
-    if event.kind == "atoms":
-        raise UndefinedPredicate(f"atom-set events are undefined on {type(self).__name__}")
-    try:
-        if event.kind == "intervals":
-            return _interval_mask(self.values_of(event.rv), event.pieces)
-        frame = self.frame()
-        ind = _evaluate(event.pred, frame, _frame_shape(frame), dtype=None)
-    except Exception as exc:
-        raise UndefinedPredicate(f"event {event.name!r} failed on the frame: {exc}") from exc
-    if ind.dtype != bool:
-        raise UndefinedPredicate(f"event {event.name!r} is not boolean on the frame")
-    return ind
+    if event.kind == "intervals":
+        return _interval_mask(self.values_of(event.rv), event.pieces)
+    test = event.atoms.__contains__ if event.kind == "atoms" else event.pred
+    return self._apply(f"event {event.name!r}", test, bool)
 
 
 def _ratio_cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
@@ -367,8 +380,7 @@ def _ratio_cond(self, rv: RandomVariable, event: Event, floor: float) -> Conditi
     p = self.moment(None, event).value
     if is_null(self, p, floor):
         return ConditionalEstimate(0.0, prob=p, degenerate=True)
-    num = self.moment(rv, event).value
-    return ConditionalEstimate(num / p, prob=p)
+    return ConditionalEstimate(self.moment(rv, event).value / p, prob=p)
 
 
 @dataclass(eq=False)
@@ -401,19 +413,14 @@ class DiscreteAtoms:
         n = len(atoms)
         return cls(tuple(atoms), np.full(n, 1.0 / n), name=name)
 
-    def values_of(self, rv: RandomVariable) -> np.ndarray:
-        return _memo(self, ("rv", id(rv)), rv, lambda: (
-            _frozen(np.asarray([float(rv.fn(a)) for a in self.atoms])),))[0]
+    def _apply(self, what: str, fn: Callable, dtype=float) -> np.ndarray:
+        """``fn`` at every atom, each value converted as ``float()`` or ``bool()`` would."""
+        n = len(self.atoms)
+        return _evaluate(what, lambda atoms: np.fromiter(map(fn, atoms), dtype, n),
+                         self.atoms, (n,), dtype)
 
-    def indicator(self, event: Event) -> np.ndarray:
-        if event.kind == "complement":
-            return ~self.indicator(event.base)
-        try:
-            flags = [bool(event._eval(a)) for a in self.atoms]
-        except Exception as exc:  # membership must be decidable at every atom
-            raise UndefinedPredicate(
-                f"event {event.name!r} undefined on some atom: {exc}") from exc
-        return np.asarray(flags, dtype=bool)
+    values_of = _values_of
+    indicator = _indicator
 
     def members(self, event: Event) -> list:
         ind = self.indicator(event)
@@ -421,16 +428,14 @@ class DiscreteAtoms:
 
     def moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
         """E[1_A X]; with rv None the event mass, with event None the full mean."""
-        w = self.weights
-        if event is not None:
-            w = np.where(self.indicator(event), w, 0.0)
-        if rv is None:
-            return Estimate(_fsum(w[w != 0.0]))
-        x = self.values_of(rv)
+        w = self.weights if event is None else np.where(self.indicator(event), self.weights, 0.0)
         live = w != 0.0
-        if not np.all(np.isfinite(x[live])):
+        if rv is None:
+            return Estimate(_fsum(w[live]))
+        x = self.values_of(rv)[live]
+        if not np.all(np.isfinite(x)):
             raise NonIntegrable(f"{rv.name} is not finite on atoms with mass")
-        return Estimate(_fsum(w[live] * x[live]))
+        return Estimate(_fsum(w[live] * x))
 
     cond = _ratio_cond
 
@@ -569,8 +574,9 @@ class DensityGrid1D:
         self.nodes, self.pitch = self.grid[0], self.pitches[0]
 
     frame = _grid_frame
-    values_of = _frame_values_of
-    indicator = _frame_indicator
+    _apply = _frame_apply
+    values_of = _values_of
+    indicator = _indicator
     moment = _grid_moment
     cond = _ratio_cond
 
@@ -598,8 +604,9 @@ class DensityGrid2D:
         self.pitch0, self.pitch1 = self.pitches
 
     frame = _grid_frame
-    values_of = _frame_values_of
-    indicator = _frame_indicator
+    _apply = _frame_apply
+    values_of = _values_of
+    indicator = _indicator
     moment = _grid_moment
     cond = _ratio_cond
 
@@ -731,11 +738,8 @@ def _stream(draw: Callable, rng, n: int, params, hull: Event | None) -> dict:
             frame |= drawn
         if hull is None:
             continue
-        try:
-            keep = np.flatnonzero(_interval_mask(
-                _evaluate(hull.rv.fn, frame, (stop - start,)), hull.pieces))
-        except Exception as exc:
-            raise UndefinedPredicate(f"event {hull.name!r} failed on the frame: {exc}") from exc
+        keep = np.flatnonzero(_interval_mask(_evaluate(
+            f"variable {hull.rv.name!r}", hull.rv.fn, frame, (stop - start,)), hull.pieces))
         for name, col in cols.items():
             col[kept:kept + keep.size] = frame[name].take(keep)
             _release(col, kept + keep.size, stop)
@@ -840,27 +844,23 @@ class Sampler:
         if not _inside(event, self.hull):
             raise OutsideHull(f"event {event.name!r} is not an interval of "
                               f"{self.hull.rv.name!r} within {self.hull.name!r}")
-        # the hull's variable on the kept rows, memoised as values_of would
+        # the hull's variable on the kept rows, under a key values_of never reads
         kept = self.columns()
-        v, = _memo(self, ("rv", id(event.rv)), event.rv,
-                   lambda: (_evaluate(event.rv.fn, kept, _frame_shape(kept)),))
+        v, = _memo(self, ("kept", id(event.rv)), event.rv, lambda: (_evaluate(
+            f"variable {event.rv.name!r}", event.rv.fn, kept, _frame_shape(kept)),))
         return np.flatnonzero(_interval_mask(v, event.pieces))
 
     def frame(self) -> dict:
         self._full_stream("a frame")
         return self.columns()
 
-    def values_of(self, rv: RandomVariable) -> np.ndarray:
-        # checked before the memo, which a restricted stream fills for its windows
-        self._full_stream(f"the values of {rv.name!r}")
-        return _frame_values_of(self, rv)
+    _apply = _frame_apply
+    values_of = _values_of
+    indicator = _indicator
 
-    def indicator(self, event: Event) -> np.ndarray:
-        self._full_stream(f"the indicator of {event.name!r}")
-        return _frame_indicator(self, event)
-
-    def _masked_values(self, rv: RandomVariable, rows: np.ndarray, k: int) -> np.ndarray:
-        return _evaluate(rv.fn, _RowFrame(self.columns(), rows), (k,))
+    def _masked_values(self, rv: RandomVariable, rows: np.ndarray) -> np.ndarray:
+        frame = _RowFrame(self.columns(), rows)
+        return _evaluate(f"variable {rv.name!r}", rv.fn, frame, rows.shape)
 
     def moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
         n = int(self.budget)
@@ -877,7 +877,7 @@ class Sampler:
             return Estimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / n), n)
         if k == 0:
             return Estimate(0.0, 0.0, n)
-        xs = self._masked_values(rv, rows, k)
+        xs = self._masked_values(rv, rows)
         m1 = float(xs.sum()) / n
         m2 = float((xs * xs).sum()) / n
         return Estimate(m1, math.sqrt(max(m2 - m1 * m1, 0.0) / n), n)
@@ -889,7 +889,7 @@ class Sampler:
         p = k / n
         if is_null(self, p, floor):
             return ConditionalEstimate(0.0, n=k, prob=p, degenerate=True)
-        xs = self._masked_values(rv, rows, k)
+        xs = self._masked_values(rv, rows)
         mean = float(xs.mean())
         se = float(xs.std(ddof=1) / math.sqrt(k)) if k > 1 else float("inf")
         return ConditionalEstimate(mean, se=se, n=k, prob=p)

@@ -330,7 +330,7 @@ def evaluate_on_grid(space, X: RandomVariable, Y: RandomVariable, y_grid,
     return PointwiseCondExp(space, X, Y, y_grid, traces, schedule, tol, n_min, flags)
 
 
-def convergence_order(trace: WindowTrace, min_eps: float | None = None) -> float:
+def convergence_order(trace: WindowTrace) -> float:
     """Empirical order: least-squares slope of log|e_k - e_last| vs log eps_k.
 
     Steps too close to the final estimate to carry signal are dropped: below
@@ -352,10 +352,8 @@ def convergence_order(trace: WindowTrace, min_eps: float | None = None) -> float
     if trace.steps[-1].n is not None:
         ses = np.array([s.se for s in trace.steps])
         usable &= r > 3.0 * (ses[:-1] + ses[-1])
-    if min_eps is None and trace.resolution is not None:
-        min_eps = 4.0 * trace.resolution
-    if min_eps is not None:
-        usable &= eps[:-1] >= min_eps
+    if trace.resolution is not None:
+        usable &= eps[:-1] >= 4.0 * trace.resolution
     if not np.any(usable):
         if np.all(r <= floor):
             return math.inf

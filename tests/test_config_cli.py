@@ -571,3 +571,32 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
         err = json.loads(captured.err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(f"artifact {message}: {tmp_path / name}")
+
+
+def test_run_reports_a_variable_reading_a_missing_name(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "schema_version": 1, "name": "bad", "task": "window",
+        "space": {"schema_version": 1, "kind": "grid1d", "axis": "y",
+                  "density": {"family": "normal"}, "nodes": 101,
+                  "variables": {"Y": {"coord": "y"}, "Q": {"expr": "q * 2"}}},
+        "params": {"x": "Q", "y": "Y", "at": 0.0}}))
+    outdir = tmp_path / "o"
+    rc = cli.main(["run", str(bad), str(SCENARIO_DIR / "dice-partition.json"),
+                   "--outdir", str(outdir)])
+    assert rc == 1
+    capsys.readouterr()
+    assert (outdir / "dice-partition.json").exists()
+    summary = json.loads((outdir / "summary.json").read_text())
+    by_name = {e["name"]: e for e in summary["scenarios"]}
+    assert by_name["dice-partition"]["ok"] and not by_name["bad"]["ok"]
+    assert by_name["bad"]["error"].startswith("UndefinedPredicate: variable 'Q' failed")
+
+
+def test_cli_density_expect_reading_a_missing_name(capsys):
+    rc = cli.main(["density", "--joint", str(SCENARIO_DIR / "spaces" / "bivariate-05.json"),
+                   "--at", "1.0", "--expect", "y * 2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") <= 1
+    assert json.loads(err)["error"].startswith("UndefinedPredicate: expect 'y * 2' failed")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condpoint as cp
+from condpoint.config import expression_variable
 from condpoint.errors import EmptyRange, NonIntegrable, UndefinedPredicate
 
 import oracles
@@ -399,3 +400,81 @@ def test_grid_complement_event_matches_complement_within(normal_grid):
     for rv in (None, y):
         a = normal_grid.moment(rv, window.complement()).value
         assert abs(a - normal_grid.moment(rv, outer).value) <= 1e-12
+
+
+# Operand pairs per space: values with no exact binary form, so a different
+# evaluation order would show in the bits.
+OPERANDS = [
+    ("coin_pair", lambda w: 0.1 * w[0] + w[1] / 3.0, lambda w: w[0] - 0.7 * w[1]),
+    ("normal_grid", lambda c: np.sin(c["y"]) / 3.0, lambda c: 0.1 * c["y"] ** 2),
+    ("gaussian_sum_grid", lambda c: c["x"] / 3.0 + c["y"], lambda c: np.cos(c["x"] * c["y"])),
+    ("gaussian_sum_sampler", lambda c: c["x"] / 3.0 + c["y"], lambda c: np.cos(c["x"] * c["y"])),
+]
+
+
+def _counted(name, fn, calls):
+    def counted(point):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(point)
+
+    return cp.RandomVariable(name, counted)
+
+
+def _pointwise(space, rv):
+    """``rv`` evaluated point by point, as a fresh variable would be."""
+    if isinstance(space, cp.DiscreteAtoms):
+        return np.array([float(rv.fn(a)) for a in space.atoms])
+    frame = space.frame()
+    return np.broadcast_to(np.asarray(rv.fn(frame), dtype=float),
+                           next(iter(frame.values())).shape)
+
+
+@pytest.mark.parametrize("space_name, f, g", OPERANDS, ids=[o[0] for o in OPERANDS])
+def test_combinations_read_their_operands_memoised_values(space_name, f, g, request):
+    space = request.getfixturevalue(space_name)
+    calls = {}
+    X, Z = _counted("X", f, calls), _counted("Z", g, calls)
+    space.values_of(X), space.values_of(Z)
+    memoised = dict(calls)
+    combos = [X - Z, -X, 2.5 * X + 0.25]
+    got = [space.values_of(rv) for rv in combos]
+    assert calls == memoised  # no operand function ran again
+    for rv, values in zip(combos, got):
+        want = _pointwise(space, rv)
+        assert np.ascontiguousarray(values).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("space_name", ["coin_pair", "normal_grid", "gaussian_sum_grid",
+                                        "gaussian_sum_sampler"])
+def test_a_variable_reading_a_missing_name_is_undefined(space_name, request):
+    space = request.getfixturevalue(space_name)
+    discrete = isinstance(space, cp.DiscreteAtoms)
+    bad = expression_variable("bad", "q * 2", discrete=discrete)
+    first = cp.RandomVariable("first", lambda w: w[0]) if discrete else cp.coordinate("y")
+    window = cp.Event.window(first, 1.0, 0.5)  # a window with mass on every space
+    queries = [lambda: space.values_of(bad), lambda: space.moment(bad, None),
+               lambda: space.moment(bad, window),
+               lambda: cp.cond_expectation_event(space, bad, window)]
+    if isinstance(space, cp.Sampler):
+        queries.append(lambda: cp.cond_expectation_event(space.restricted(window), bad, window))
+    for query in queries:
+        with pytest.raises(UndefinedPredicate, match="'bad' failed: NameError"):
+            query()
+
+
+def test_atoms_keep_open_endpoints_out_of_an_interval_of_a_derived_variable(coin_pair):
+    first = cp.RandomVariable("first", lambda w: w[0])
+    second = cp.RandomVariable("second", lambda w: w[1])
+    total = first + second  # 0, 1, 1, 2 on the four atoms
+    assert coin_pair.members(cp.Event.interval(total, 1.0, 2.0)) == []
+    assert coin_pair.members(cp.Event.interval(total, 0.0, 2.0)) == [(0, 1), (1, 0)]
+    outer = cp.complement_within(coin_pair, cp.Event.interval(total, 0.0, 2.0))
+    assert coin_pair.members(outer) == [(0, 0), (1, 1)]
+    assert cp.probability(coin_pair, cp.Event.interval(total, 1.0, 2.0)).value == 0.0
+
+
+def test_atoms_accept_a_predicate_returning_zero_or_one(coin_pair):
+    heads_first = cp.Event.where(lambda w: int(w[0] == 1), "heads-first")
+    assert coin_pair.members(heads_first) == [(1, 0), (1, 1)]
+    assert cp.probability(coin_pair, heads_first).value == 0.5
+    assert cp.probability(coin_pair, heads_first.complement()).value == 0.5
