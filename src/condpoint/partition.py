@@ -22,6 +22,7 @@ from .spaces import (
     Event,
     RandomVariable,
     Sampler,
+    _combination,
     cond_expectation_event,
     indicator_moment,
     is_null,
@@ -93,17 +94,16 @@ class Partition:
 
 def _piecewise_rv(cells, values, name: str) -> RandomVariable:
     """Cell-indicator combination; points outside every (open) cell map to 0."""
-    cells = tuple(cells)
     values = tuple(float(v) for v in values)
 
-    def fn(arg):
-        out = None
-        for ev, v in zip(cells, values):
-            term = np.where(ev._eval(arg), v, 0.0)
-            out = term if out is None else out + term
+    def op(*masks):
+        # terms added left to right from the first: a leading 0 would turn -0.0 into 0.0
+        out = np.where(masks[0], values[0], 0.0)
+        for mask, v in zip(masks[1:], values[1:]):
+            out = out + np.where(mask, v, 0.0)
         return out[()] if np.ndim(out) == 0 else out
 
-    return RandomVariable(name, fn)
+    return _combination(name, op, *cells)
 
 
 @dataclass(eq=False)

@@ -99,8 +99,8 @@ class RandomVariable:
     named coordinate arrays on grids and samplers.  ``coord`` marks pure
     coordinate extractors; interval events on such variables use the exact
     clipped-quadrature path on grids.  An arithmetic combination records its
-    operator ``op`` and its ``operands`` (variables or constants), so
-    ``values_of`` can apply ``op`` to the operands' memoised values.
+    operator ``op`` and its ``operands`` (variables, events or constants), so
+    ``values_of`` can apply ``op`` to their memoised values and indicators.
     """
 
     name: str
@@ -134,9 +134,11 @@ class RandomVariable:
 
 
 def _combination(name: str, op: Callable, *operands) -> RandomVariable:
-    """``op`` applied to ``operands``, variables or constants, at each point."""
+    """``op`` applied at each point to ``operands``: a variable's value, an
+    event's membership, or a constant."""
     def fn(arg):
-        return op(*(x.fn(arg) if isinstance(x, RandomVariable) else x for x in operands))
+        return op(*(x.fn(arg) if isinstance(x, RandomVariable) else
+                    x._eval(arg) if isinstance(x, Event) else x for x in operands))
 
     return RandomVariable(name, fn, op=op, operands=operands)
 
@@ -339,12 +341,13 @@ def _frame_apply(self, what: str, fn: Callable, dtype=float) -> np.ndarray:
 
 def _values_of(self, rv: RandomVariable) -> np.ndarray:
     """``rv`` at every point, read-only and memoised; a coordinate stays a
-    broadcast view, and an arithmetic combination applies its operator to
-    its operands' memoised values."""
+    broadcast view, and a combination applies its operator to its operands'
+    memoised values and events' indicators."""
     def build():
         if rv.op is None:
             return (self._apply(f"variable {rv.name!r}", rv.fn),)
-        args = [self.values_of(x) if isinstance(x, RandomVariable) else x for x in rv.operands]
+        args = [self.values_of(x) if isinstance(x, RandomVariable) else
+                self.indicator(x) if isinstance(x, Event) else x for x in rv.operands]
         return (_evaluate(f"variable {rv.name!r}", lambda a: rv.op(*a), args, args[0].shape),)
 
     return _memo(self, ("rv", id(rv)), rv, build)[0]
@@ -486,39 +489,30 @@ def _grid_setup(space) -> None:
 
 
 def _grid_frame(self) -> dict:
-    """Coordinate of every node, one array per axis name, built once as
-    broadcast views of the axis nodes (no per-node copies)."""
-    def build():
-        views = np.meshgrid(*self.grid, indexing="ij", copy=False)
-        return ({name: _frozen(view) for name, view in zip(self.axes, views)},)
-
-    return _memo(self, "frame", None, build)[0]
+    """Coordinate of every node, one array per axis name: read-only broadcast
+    views of the axis nodes, built per call (no per-node copies)."""
+    views = np.meshgrid(*self.grid, indexing="ij", copy=False)
+    return {name: _frozen(view) for name, view in zip(self.axes, views)}
 
 
 def _grid_product(space, rv: RandomVariable | None) -> np.ndarray:
-    """Node values of x*f, or f itself when ``rv`` is None; cached.
-
-    The node scan runs once per variable; one with a non-finite node is
-    cached as None and raises NonIntegrable on every call.
-    """
-    def build():
-        if rv is None:
-            return (space.values,)
-        x = space.values_of(rv)
-        return (_frozen(x * space.values) if np.all(np.isfinite(x)) else None,)
-
-    g, = _memo(space, ("prod", id(rv) if rv is not None else None), rv, build)
-    if g is None:
+    """Node values of x*f, or f itself when ``rv`` is None; not cached, so a
+    variable with a non-finite node raises NonIntegrable at each call."""
+    if rv is None:
+        return space.values
+    x = space.values_of(rv)
+    if not np.all(np.isfinite(x)):
         raise NonIntegrable(f"{rv.name} is not finite on the grid")
-    return g
+    return x * space.values
 
 
 def _grid_marginal(space, rv: RandomVariable | None, k: int) -> tuple:
     """(x*f integrated over every axis but ``k``, its antiderivative); cached.
 
     Both are 1D over the nodes of axis ``k``.  The trapezoid rule over the
-    other axes is linear, so it runs once here and a window along ``k``
-    clips only this marginal.
+    other axes is linear, so it runs once here, on a product that lives only
+    while it is integrated; a window along ``k`` clips only this marginal,
+    and the full mean integrates the marginal of axis 0.
     """
     def build():
         others = space.pitches[:k] + space.pitches[k + 1:]
@@ -531,14 +525,14 @@ def _grid_marginal(space, rv: RandomVariable | None, k: int) -> tuple:
 def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
     """E[1_A X]; with rv None the event mass, with event None the full mean.
 
-    Interval events on an axis integrate x*f by the trapezoid rule over the
-    other axes first, then exactly along the window's axis against the
-    piecewise-linear interpolant; other events fall back to node-indicator
-    quadrature.
+    The full mean and interval events on an axis integrate x*f by the
+    trapezoid rule over the other axes first (the cached 1D marginal), then
+    along the remaining axis: whole for the full mean, exactly against the
+    piecewise-linear interpolant for a window.  Other events fall back to
+    node-indicator quadrature of x*f.
     """
-    g = _grid_product(self, rv)
     if event is None:
-        return Estimate(float(_trapezoid(g, self.pitches)))
+        return Estimate(float(quad.integrate(_grid_marginal(self, rv, 0)[0], self.pitches[0])))
     if event.kind == "complement":
         return Estimate(self.moment(rv, None).value - self.moment(rv, event.base).value)
     if event.kind == "intervals" and event.rv.coord in self.axes:
@@ -547,6 +541,7 @@ def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estima
         return Estimate(float(sum(quad.clip_integral(self.grid[k], marg, lo, hi, cum=cum)
                                   for lo, hi in event.pieces)))
     # Node-indicator fallback: O(pitch) accuracy at region boundaries.
+    g = _grid_product(self, rv)
     return Estimate(float(np.sum(_node_weights(self) * g * self.indicator(event))))
 
 
@@ -705,45 +700,38 @@ def _stream(draw: Callable, rng, n: int, params, hull: Event | None) -> dict:
     """The ``n`` rows of ``draw``, or only those inside the interval event ``hull``.
 
     A ``DrawFamily`` draws its head column whole into an ``n``-row mapped
-    column and its last column in blocks of ``DRAW_BLOCK`` rows; a custom
-    ``draw`` callable is one block.  Blocks come in order from one
-    generator, so their numbers equal one whole-array draw.  Without a hull
-    each block is drawn straight into its place in a mapped column, and a
-    column derived from it is copied into one.  With a hull, each block's
-    frame is tested against it and its selected rows are written, in order,
-    after the rows already kept at the front of every column; the head rows
-    left behind go back to the system as the draw proceeds, so a draw holds
-    about one head column plus the kept rows.
+    column and its last column in blocks of ``DRAW_BLOCK`` rows, each into
+    one reused, cache-warm buffer; a custom ``draw`` callable is one block.
+    Blocks come in order from one generator, so their numbers equal one
+    whole-array draw.  Each block's rows (with a hull, only those inside it)
+    are written, in order, after the rows already kept at the front of every
+    column; with a hull the head rows left behind go back to the system as
+    the draw proceeds, so a draw holds about one head column plus the kept
+    rows.  A full stream returns its columns themselves.
     """
-    if isinstance(draw, DrawFamily):
-        cols, size, tail = draw.head(rng, _mapped(n), params), DRAW_BLOCK, _mapped(n)
-        # with a hull, last-column blocks go through one reused, cache-warm buffer
-        buf = tail if hull is None else np.empty(min(size, n))
+    family = isinstance(draw, DrawFamily)
+    if family:
+        cols, size = draw.head(rng, _mapped(n), params), DRAW_BLOCK
+        buf = np.empty(min(size, n))
     else:
-        cols, size, tail = draw(rng, n, params), max(n, 1), None
+        cols, size = draw(rng, n, params), max(n, 1)
         if hull is not None:  # compacted in place below
             cols = {name: np.array(col) for name, col in cols.items()}
     kept = 0
     for start in range(0, max(n, 1), size):
         stop = min(start + size, n)
         frame = {name: col[start:stop] for name, col in cols.items()}
-        if tail is not None:
-            block = buf[start:stop] if hull is None else buf[:stop - start]
-            drawn = draw.last(rng, frame, block, params)
-            for name, col in drawn.items():
-                if name not in cols:
-                    cols[name] = tail if col is block else _mapped(n, col.dtype)
-                if hull is None and col is not block:
-                    cols[name][start:stop] = col
-            frame |= drawn
-        if hull is None:
-            continue
-        keep = np.flatnonzero(_interval_mask(_evaluate(
+        if family:
+            frame |= draw.last(rng, frame, buf[:stop - start], params)
+            cols |= {name: _mapped(n, col.dtype) for name, col in frame.items()
+                     if name not in cols}
+        keep = slice(None) if hull is None else np.flatnonzero(_interval_mask(_evaluate(
             f"variable {hull.rv.name!r}", hull.rv.fn, frame, (stop - start,)), hull.pieces))
+        count = stop - start if hull is None else keep.size
         for name, col in cols.items():
-            col[kept:kept + keep.size] = frame[name].take(keep)
-            _release(col, kept + keep.size, stop)
-        kept += keep.size
+            col[kept:kept + count] = frame[name][keep]
+            _release(col, kept + count, stop)
+        kept += count
     return cols if hull is None else {name: col[:kept] for name, col in cols.items()}
 
 

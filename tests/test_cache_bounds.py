@@ -122,6 +122,19 @@ def test_cached_arrays_are_read_only():
             arr[(0,) * arr.ndim] = 1.0
 
 
+def test_grid_cache_holds_no_full_grid_array_of_its_own():
+    # a window table and a full mean leave values (coordinate views) and 1D
+    # marginals behind, no per-node product
+    space = _small_joint()
+    x, y = cp.coordinate("x"), cp.coordinate("y")
+    cp.evaluate_on_grid(space, x, y, [-0.5, 0.0, 0.5])
+    cp.expectation(space, y)
+    arrays = [a for entry in space._cache.values() if isinstance(entry, tuple)
+              for a in entry if isinstance(a, np.ndarray)]
+    assert arrays
+    assert not [a for a in arrays if a.shape == space.values.shape and a.flags.owndata]
+
+
 @pytest.mark.parametrize("make", [
     lambda: _small_joint(),
     lambda: cp.Sampler("gaussian-sum", {"var_x": 1.0, "var_noise": 1.0},

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -220,3 +221,22 @@ def test_verify_evaluates_each_union_indicator_once(monkeypatch, n):
                         lambda self, event: calls.append(event) or indicator(self, event))
     assert cp.verify_cond_exp(space, X, X, gens).passed
     assert len(calls) == n + 2 ** n - 1
+
+
+def test_candidate_values_read_one_indicator_per_cell(monkeypatch):
+    # 3d6 atoms in 8 atom-set cells, as on the discrete benchmark path
+    atoms = list(itertools.product(range(1, 7), repeat=3))
+    space = cp.DiscreteAtoms(tuple(atoms), np.full(len(atoms), 1.0 / len(atoms)))
+    X = cp.RandomVariable("sum", lambda w: w[0] + w[1] + w[2])
+    labels = np.random.default_rng(7).integers(0, 8, size=len(atoms))
+    labels[:8] = np.arange(8)
+    part = cp.Partition.from_atom_groups(
+        space, [[a for a, c in zip(atoms, labels) if c == k] for k in range(8)])
+    pce = cp.partition_cond_exp(space, X, part)
+    pointwise = np.array([pce.rv.fn(a) for a in atoms])
+    evals = []
+    real_eval = cp.Event._eval
+    monkeypatch.setattr(cp.Event, "_eval", lambda self, arg: evals.append(1) or real_eval(self, arg))
+    got = space.values_of(pce.rv)
+    assert evals == []
+    assert got.tobytes() == pointwise.tobytes()

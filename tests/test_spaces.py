@@ -358,6 +358,38 @@ def test_grid_window_caches_one_1d_marginal_per_axis():
         assert marg.shape == cum.shape == (space.grid[k].shape[0],)
 
 
+def _plain_trapezoid(v, pitch):
+    """quadrature.integrate's trapezoid over the last axis, in plain numpy."""
+    return (v.sum(axis=-1) - 0.5 * (v[..., 0] + v[..., -1])) * pitch
+
+
+@pytest.mark.parametrize("use_x", [False, True], ids=["mass", "x"])
+def test_grid_full_mean_is_the_trapezoid_over_axis_1_then_axis_0(use_x):
+    space = _offset_gaussian_sum_grid()
+    gx, _ = np.meshgrid(*space.grid, indexing="ij")
+    g = gx * space.values if use_x else space.values
+    p0, p1 = space.pitches
+    ref = float(_plain_trapezoid(_plain_trapezoid(g, p1), p0))
+    rv = cp.coordinate("x") if use_x else None
+    for _ in range(2):  # the second call reads the cached marginal
+        assert space.moment(rv, None).value == ref
+
+
+def test_grid_predicate_event_is_the_node_indicator_sum():
+    space = _offset_gaussian_sum_grid()
+    gx, gy = np.meshgrid(*space.grid, indexing="ij")
+    weights = []
+    for nodes, pitch in zip(space.grid, space.pitches):
+        w = np.full(nodes.shape[0], pitch)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        weights.append(w)
+    w = np.multiply.outer(*weights)
+    event = cp.Event.where(lambda f: f["x"] + f["y"] > 0.3, "x+y>0.3")
+    ref = float(np.sum(w * (gx * space.values) * (gx + gy > 0.3)))
+    assert space.moment(cp.coordinate("x"), event).value == ref
+
+
 def test_grid_frame_is_views_of_the_axis_nodes():
     space = _offset_gaussian_sum_grid()
     frame = space.frame()
