@@ -188,6 +188,16 @@ def _as_float(value, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
 
 
+def _as_finite(value, what: str, low: float | None = None, strict: bool = False) -> float:
+    """A finite number through ``_as_float``; with ``low``, one >= ``low``,
+    or > ``low`` when ``strict``."""
+    x = _as_float(value, what)
+    if not math.isfinite(x) or low is not None and (x < low or strict and x == low):
+        bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
+        raise ConfigError(f"{what} must be a finite number{bound}, got {value!r}")
+    return x
+
+
 def _as_count(value, what: str) -> int:
     """An integer >= 1, through ``_as_int``."""
     n = _as_int(value, what)
@@ -369,7 +379,7 @@ def _as_grid(value, what: str) -> list:
     grid = _as_list(value, what)
     if len(grid) != 3:
         raise ConfigError(f"{what} must be [a, b, n], got {value!r}")
-    return [_as_float(grid[0], what), _as_float(grid[1], what), _as_count(grid[2], f"{what} n")]
+    return [_as_finite(grid[0], what), _as_finite(grid[1], what), _as_count(grid[2], f"{what} n")]
 
 
 def _as_schedule(value, what: str) -> Schedule:
@@ -385,9 +395,10 @@ def _as_schedule(value, what: str) -> Schedule:
 
 
 # The type of each task param that is not a name (a string)
-_PARAM_TYPES = {"at": _as_float, "band": _as_float, "budget": _as_count,
+_PARAM_TYPES = {"at": _as_finite, "budget": _as_count,
+                "band": lambda value, what: _as_finite(value, what, 0.0, strict=True),
                 "control": _of_type(bool, "true or false"), "grid": _as_grid,
-                "levels": lambda value, what: [_as_float(v, what) for v in _as_list(value, what)],
+                "levels": lambda value, what: [_as_finite(v, what) for v in _as_list(value, what)],
                 "schedule": _as_schedule}
 
 
@@ -441,7 +452,7 @@ def load_scenario(source) -> Scenario:
     if seed is not None:
         seed = _as_int(seed, "scenario seed")
     tol = cfg.get("tol")
-    tol = DEFAULT_TOL if tol is None else _as_float(tol, "scenario tol")
+    tol = DEFAULT_TOL if tol is None else _as_finite(tol, "scenario tol", 0.0)
     bundle = None
     if space_field is not None:
         bundle = load_space(space_field, base_dir=None if path is None else path.parent)

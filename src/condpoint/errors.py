@@ -79,5 +79,10 @@ class ConfigError(CondpointError):
     """A configuration document violates the schema."""
 
 
+class UnsupportedQuery(CondpointError, ValueError):
+    """A query a space cannot answer as posed: a grid window off the axes, a
+    level band with no width, too many generators to check every union."""
+
+
 class TaskError(CondpointError):
     """A scenario task failed to produce its artifacts."""

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyLevelSet, NotMeasurable
-from .spaces import DiscreteAtoms, Event, GridSpace, RandomVariable, values_on
+from .errors import EmptyLevelSet, NotMeasurable, UnsupportedQuery
+from .spaces import DensityGrid, DiscreteAtoms, Event, RandomVariable, values_on
 
 FACTORED = "Factored"
 NOT_MEASURABLE = "NotMeasurable"
@@ -68,9 +68,9 @@ def level_band(space, Y: RandomVariable, band: float | None) -> float:
     ``band`` when given, else half the grid pitch of ``Y``'s axis."""
     if band is not None:
         return float(band)
-    if isinstance(space, GridSpace) and Y.coord in space.axes:
+    if isinstance(space, DensityGrid) and Y.coord in space.axes:
         return 0.5 * space.pitches[space.axes.index(Y.coord)]
-    raise ValueError(
+    raise UnsupportedQuery(
         f"level bands for {Y.name!r} need an explicit band width on this space")
 
 

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidPartition, ZeroEvidence
+from .errors import InvalidPartition, UnsupportedQuery, ZeroEvidence
 from .spaces import (
     DiscreteAtoms,
     Event,
@@ -198,7 +198,7 @@ def verify_cond_exp(space, X: RandomVariable, candidate: RandomVariable,
     """
     gens = list(generating_events)
     if 2 ** len(gens) > 4096:
-        raise ValueError("too many generators for exhaustive union checking")
+        raise UnsupportedQuery("too many generators for exhaustive union checking")
     identity_tol = (1e-12 if isinstance(space, DiscreteAtoms)
                     else 1e-10 if isinstance(space, Sampler) else 1e-6)
     entries = []

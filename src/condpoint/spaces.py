@@ -1,14 +1,12 @@
 """Probability spaces, random variables, and events at desk scale.
 
-Four space variants share one estimator API:
+Three space variants share one estimator API:
 
 * ``DiscreteAtoms``   -- finite weighted atoms, exact arithmetic via fsum;
-* ``DensityGrid1D``   -- density values on a uniform node grid, trapezoid
-  quadrature, window events integrated exactly against the piecewise-linear
-  interpolant;
-* ``DensityGrid2D``   -- same on a rectangle, axis-aligned windows clipped
-  exactly along either axis (both grid variants run one implementation over
-  per-axis tuples);
+* ``DensityGrid``     -- density values on a uniform node grid over n axes,
+  trapezoid quadrature, window events integrated exactly against the
+  piecewise-linear interpolant along their axis; ``DensityGrid1D`` and
+  ``DensityGrid2D`` are its constructors for one axis and for a rectangle;
 * ``Sampler``         -- a seeded Monte Carlo column store; every estimate
   carries a standard error and an effective sample count.
 
@@ -288,8 +286,8 @@ def complement_within(space, event: Event, name: str | None = None) -> Event:
 # ---------------------------------------------------------------------------
 # Space variants
 #
-# Shared methods are bound by name in each class body, not inherited, so that
-# every class owns its estimator attributes and each can be patched alone.
+# values_of, indicator, moment and cond are bound by name in each class body,
+# grid subclasses too: the benchmark tracer patches each class's own attribute.
 
 
 def _evict(space_ref, key, _dead) -> None:
@@ -462,39 +460,6 @@ def _node_weights(space) -> np.ndarray:
     return functools.reduce(np.multiply.outer, weights)
 
 
-def _grid_setup(space) -> None:
-    """Per-axis tuples from ``axes`` and ``ranges``, and the density checks.
-
-    Both grid variants run on ``axes`` (coordinate names), ``ranges``
-    ((lo, hi) per axis), ``grid`` (uniform nodes per axis) and ``pitches``;
-    ``values[i, j, ...]`` is the density at ``(grid[0][i], grid[1][j], ...)``.
-    The density must be non-negative, not NaN, and integrate to a finite
-    mass within ``quad_tol`` of 1 under the trapezoid rule; the defect is
-    recorded in ``meta``.
-    """
-    space.values = np.asarray(space.values, dtype=float)
-    if space.values.ndim != len(space.ranges):
-        raise ValueError("density values need exactly one axis per range")
-    if any(n < 2 or hi <= lo for (lo, hi), n in zip(space.ranges, space.values.shape)):
-        raise ValueError("grid needs at least 2 nodes and hi > lo")
-    space.grid = tuple(np.linspace(lo, hi, n)
-                       for (lo, hi), n in zip(space.ranges, space.values.shape))
-    space.pitches = tuple(float(nodes[1] - nodes[0]) for nodes in space.grid)
-    if not np.all(space.values >= 0):  # NaN fails this test too
-        raise ValueError("density values must be non-negative numbers")
-    defect = float(_trapezoid(space.values, space.pitches)) - 1.0
-    if not math.isfinite(defect) or abs(defect) > space.quad_tol:  # an infinite node too
-        raise ValueError(f"density integrates to 1{defect:+e}, beyond quad_tol")
-    space.meta.setdefault("normalization_defect", defect)
-
-
-def _grid_frame(self) -> dict:
-    """Coordinate of every node, one array per axis name: read-only broadcast
-    views of the axis nodes, built per call (no per-node copies)."""
-    views = np.meshgrid(*self.grid, indexing="ij", copy=False)
-    return {name: _frozen(view) for name, view in zip(self.axes, views)}
-
-
 def _grid_product(space, rv: RandomVariable | None) -> np.ndarray:
     """Node values of x*f, or f itself when ``rv`` is None; not cached, so a
     variable with a non-finite node raises NonIntegrable at each call."""
@@ -546,64 +511,83 @@ def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estima
 
 
 @dataclass(eq=False)
-class DensityGrid1D:
-    """Density values on a uniform 1D node grid over [lo, hi].
+class DensityGrid:
+    """Density values on a uniform node grid over n axes.
 
-    The one-axis case of the grid code: ``axes``, ``ranges``, ``grid`` and
-    ``pitches`` hold one entry each, also read as ``axis``, ``lo``, ``hi``,
-    ``nodes`` and ``pitch``.
-    """
-
-    axis: str
-    lo: float
-    hi: float
-    values: np.ndarray
-    quad_tol: float = 1e-8
-    name: str = "grid1d"
-    meta: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.axes, self.ranges = (self.axis,), ((self.lo, self.hi),)
-        _grid_setup(self)
-        self.nodes, self.pitch = self.grid[0], self.pitches[0]
-
-    frame = _grid_frame
-    _apply = _frame_apply
-    values_of = _values_of
-    indicator = _indicator
-    moment = _grid_moment
-    cond = _ratio_cond
-
-
-@dataclass(eq=False)
-class DensityGrid2D:
-    """Joint density values on a uniform rectangle grid.
-
-    ``values[i, j]`` is the density at ``(nodes0[i], nodes1[j])``; ``nodes0``,
-    ``nodes1``, ``pitch0`` and ``pitch1`` read the per-axis tuples.
+    ``axes`` names the coordinates, ``ranges`` holds (lo, hi) per axis, and
+    ``values[i, j, ...]`` is the density at ``(grid[0][i], grid[1][j], ...)``,
+    where ``grid`` holds the uniform nodes of each axis and ``pitches`` their
+    spacings.  The density must be non-negative, not NaN, and integrate to a
+    finite mass within ``quad_tol`` of 1 under the trapezoid rule; the defect
+    is recorded in ``meta``.
     """
 
     axes: tuple
     ranges: tuple
     values: np.ndarray
     quad_tol: float = 1e-8
-    name: str = "grid2d"
+    name: str = "grid"
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.axes = tuple(self.axes)
-        _grid_setup(self)
-        self.nodes0, self.nodes1 = self.grid
-        self.pitch0, self.pitch1 = self.pitches
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim != len(self.ranges):
+            raise ValueError("density values need exactly one axis per range")
+        if any(n < 2 or hi <= lo for (lo, hi), n in zip(self.ranges, self.values.shape)):
+            raise ValueError("grid needs at least 2 nodes and hi > lo")
+        self.grid = tuple(np.linspace(lo, hi, n)
+                          for (lo, hi), n in zip(self.ranges, self.values.shape))
+        self.pitches = tuple(float(nodes[1] - nodes[0]) for nodes in self.grid)
+        if not np.all(self.values >= 0):  # NaN fails this test too
+            raise ValueError("density values must be non-negative numbers")
+        defect = float(_trapezoid(self.values, self.pitches)) - 1.0
+        if not math.isfinite(defect) or abs(defect) > self.quad_tol:  # an infinite node too
+            raise ValueError(f"density integrates to 1{defect:+e}, beyond quad_tol")
+        self.meta.setdefault("normalization_defect", defect)
 
-    frame = _grid_frame
+    def frame(self) -> dict:
+        """Coordinate of every node, one array per axis name: read-only broadcast
+        views of the axis nodes, built per call (no per-node copies)."""
+        views = np.meshgrid(*self.grid, indexing="ij", copy=False)
+        return {name: _frozen(view) for name, view in zip(self.axes, views)}
+
     _apply = _frame_apply
-    values_of = _values_of
-    indicator = _indicator
-    moment = _grid_moment
-    cond = _ratio_cond
+    values_of, indicator, moment, cond = _values_of, _indicator, _grid_moment, _ratio_cond
+
+
+class DensityGrid1D(DensityGrid):
+    """Density values on a uniform 1D node grid over [lo, hi]: the one-axis
+    ``DensityGrid``, whose one entry each of ``axes``, ``ranges``, ``grid``
+    and ``pitches`` also reads as ``axis``, ``lo``, ``hi``, ``nodes`` and ``pitch``.
+    """
+
+    def __init__(self, axis, lo, hi, values, quad_tol=1e-8, name="grid1d", meta=None):
+        super().__init__((axis,), ((lo, hi),), values, quad_tol, name,
+                         {} if meta is None else meta)
+        self.axis, self.lo, self.hi = axis, lo, hi
+        self.nodes, self.pitch = self.grid[0], self.pitches[0]
+
+    # bound again: the tracer patches each class's own attribute
+    values_of, indicator, moment, cond = _values_of, _indicator, _grid_moment, _ratio_cond
+
+
+@dataclass(eq=False)
+class DensityGrid2D(DensityGrid):
+    """Joint density values on a uniform rectangle grid: the two-axis
+    ``DensityGrid``, whose per-axis tuples also read as ``nodes0``,
+    ``nodes1``, ``pitch0`` and ``pitch1``.
+    """
+
+    name: str = "grid2d"
+
+    def __post_init__(self):
+        super().__post_init__()
+        (self.nodes0, self.nodes1), (self.pitch0, self.pitch1) = self.grid, self.pitches
+
+    # bound again: the tracer patches each class's own attribute
+    values_of, indicator, moment, cond = _values_of, _indicator, _grid_moment, _ratio_cond
 
 
 # Rows per block when a draw family streams its last column.  Small blocks
@@ -883,8 +867,7 @@ class Sampler:
         return ConditionalEstimate(mean, se=se, n=k, prob=p)
 
 
-GridSpace = DensityGrid1D | DensityGrid2D
-ProbabilitySpace = DiscreteAtoms | GridSpace | Sampler
+ProbabilitySpace = DiscreteAtoms | DensityGrid | Sampler
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +931,7 @@ def pushforward(space: ProbabilitySpace, rv: RandomVariable,
         weights = np.array([_fsum(space.weights[vals == lv]) for lv in levels])
         return DiscreteAtoms(tuple(float(lv) for lv in levels), weights,
                              name=f"law({rv.name})")
-    if isinstance(space, GridSpace) and rv.coord in space.axes:
+    if isinstance(space, DensityGrid) and rv.coord in space.axes:
         if len(space.axes) == 1:
             return space
         k = space.axes.index(rv.coord)

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientTrace, NonApproachablePoint
+from .errors import InsufficientTrace, NonApproachablePoint, UnsupportedQuery
 from .spaces import (
+    DensityGrid,
     Event,
-    GridSpace,
     RandomVariable,
     Sampler,
     cond_expectation_event,
@@ -55,8 +55,8 @@ class Schedule:
             raise ValueError("factor must lie in (0, 1)")
         if self.depth < 2:
             raise ValueError("depth must be at least 2")
-        if self.eps0 is not None and self.eps0 <= 0:
-            raise ValueError("eps0 must be positive")
+        if self.eps0 is not None and not 0.0 < self.eps0 < math.inf:  # NaN fails too
+            raise ValueError("eps0 must be positive and finite")
 
     def epsilons(self, default_eps0: float | None) -> list[float]:
         e0 = self.eps0 if self.eps0 is not None else default_eps0
@@ -206,10 +206,10 @@ def shrink_trace(space, X: RandomVariable, pairs, tol: float = DEFAULT_TOL,
 
 def _conditioning_geometry(space, Y: RandomVariable):
     """(axis range, pitch) of the conditioning variable, when it is a grid axis."""
-    if not isinstance(space, GridSpace):
+    if not isinstance(space, DensityGrid):
         return None, None
     if Y.coord not in space.axes:
-        raise ValueError(
+        raise UnsupportedQuery(
             "window conditioning on a grid requires a coordinate variable; "
             f"{Y.name!r} is not one of the axes {space.axes!r}")
     k = space.axes.index(Y.coord)

@@ -470,6 +470,82 @@ def test_run_reports_bad_task_params(tmp_path, capsys, task, space, params, tol,
     assert by_name["bad"]["error"].startswith(f"ConfigError: {error}")
 
 
+def _run_beside_dice(tmp_path, doc: dict) -> dict:
+    """The summary entry of scenario ``doc`` run beside dice-partition.json,
+    after checking that the run exits 1 and still writes the dice artifact."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    outdir = tmp_path / "o"
+    rc = cli.main(["run", str(bad), str(SCENARIO_DIR / "dice-partition.json"),
+                   "--outdir", str(outdir)])
+    assert rc == 1
+    assert sorted(p.name for p in outdir.iterdir()) == ["dice-partition.json", "summary.json"]
+    by_name = {e["name"]: e for e in json.loads((outdir / "summary.json").read_text())["scenarios"]}
+    assert by_name["dice-partition"]["ok"] and not by_name["bad"]["ok"]
+    return by_name["bad"]
+
+
+@pytest.mark.parametrize("task, params, tol, error", [
+    ("window", {"x": "Z", "y": "Y", "at": math.nan}, None, "window at"),
+    ("window", {"x": "Z", "y": "Y", "grid": [math.nan, 1, 5]}, None, "window grid"),
+    ("window", {"x": "Z", "y": "Y", "grid": [0, math.inf, 5]}, None, "window grid"),
+    ("window", {"x": "Z", "y": "Y", "at": 0, "schedule": {"eps0": math.nan}}, None,
+     "window schedule: eps0"),
+    ("window", {"x": "Z", "y": "Y", "at": 0}, math.nan, "scenario tol"),
+    ("window", {"x": "Z", "y": "Y", "at": 0}, -1e-6, "scenario tol"),
+    ("factorize", {"g": "Z", "y": "Y", "levels": [0, math.nan]}, None, "factorize levels"),
+    ("factorize", {"g": "Z", "y": "Y", "levels": [0], "band": -0.05}, None, "factorize band"),
+])
+def test_run_reports_task_numbers_that_mean_nothing(tmp_path, task, params, tol, error):
+    space = str(SCENARIO_DIR / "spaces" / "bivariate-05.json")
+    bad = _run_beside_dice(tmp_path, {"schema_version": 1, "task": task, "space": space,
+                                      "params": params, "tol": tol})
+    assert bad["error"].startswith(f"ConfigError: {error}")
+
+
+# A grid with a variable that is not an axis, and 16 atoms with 13 singleton
+# generators: 2^13 unions are too many to check.
+GRID_WITH_SUM = {"schema_version": 1, "kind": "grid2d", "axes": ["z", "y"],
+                 "density": {"family": "bivariate-normal", "rho": 0.5}, "nodes": [101, 101],
+                 "variables": {"Z": {"coord": "z"}, "Y": {"coord": "y"},
+                               "S": {"expr": "y + z"}}}
+ATOMS_16 = {"schema_version": 1, "kind": "discrete", "atoms": [[k, 0.0625] for k in range(16)],
+            "variables": {"X": {"identity": True}},
+            "partitions": {"singletons": [{"atoms": [k]} for k in range(13)]}}
+
+
+@pytest.mark.parametrize("task, space, params, error", [
+    ("window", GRID_WITH_SUM, {"x": "Z", "y": "S", "at": 0.0},
+     "window conditioning on a grid requires a coordinate variable"),
+    ("factorize", GRID_WITH_SUM, {"g": "Z", "y": "S", "levels": [0.0]},
+     "level bands for 'S' need an explicit band width"),
+    ("verify", ATOMS_16, {"x": "X", "candidate": "X", "generators": "singletons"},
+     "too many generators"),
+])
+def test_run_reports_an_unsupported_query(tmp_path, task, space, params, error):
+    bad = _run_beside_dice(tmp_path, {"schema_version": 1, "task": task, "space": space,
+                                      "params": params})
+    assert bad["error"].startswith(f"UnsupportedQuery: {error}")
+
+
+def test_cli_factorize_off_the_axes_without_a_band_exits_1(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(GRID_WITH_SUM))
+    rc = cli.main(["factorize", "--space", str(space), "--g", "Z", "--y", "S", "--levels", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("UnsupportedQuery: level bands for 'S'")
+
+
+def test_compare_a_null_value_gives_a_nan_diff_and_fails():
+    a = {"grid": [0.0, 1.0, 2.0], "values": [1.0, None, 3.0]}
+    b = {"grid": [0.0, 1.0, 2.0], "values": [1.0, 2.0, 3.0]}
+    doc = cli.compare(a, b, tol=1.0)
+    assert doc["diffs"][0] == 0.0 and math.isnan(doc["diffs"][1]) and doc["diffs"][2] == 0.0
+    assert not doc["passed"]
+
+
 @pytest.mark.parametrize("argv", [
     ["window", "--space", str(SCENARIO_DIR / "spaces" / "bivariate-05.json"),
      "--x", "Z", "--y", "Y", "--grid", "0:1:0"],
@@ -482,6 +558,19 @@ def test_inline_flag_that_does_not_convert_exits_2(argv, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert json.loads(captured.err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--grid", "0:nan:5"], "--grid must be a finite number, got 'nan'"),
+    (["--at", "0", "--tol", "nan"], "scenario tol must be a finite number >= 0, got nan"),
+])
+def test_inline_number_that_means_nothing_exits_2(flags, message, capsys):
+    argv = ["window", "--space", str(SCENARIO_DIR / "spaces" / "bivariate-05.json"),
+            "--x", "Z", "--y", "Y", *flags]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["message"] == message
 
 
 def test_inline_window_writes_the_bytes_of_its_scenario(tmp_path, capsys):

@@ -510,3 +510,27 @@ def test_atoms_accept_a_predicate_returning_zero_or_one(coin_pair):
     assert coin_pair.members(heads_first) == [(1, 0), (1, 1)]
     assert cp.probability(coin_pair, heads_first).value == 0.5
     assert cp.probability(coin_pair, heads_first.complement()).value == 0.5
+
+
+@pytest.mark.parametrize("space_name", ["normal_grid", "gaussian_sum_sampler"])
+def test_a_predicate_returning_floats_on_a_frame_is_not_boolean(space_name, request):
+    space = request.getfixturevalue(space_name)
+    scaled = cp.Event.where(lambda frame: frame["y"] * 1.0, "scaled")
+    with pytest.raises(UndefinedPredicate, match="is not boolean$"):
+        cp.probability(space, scaled)
+
+
+def test_union_of_overlapping_intervals_is_one_piece():
+    x = cp.coordinate("x")
+    union = cp.union_events([cp.Event.interval(x, -1.0, 1.0), cp.Event.interval(x, 0.0, 2.0)])
+    assert union.kind == "intervals" and union.pieces == ((-1.0, 2.0),)
+
+
+@pytest.mark.parametrize("space_name", ["normal_grid", "gaussian_sum_sampler"])
+def test_complement_within_of_a_predicate_is_a_complement_node(space_name, request):
+    space = request.getfixturevalue(space_name)
+    high = cp.Event.where(lambda frame: frame["y"] > 0.5, "high")
+    comp = cp.complement_within(space, high)
+    assert comp.kind == "complement" and comp.base is high
+    both = cp.probability(space, comp).value + cp.probability(space, high).value
+    assert abs(both - space.moment(None, None).value) <= 1e-12
