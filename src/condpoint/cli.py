@@ -19,12 +19,12 @@ from . import density as density_mod
 from . import pathology
 from .config import (SCHEMA_VERSION, Scenario, _document, expression_variable, load_scenario,
                      param_value)
-from .errors import CondpointError, GridMismatch, TaskError
+from .errors import CondpointError, ConfigError, GridMismatch, TaskError
 from .factorization import factorize
 from .partition import partition_cond_exp, verify_cond_exp
 from .serialize import to_json, write_csv, write_json
 from .spaces import DensityGrid2D, _evaluate, expectation
-from .window import evaluate_on_grid, window_estimate
+from .window import CONVERGED, DEFAULT_TOL, evaluate_on_grid, window_estimate
 
 PARADOX_INSTANCES = {"ratio-normal": pathology.ratio_normal_instance}
 
@@ -52,13 +52,13 @@ def _task_window(scn: Scenario):
     if at is not None:
         trace = window_estimate(bundle.space, X, Y, at, schedule=schedule, tol=scn.tol)
         rows = [(s.eps, s.estimate, s.se, s.n, s.prob) for s in trace.steps]
-        return (trace.verdict == "Converged", trace.to_json_dict(),
+        return (trace.verdict == CONVERGED, trace.to_json_dict(),
                 (["eps", "estimate", "se", "n", "prob"], rows))
     table = evaluate_on_grid(bundle.space, X, Y, np.linspace(*scn.param("grid")),
                              schedule=schedule, tol=scn.tol)
     doc = table.to_json_dict()
     rows = list(zip(doc["grid"], doc["values"], doc["verdicts"]))
-    ok = all(v == "Converged" for v in table.verdicts)
+    ok = all(v == CONVERGED for v in table.verdicts)
     return ok, doc, (["y", "value", "verdict"], rows)
 
 
@@ -97,7 +97,7 @@ def _task_paradox(scn: Scenario):
                                         inst["schedule"], tol=scn.tol,
                                         description=inst["description"])
     doc = report.to_json_dict()
-    ok = all(t.verdict == "Converged" for t in report.traces.values())
+    ok = all(t.verdict == CONVERGED for t in report.traces.values())
     if scn.param("control", True):
         control = pathology.borel_kolmogorov(inst["space"], inst["X"],
                                              inst["control_families"],
@@ -105,7 +105,7 @@ def _task_paradox(scn: Scenario):
                                              description="control: two window "
                                                          "families of one variable")
         doc["control"] = control.to_json_dict()
-        ok = ok and all(t.verdict == "Converged" for t in control.traces.values())
+        ok = ok and all(t.verdict == CONVERGED for t in control.traces.values())
     return ok, doc, None
 
 
@@ -128,11 +128,18 @@ _TASKS = {
 }
 
 
+def task_function(name: str):
+    """The task named ``name``; ConfigError if there is none."""
+    if name not in _TASKS:
+        raise ConfigError(f"unknown task {name!r}; expected one of {tuple(_TASKS)}")
+    return _TASKS[name]
+
+
 def _compute(scenario: Scenario):
     """(summary entry, doc, csv) of one scenario; doc and csv are None on error."""
     entry = {"name": scenario.name, "task": scenario.task}
     try:
-        ok, doc, csv = _TASKS[scenario.task](scenario)
+        ok, doc, csv = task_function(scenario.task)(scenario)
     except CondpointError as exc:
         entry.update(ok=False, error=f"{type(exc).__name__}: {exc}", artifacts=[])
         return entry, None, None
@@ -231,7 +238,7 @@ def compare(trace_a: dict, trace_b: dict, tol: float,
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="override the space seed")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", type=Path, default=None, help="output JSON path")
 
 

@@ -1,9 +1,10 @@
 """Declarative JSON configs for spaces, variables, partitions, scenarios.
 
-A space config names a variant and its parameters; analytic densities come
-from a small family registry (normal, uniform, mixture, and the shipped 2D
-joints) with ranges defaulting to eight standard deviations, which keeps
-the truncated tail mass far below the normalization tolerance.  Variables
+A space config names a variant and its parameters; analytic densities are
+named families (normal, uniform, mixture, and the shipped 2D joints) whose
+parameters, on grids and samplers alike, ``spaces.FAMILY_PARAMS`` defines,
+with ranges defaulting to eight standard deviations, which keeps the
+truncated tail mass far below the normalization tolerance.  Variables
 are coordinate extractors, atom tables, the identity, or arithmetic
 expressions over the space's names ('omega' on discrete spaces).
 """
@@ -25,10 +26,10 @@ from .spaces import (
     DensityGrid2D,
     DiscreteAtoms,
     Event,
+    FAMILY_PARAMS,
     RandomVariable,
     Sampler,
     coordinate,
-    DRAW_FAMILIES,
 )
 from .window import DEFAULT_TOL, Schedule
 
@@ -105,52 +106,56 @@ def _normal_pdf(x, mean, var):
     return np.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
 
 
-def _grid_values(density: dict, ranges, nodes) -> np.ndarray:
-    """The density family at every node; axis k has ``nodes[k]`` nodes over ``ranges[k]``."""
-    family = density.get("family")
-    if family == "uniform":
-        return np.full(tuple(nodes), 1.0 / math.prod(hi - lo for lo, hi in ranges))
-    coords = np.meshgrid(*(np.linspace(lo, hi, n) for (lo, hi), n in zip(ranges, nodes)),
-                         indexing="ij", sparse=True)
-    if len(coords) == 1 and family == "normal":
-        return _normal_pdf(coords[0], float(density.get("mean", 0.0)),
-                           float(density.get("var", 1.0)))
-    if len(coords) == 1 and family == "mixture":
-        out = np.zeros(coords[0].shape)
-        for comp in _components(density):
-            out += _as_float(comp.get("weight"), "mixture component weight") * _normal_pdf(
-                coords[0], float(comp.get("mean", 0.0)), float(comp.get("var", 1.0)))
-        return out
-    if len(coords) == 2 and family == "bivariate-normal":
-        u, v = coords
-        rho = float(density.get("rho", 0.0))
+def _family_params(family: str, given: dict, what: str) -> dict:
+    """``family``'s parameters in FAMILY_PARAMS: each one in ``given`` a
+    finite number in its range, each one missing its default."""
+    return {key: _as_finite(given[key], f"{what} {key}", low, high=high) if key in given
+            else default for key, (default, low, high) in FAMILY_PARAMS.get(family, {}).items()}
+
+
+def _axis_nodes(ranges, nodes) -> list:
+    """Sparse node coordinates; axis k has ``nodes[k]`` nodes over ``ranges[k]``."""
+    return np.meshgrid(*(np.linspace(lo, hi, n) for (lo, hi), n in zip(ranges, nodes)),
+                       indexing="ij", sparse=True)
+
+
+def _grid_density(density: dict, what: str, ranges, nodes) -> tuple:
+    """(ranges, node values) of the density family over ``len(nodes)`` axes,
+    reading each parameter once.  Ranges that are None default to eight
+    standard deviations each side of the family's centre, per axis."""
+    family, dims = density.get("family"), len(nodes)
+    if family == "uniform" and ranges is not None:
+        return ranges, np.full(tuple(nodes), 1.0 / math.prod(hi - lo for lo, hi in ranges))
+    if dims == 1 and family in ("normal", "mixture"):  # normal: one component of weight 1
+        comps = ([(1.0, _family_params("normal", density, what))] if family == "normal" else
+                 [(_as_float(c.get("weight"), "mixture component weight"),
+                   _family_params("normal", c, "mixture component")) for c in _components(density)])
+        if ranges is None:
+            ends = [(p["mean"], 8.0 * math.sqrt(p["var"])) for _, p in comps]
+            ranges = ((min(m - w for m, w in ends), max(m + w for m, w in ends)),)
+        y, = _axis_nodes(ranges, nodes)
+        out = np.zeros(y.shape)
+        for weight, p in comps:
+            out += weight * _normal_pdf(y, p["mean"], p["var"])
+        return ranges, out
+    if dims == 2 and family == "bivariate-normal":
+        rho = _family_params(family, density, what)["rho"]
+        ranges = ranges or ((-8.0, 8.0), (-8.0, 8.0))
+        u, v = _axis_nodes(ranges, nodes)
         det = 1.0 - rho * rho
         q = (u * u - 2.0 * rho * u * v + v * v) / det
-        return np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(det))
-    if len(coords) == 2 and family == "gaussian-sum":
-        u, v = coords
-        var_x = float(density.get("var_x", 1.0))
-        var_e = float(density.get("var_noise", 1.0))
-        return _normal_pdf(u, 0.0, var_x) * _normal_pdf(v - u, 0.0, var_e)
-    raise ConfigError(f"unknown {len(coords)}D density family {family!r}")
-
-
-def _default_ranges(density: dict, dims: int) -> tuple:
-    """Eight standard deviations each side of the family's centre, per axis."""
-    family = density.get("family")
-    if dims == 1 and family in ("normal", "mixture"):
-        comps = _components(density) if family == "mixture" else [density]
-        ends = [(float(c.get("mean", 0.0)), 8.0 * math.sqrt(float(c.get("var", 1.0))))
-                for c in comps]
-        return ((min(m - w for m, w in ends), max(m + w for m, w in ends)),)
-    if dims == 2 and family == "bivariate-normal":
-        return ((-8.0, 8.0), (-8.0, 8.0))
+        return ranges, np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(det))
     if dims == 2 and family == "gaussian-sum":
-        sd_x = math.sqrt(float(density.get("var_x", 1.0)))
-        sd_y = math.sqrt(float(density.get("var_x", 1.0)) + float(density.get("var_noise", 1.0)))
-        return ((-8.0 * sd_x, 8.0 * sd_x), (-8.0 * sd_y, 8.0 * sd_y))
-    raise ConfigError(f"density family {family!r} needs "
-                      + ("an explicit range" if dims == 1 else "explicit ranges"))
+        p = _family_params(family, density, what)
+        if ranges is None:
+            sd_x, sd_y = math.sqrt(p["var_x"]), math.sqrt(p["var_x"] + p["var_noise"])
+            ranges = ((-8.0 * sd_x, 8.0 * sd_x), (-8.0 * sd_y, 8.0 * sd_y))
+        u, v = _axis_nodes(ranges, nodes)
+        return ranges, _normal_pdf(u, 0.0, p["var_x"]) * _normal_pdf(v - u, 0.0, p["var_noise"])
+    if family == "uniform":
+        raise ConfigError("density family 'uniform' needs "
+                          + ("an explicit range" if dims == 1 else "explicit ranges"))
+    raise ConfigError(f"unknown {dims}D density family {family!r}")
 
 
 def _components(density: dict) -> list:
@@ -188,12 +193,15 @@ def _as_float(value, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
 
 
-def _as_finite(value, what: str, low: float | None = None, strict: bool = False) -> float:
+def _as_finite(value, what: str, low: float | None = None, strict: bool = False,
+               high: float | None = None) -> float:
     """A finite number through ``_as_float``; with ``low``, one >= ``low``,
-    or > ``low`` when ``strict``."""
+    or > ``low`` when ``strict``; with ``low`` and ``high``, one in [low, high]."""
     x = _as_float(value, what)
-    if not math.isfinite(x) or low is not None and (x < low or strict and x == low):
-        bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
+    if (not math.isfinite(x) or low is not None and (x < low or strict and x == low)
+            or high is not None and x > high):
+        bound = ("" if low is None else f" in [{low:g}, {high:g}]" if high is not None
+                 else f" {'>' if strict else '>='} {low:g}")
         raise ConfigError(f"{what} must be a finite number{bound}, got {value!r}")
     return x
 
@@ -227,21 +235,21 @@ def build_space(cfg: dict):
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if kind in ("grid1d", "grid2d"):
-        density = cfg.get("density") or {}
+        density = _as_object(cfg.get("density") or {}, f"{kind} density")
         quad_tol = _as_float(cfg.get("quad_tol", 1e-8), f"{kind} quad_tol")
         try:
             if kind == "grid1d":
                 ranges = ((_as_pair(cfg["range"], "grid1d range", _as_float),)
-                          if "range" in cfg else _default_ranges(density, 1))
+                          if "range" in cfg else None)
                 nodes = [_as_int(cfg.get("nodes", 1601), "grid1d nodes")]
                 axes = [cfg.get("axis", "y")]
             else:
                 ranges = (_as_pair(cfg["ranges"], "grid2d ranges",
                                    lambda r, what: _as_pair(r, what, _as_float))
-                          if "ranges" in cfg else _default_ranges(density, 2))
+                          if "ranges" in cfg else None)
                 nodes = _as_pair(cfg.get("nodes", [801, 801]), "grid2d nodes", _as_int)
                 axes = _as_pair(cfg.get("axes", ["z", "y"]), "grid2d axes", lambda v, _: v)
-            values = _grid_values(density, ranges, nodes)
+            ranges, values = _grid_density(density, f"{kind} density", ranges, nodes)
             kw = {"quad_tol": quad_tol, "name": cfg.get("name", kind)}
             space = (DensityGrid1D(axes[0], *ranges[0], values, **kw) if kind == "grid1d"
                      else DensityGrid2D(axes, ranges, values, **kw))
@@ -252,35 +260,38 @@ def build_space(cfg: dict):
     if kind == "sampler":
         if "seed" not in cfg:
             raise ConfigError("sampler spaces require an explicit seed")
-        family = cfg.get("family", "standard-normal-pair")
-        if family not in DRAW_FAMILIES:
-            raise ConfigError(f"unknown sampler family {family!r}; "
-                              f"expected one of {sorted(DRAW_FAMILIES)}")
-        return Sampler(family,
-                       params=dict(cfg.get("params", {})),
-                       seed=_as_int(cfg["seed"], "sampler seed"),
-                       budget=_as_count(cfg.get("budget", 100_000), "sampler budget"),
-                       name=cfg.get("name", "sampler"))
+        family = _as_str(cfg.get("family", "standard-normal-pair"), "sampler family")
+        params = _as_object(cfg.get("params") or {}, "sampler params")
+        try:
+            return Sampler(family, params=_family_params(family, params, "sampler params"),
+                           seed=_as_int(cfg["seed"], "sampler seed"),
+                           budget=_as_count(cfg.get("budget", 100_000), "sampler budget"),
+                           name=cfg.get("name", "sampler"))
+        except ValueError as exc:  # an unknown family
+            raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown space kind {kind!r}")
 
 
 def build_variable(name: str, spec: dict, discrete: bool) -> RandomVariable:
+    what = f"variable {name!r}"
+    spec = _as_object(spec, what)
     if "coord" in spec:
-        return coordinate(spec["coord"])
+        return coordinate(_as_str(spec["coord"], f"{what} coord"))
     if spec.get("identity"):
         return RandomVariable(name, lambda omega: omega)
     if "table" in spec:
         table = {}
-        for k, v in spec["table"].items():
+        for k, v in _as_object(spec["table"], f"{what} table").items():
             try:
                 key = int(k)
             except ValueError:
                 key = k
-            table[key] = _as_float(v, f"variable {name!r} table value")
+            table[key] = _as_float(v, f"{what} table value")
         return RandomVariable(name, lambda omega, t=table: t[omega])
     if "expr" in spec:
-        return expression_variable(name, spec["expr"], discrete=discrete)
-    raise ConfigError(f"variable {name!r} needs one of coord/identity/table/expr")
+        return expression_variable(name, _as_str(spec["expr"], f"{what} expr"),
+                                   discrete=discrete)
+    raise ConfigError(f"{what} needs one of coord/identity/table/expr")
 
 
 @dataclass(eq=False)
@@ -307,21 +318,25 @@ class SpaceBundle:
         """
         if name not in self.partition_specs:
             raise ConfigError(f"unknown partition {name!r}")
-        return [self._cell_event(i, c) for i, c in enumerate(self.partition_specs[name])]
+        cells = _as_list(self.partition_specs[name], f"partition {name!r}")
+        return [self._cell_event(i, _as_object(c, f"partition {name!r} cell {i + 1}"))
+                for i, c in enumerate(cells)]
 
     def _cell_event(self, i: int, cell: dict) -> Event:
         label = cell.get("name", f"B{i + 1}")
         if "atoms" in cell:
-            return Event.from_atoms([_coerce_atom(a) for a in cell["atoms"]], name=label)
+            atoms = _as_list(cell["atoms"], f"partition cell {label!r} atoms")
+            return Event.from_atoms([_coerce_atom(a) for a in atoms], name=label)
         if "interval" in cell:
-            iv, what = cell["interval"], f"partition cell {label!r} interval"
+            what = f"partition cell {label!r} interval"
+            iv = _as_object(cell["interval"], what)
             var = _as_str(iv.get("var"), f"{what} var")
             rv = self.variable(var) if var in self.variables else coordinate(var)
             lo = _as_float(iv.get("lo", -math.inf), f"{what} lo")
             hi = _as_float(iv.get("hi", math.inf), f"{what} hi")
             return Event.interval(rv, lo, hi, name=label)
         if "expr" in cell:
-            rv = expression_variable(label, cell["expr"],
+            rv = expression_variable(label, _as_str(cell["expr"], f"partition cell {label!r} expr"),
                                      discrete=isinstance(self.space, DiscreteAtoms))
             return Event.where(rv.fn, name=label)
         raise ConfigError(f"partition cell needs 'atoms', 'interval', or 'expr': {cell!r}")
@@ -355,9 +370,9 @@ def load_space(source, base_dir: Path | None = None) -> SpaceBundle:
     space = build_space(cfg)
     discrete = isinstance(space, DiscreteAtoms)
     variables = {}
-    for name, spec in (cfg.get("variables") or {}).items():
+    for name, spec in _as_object(cfg.get("variables") or {}, "variables").items():
         variables[name] = build_variable(name, spec, discrete)
-    return SpaceBundle(space, variables, dict(cfg.get("partitions") or {}))
+    return SpaceBundle(space, variables, _as_object(cfg.get("partitions") or {}, "partitions"))
 
 
 def _of_type(kind, label: str):
@@ -419,8 +434,6 @@ class Scenario:
     tol: float = DEFAULT_TOL
     out_base: str | None = None
 
-    TASKS = ("partition", "window", "density", "factorize", "paradox", "verify")
-
     def param(self, key: str, default=...):
         """Task param ``key`` through ``param_value``; ``default`` when it is
         absent or null, where the default ``...`` means required.  Every
@@ -439,9 +452,9 @@ def load_scenario(source) -> Scenario:
     against the working directory for a document.
     """
     cfg, path = _document(source, "scenario")
-    task = cfg.get("task")
-    if task not in Scenario.TASKS:
-        raise ConfigError(f"unknown task {task!r}; expected one of {Scenario.TASKS}")
+    task = _as_str(cfg.get("task"), "scenario task")
+    from .cli import task_function  # here: cli imports this module
+    task_function(task)
     name = _as_str(cfg.get("name") or (path.stem if path is not None else task),
                    "scenario name")
     params = _as_object(cfg.get("params") or {}, "scenario params")

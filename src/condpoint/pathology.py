@@ -34,7 +34,7 @@ from .spaces import (
     probability,
     values_on,
 )
-from .window import Schedule, WindowTrace, shrink_trace
+from .window import CONVERGED, DEFAULT_N_MIN, DEFAULT_TOL, Schedule, WindowTrace, shrink_trace
 
 # Value planted on the null set by the second candidate; any number works
 # there, which is the point being demonstrated.
@@ -162,7 +162,7 @@ def _restricted(stream: Sampler, hull):
 
 
 def borel_kolmogorov(space, X: RandomVariable, families, schedule: Schedule,
-                     tol: float = 1e-6, n_min: int = 100,
+                     tol: float = DEFAULT_TOL, n_min: int = DEFAULT_N_MIN,
                      description: str = "") -> ParadoxReport:
     """Run every family over the full schedule and compare converged limits.
 
@@ -199,7 +199,7 @@ def borel_kolmogorov(space, X: RandomVariable, families, schedule: Schedule,
             raise FamilyNotShrinking(f"family {fam.name!r} lost positivity: {exc}") from exc
         _check_shrinking(fam.name, trace)
         traces[fam.name] = trace
-    converged = [(name, t) for name, t in traces.items() if t.verdict == "Converged"]
+    converged = [(name, t) for name, t in traces.items() if t.verdict == CONVERGED]
     discrepancy = math.nan
     combined = math.inf
     pair = None

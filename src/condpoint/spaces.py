@@ -658,17 +658,26 @@ def _bivariate_last(rng, rows, out, params):
 
 def _gaussian_sum_head(rng, out, params):
     x = rng.standard_normal(out=out)
-    x *= math.sqrt(float(params.get("var_x", 1.0)))
+    x *= math.sqrt(float(params["var_x"]))
     return {"x": x}
 
 
 def _gaussian_sum_last(rng, rows, out, params):
     eps = rng.standard_normal(out=out)
-    eps *= math.sqrt(float(params.get("var_noise", 1.0)))
+    eps *= math.sqrt(float(params["var_noise"]))
     return {"eps": eps, "y": rows["x"] + eps}
 
 
 _draw_gaussian_sum = DrawFamily(_gaussian_sum_head, _gaussian_sum_last)
+
+# The parameters of each named density family, on grids and in draws alike:
+# name -> (default, lowest, highest admissible value), None where unbounded.
+# A grid ``normal`` also gives each ``mixture`` component's mean and var.
+FAMILY_PARAMS = {
+    "normal": {"mean": (0.0, None, None), "var": (1.0, 0.0, None)},
+    "bivariate-normal": {"rho": (0.0, -1.0, 1.0)},
+    "gaussian-sum": {"var_x": (1.0, 0.0, None), "var_noise": (1.0, 0.0, None)},
+}
 
 DRAW_FAMILIES = {
     "standard-normal-pair": DrawFamily(
@@ -762,8 +771,10 @@ class Sampler:
     Rows are drawn once, lazily, from ``DRAW_FAMILIES[family]`` (or a custom
     ``draw`` callable) with a PCG64 generator; the same seed always yields
     the identical sample, and ``substream(i)`` derives an independent child
-    stream for parallel use.  ``restricted(hull)`` keeps only the rows
-    inside an interval event; ``hull`` is None on a full stream.
+    stream for parallel use.  A built-in family's parameters missing from
+    ``params`` take their FAMILY_PARAMS defaults.  ``restricted(hull)``
+    keeps only the rows inside an interval event; ``hull`` is None on a full
+    stream.
     """
 
     family: str
@@ -776,6 +787,14 @@ class Sampler:
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
     hull: Event | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.draw is None:
+            if self.family not in DRAW_FAMILIES:
+                raise ValueError(f"unknown sampler family {self.family!r}; "
+                                 f"expected one of {sorted(DRAW_FAMILIES)}")
+            defaults = FAMILY_PARAMS.get(self.family, {})
+            self.params = {key: d for key, (d, _, _) in defaults.items()} | self.params
 
     def columns(self) -> dict:
         """The drawn rows by column name: only the kept rows on a restricted stream."""

@@ -116,7 +116,7 @@ def test_cached_arrays_are_read_only():
     # the density itself is the caller's array, not a cache entry
     arrays = [a for entry in space._cache.values() if isinstance(entry, tuple)
               for a in entry if isinstance(a, np.ndarray) and a is not space.values]
-    assert len(arrays) >= 4  # values, product, and one cumulative sum per axis
+    assert len(arrays) >= 4  # values, and a marginal and its cumulative sum per axis
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0

@@ -212,6 +212,15 @@ def test_unknown_scenario_task(tmp_path):
         load_scenario(p)
 
 
+def test_run_reports_an_unknown_task_as_failed(tmp_path):
+    scn = load_scenario(SCENARIO_DIR / "dice-partition.json")
+    scn.task = "nope"
+    entry = cli.run(scn, tmp_path)
+    assert not entry["ok"] and entry["artifacts"] == []
+    assert entry["error"].startswith("ConfigError: unknown task 'nope'; expected one of")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_parallel_matches_sequential(tmp_path):
     paths = [SCENARIO_DIR / "dice-partition.json", SCENARIO_DIR / "coin-factorize.json"]
     seq = cli.run_paths(paths, tmp_path / "seq")
@@ -592,6 +601,16 @@ def _grid_with_cell(interval):
             "partitions": {"p": [{"name": "low", "interval": interval}]}}
 
 
+def _grid(density, kind="grid1d"):
+    return {"schema_version": 1, "kind": kind, "density": density,
+            "nodes": 101 if kind == "grid1d" else [51, 51]}
+
+
+def _sampler(family, params):
+    return {"schema_version": 1, "kind": "sampler", "family": family, "params": params,
+            "seed": 1, "budget": 100}
+
+
 def _discrete(atoms, variables=None):
     return {"schema_version": 1, "kind": "discrete", "atoms": atoms,
             "variables": variables or {}}
@@ -607,6 +626,27 @@ def _discrete(atoms, variables=None):
      "variable 'X' table value"),
     ({"schema_version": 1, "kind": "sampler", "family": "nope", "seed": 1},
      "unknown sampler family 'nope'"),
+    (_sampler("bivariate-normal", {"rho": 2}),
+     "sampler params rho must be a finite number in [-1, 1], got 2"),
+    (_sampler("gaussian-sum", {"var_x": "abc"}), "sampler params var_x must be a number"),
+    (_sampler("gaussian-sum", {"var_noise": -1}),
+     "sampler params var_noise must be a finite number >= 0, got -1"),
+    (_sampler("gaussian-sum", [1.0, 1.0]), "sampler params must be an object"),
+    (_grid({"family": "normal", "var": None}), "grid1d density var must be a number, got None"),
+    (_grid({"family": "mixture", "components": [{"weight": 1, "mean": math.inf}]}),
+     "mixture component mean must be a finite number"),
+    (_grid({"family": "gaussian-sum", "var_x": "abc"}, "grid2d"),
+     "grid2d density var_x must be a number"),
+    (_grid({"family": "bivariate-normal", "rho": -1.5}, "grid2d"),
+     "grid2d density rho must be a finite number in [-1, 1]"),
+    (_grid("normal"), "grid1d density must be an object"),
+    (_discrete([[1, 1.0]], ["Y"]), "variables must be an object"),
+    (_discrete([[1, 1.0]], {"Y": "omega"}), "variable 'Y' must be an object"),
+    (_discrete([[1, 1.0]], {"Y": {"expr": 5}}), "variable 'Y' expr must be a string"),
+    ({**_grid_with_cell({"var": "Y"}), "partitions": {"p": 5}}, "partition 'p' must be a list"),
+    ({**_grid_with_cell({"var": "Y"}), "partitions": {"p": ["low"]}},
+     "partition 'p' cell 1 must be an object"),
+    (_grid_with_cell(5), "partition cell 'low' interval must be an object"),
 ])
 def test_run_reports_bad_config_field(tmp_path, capsys, space, error):
     bad = tmp_path / "bad.json"

@@ -99,6 +99,20 @@ def test_restricted_rows_equal_masked_full_draw(family, hull_kind, block):
     assert sub.budget == N
 
 
+def test_a_missing_sampler_rho_is_zero():
+    default = cp.Sampler("bivariate-normal", seed=SEED, budget=1000).columns()
+    explicit = cp.Sampler("bivariate-normal", {"rho": 0.0}, seed=SEED, budget=1000).columns()
+    assert list(default) == list(explicit)
+    for name in explicit:
+        assert np.array_equal(default[name], explicit[name]), name
+
+
+def test_an_unknown_sampler_family_fails_at_construction():
+    with pytest.raises(ValueError, match="unknown sampler family 'nope'; expected one of"):
+        cp.Sampler("nope", seed=1, budget=100)
+    assert cp.Sampler("nope", seed=1, budget=100, draw=_custom_draw).columns()["z"].size == 100
+
+
 def test_restricted_windows_equal_full_stream_windows():
     y = cp.coordinate("y")
     full = cp.Sampler("standard-normal-pair", seed=SEED, budget=N)
