@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,7 @@ from .factorization import factorize
 from .partition import partition_cond_exp, verify_cond_exp
 from .serialize import to_json, write_csv, write_json
 from .spaces import DensityGrid2D, _evaluate, expectation
-from .window import CONVERGED, DEFAULT_TOL, evaluate_on_grid, window_estimate
-
-PARADOX_INSTANCES = {"ratio-normal": pathology.ratio_normal_instance}
-
+from .window import CONVERGED, DEFAULT_TOL, WindowStep, evaluate_on_grid, window_estimate
 
 # ---------------------------------------------------------------------------
 # Scenario tasks: each returns (ok, doc, csv) with csv (header, rows) or None
@@ -51,9 +49,8 @@ def _task_window(scn: Scenario):
     at = scn.param("at", None)
     if at is not None:
         trace = window_estimate(bundle.space, X, Y, at, schedule=schedule, tol=scn.tol)
-        rows = [(s.eps, s.estimate, s.se, s.n, s.prob) for s in trace.steps]
         return (trace.verdict == CONVERGED, trace.to_json_dict(),
-                (["eps", "estimate", "se", "n", "prob"], rows))
+                ([f.name for f in fields(WindowStep)], map(astuple, trace.steps)))
     table = evaluate_on_grid(bundle.space, X, Y, np.linspace(*scn.param("grid")),
                              schedule=schedule, tol=scn.tol)
     doc = table.to_json_dict()
@@ -89,24 +86,20 @@ def _task_factorize(scn: Scenario):
 
 def _task_paradox(scn: Scenario):
     name = scn.param("instance", "ratio-normal")
-    if name not in PARADOX_INSTANCES:
+    if name != "ratio-normal":
         raise TaskError(f"unknown paradox instance {name!r}")
     given = {"seed": scn.seed, "budget": scn.param("budget", None)}
-    inst = PARADOX_INSTANCES[name](**{k: v for k, v in given.items() if v is not None})
-    report = pathology.borel_kolmogorov(inst["space"], inst["X"], inst["families"],
-                                        inst["schedule"], tol=scn.tol,
-                                        description=inst["description"])
-    doc = report.to_json_dict()
-    ok = all(t.verdict == CONVERGED for t in report.traces.values())
-    if scn.param("control", True):
-        control = pathology.borel_kolmogorov(inst["space"], inst["X"],
-                                             inst["control_families"],
-                                             inst["schedule"], tol=scn.tol,
-                                             description="control: two window "
-                                                         "families of one variable")
-        doc["control"] = control.to_json_dict()
-        ok = ok and all(t.verdict == CONVERGED for t in control.traces.values())
-    return ok, doc, None
+    inst = pathology.ratio_normal_instance(**{k: v for k, v in given.items() if v is not None})
+    # the main report, then the control one from the instance's "control_" keys
+    prefixes = ("", "control_") if scn.param("control", True) else ("",)
+    reports = [pathology.borel_kolmogorov(inst["space"], inst["X"], inst[pre + "families"],
+                                          inst["schedule"], tol=scn.tol,
+                                          description=inst[pre + "description"])
+               for pre in prefixes]
+    doc, *control = (r.to_json_dict() for r in reports)
+    if control:
+        doc["control"] = control[0]
+    return all(t.verdict == CONVERGED for r in reports for t in r.traces.values()), doc, None
 
 
 def _task_verify(scn: Scenario):
@@ -201,8 +194,6 @@ def _series(doc: dict, family: str | None = None):
             raise GridMismatch(f"no family {family!r} in this artifact")
         doc = families[family]
     kind = doc.get("kind")
-    if kind == "window_grid":
-        return doc["grid"], doc["values"]
     if kind == "window_trace":
         return ([s["eps"] for s in doc["steps"]],
                 [s["estimate"] for s in doc["steps"]])

@@ -30,6 +30,8 @@ from .spaces import (
     RandomVariable,
     Sampler,
     coordinate,
+    family_params,
+    finite_number,
 )
 from .window import DEFAULT_TOL, Schedule
 
@@ -106,11 +108,17 @@ def _normal_pdf(x, mean, var):
     return np.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
 
 
-def _family_params(family: str, given: dict, what: str) -> dict:
-    """``family``'s parameters in FAMILY_PARAMS: each one in ``given`` a
-    finite number in its range, each one missing its default."""
-    return {key: _as_finite(given[key], f"{what} {key}", low, high=high) if key in given
-            else default for key, (default, low, high) in FAMILY_PARAMS.get(family, {}).items()}
+def _family_params(family: str, given: dict, what: str, extra=()) -> dict:
+    """``spaces.family_params`` of ``given``, each of whose keys must be one
+    of those parameters or in ``extra``; ConfigError naming the field if not."""
+    allowed = sorted({*extra, *FAMILY_PARAMS.get(family, {})})
+    for key in given:
+        if key not in allowed:
+            raise ConfigError(f"unknown {what} key {key!r}; expected one of {allowed}")
+    try:
+        return family_params(family, given, what)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _axis_nodes(ranges, nodes) -> list:
@@ -123,30 +131,32 @@ def _grid_density(density: dict, what: str, ranges, nodes) -> tuple:
     """(ranges, node values) of the density family over ``len(nodes)`` axes,
     reading each parameter once.  Ranges that are None default to eight
     standard deviations each side of the family's centre, per axis."""
-    family, dims = density.get("family"), len(nodes)
+    family, dims = _as_str(density.get("family"), f"{what} family"), len(nodes)
+    p = _family_params(family, density, what,
+                       ("family", "components") if family == "mixture" else ("family",))
     if family == "uniform" and ranges is not None:
         return ranges, np.full(tuple(nodes), 1.0 / math.prod(hi - lo for lo, hi in ranges))
     if dims == 1 and family in ("normal", "mixture"):  # normal: one component of weight 1
-        comps = ([(1.0, _family_params("normal", density, what))] if family == "normal" else
+        comps = ([(1.0, p)] if family == "normal" else
                  [(_as_float(c.get("weight"), "mixture component weight"),
-                   _family_params("normal", c, "mixture component")) for c in _components(density)])
+                   _family_params("normal", c, "mixture component", ("weight",)))
+                  for c in _components(density)])
         if ranges is None:
-            ends = [(p["mean"], 8.0 * math.sqrt(p["var"])) for _, p in comps]
+            ends = [(c["mean"], 8.0 * math.sqrt(c["var"])) for _, c in comps]
             ranges = ((min(m - w for m, w in ends), max(m + w for m, w in ends)),)
         y, = _axis_nodes(ranges, nodes)
         out = np.zeros(y.shape)
-        for weight, p in comps:
-            out += weight * _normal_pdf(y, p["mean"], p["var"])
+        for weight, c in comps:
+            out += weight * _normal_pdf(y, c["mean"], c["var"])
         return ranges, out
     if dims == 2 and family == "bivariate-normal":
-        rho = _family_params(family, density, what)["rho"]
+        rho = p["rho"]
         ranges = ranges or ((-8.0, 8.0), (-8.0, 8.0))
         u, v = _axis_nodes(ranges, nodes)
         det = 1.0 - rho * rho
         q = (u * u - 2.0 * rho * u * v + v * v) / det
         return ranges, np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(det))
     if dims == 2 and family == "gaussian-sum":
-        p = _family_params(family, density, what)
         if ranges is None:
             sd_x, sd_y = math.sqrt(p["var_x"]), math.sqrt(p["var_x"] + p["var_noise"])
             ranges = ((-8.0 * sd_x, 8.0 * sd_x), (-8.0 * sd_y, 8.0 * sd_y))
@@ -195,15 +205,11 @@ def _as_float(value, what: str) -> float:
 
 def _as_finite(value, what: str, low: float | None = None, strict: bool = False,
                high: float | None = None) -> float:
-    """A finite number through ``_as_float``; with ``low``, one >= ``low``,
-    or > ``low`` when ``strict``; with ``low`` and ``high``, one in [low, high]."""
-    x = _as_float(value, what)
-    if (not math.isfinite(x) or low is not None and (x < low or strict and x == low)
-            or high is not None and x > high):
-        bound = ("" if low is None else f" in [{low:g}, {high:g}]" if high is not None
-                 else f" {'>' if strict else '>='} {low:g}")
-        raise ConfigError(f"{what} must be a finite number{bound}, got {value!r}")
-    return x
+    """``spaces.finite_number``, raising ConfigError that names the field."""
+    try:
+        return finite_number(value, what, low, strict, high)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _as_count(value, what: str) -> int:

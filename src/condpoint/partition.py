@@ -11,7 +11,7 @@ union of generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -173,11 +173,7 @@ class VerificationReport:
             "passed": self.passed,
             "measurable": self.measurable,
             "identity_ok": self.identity_ok,
-            "checks": [
-                {"kind": e.kind, "label": e.label, "residual": float(e.residual),
-                 "tol": float(e.tol), "passed": e.passed}
-                for e in self.entries
-            ],
+            "checks": [asdict(e) for e in self.entries],
         }
 
 

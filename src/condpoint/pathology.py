@@ -237,4 +237,5 @@ def ratio_normal_instance(seed: int = 20260811, budget: int = 20_000_000) -> dic
         "schedule": Schedule(eps0=0.4, factor=0.5, depth=4),
         "description": "E[Z^2 | {Y=0}] via Y-windows vs via (Y/Z)-windows "
                        "on independent standard normal (Z, Y)",
+        "control_description": "control: two window families of one variable",
     }

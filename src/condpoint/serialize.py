@@ -62,9 +62,7 @@ def _cell(v) -> str:
         return ""
     if isinstance(v, str):
         return v
-    if isinstance(v, (bool, np.bool_, int, np.integer)):
-        return format_number(v)
-    return f"{float(v):.17g}"
+    return format_number(v).strip('"')
 
 
 def write_csv(path, header, rows) -> Path:

@@ -679,6 +679,32 @@ FAMILY_PARAMS = {
     "gaussian-sum": {"var_x": (1.0, 0.0, None), "var_noise": (1.0, 0.0, None)},
 }
 
+
+def finite_number(value, what: str, low: float | None = None, strict: bool = False,
+                  high: float | None = None) -> float:
+    """``float(value)`` when it is finite and, with ``low``, >= ``low`` (> when
+    ``strict``) and, with ``high`` too, <= ``high``; ValueError naming ``what``
+    and the range otherwise."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    if (not math.isfinite(x) or low is not None and (x < low or strict and x == low)
+            or high is not None and x > high):
+        bound = ("" if low is None else f" in [{low:g}, {high:g}]" if high is not None
+                 else f" {'>' if strict else '>='} {low:g}")
+        raise ValueError(f"{what} must be a finite number{bound}, got {value!r}")
+    return x
+
+
+def family_params(family: str, given: dict, what: str) -> dict:
+    """``family``'s parameters in FAMILY_PARAMS: each one in ``given`` a
+    finite number in its range (``finite_number``, named "``what`` key"),
+    each one missing its default."""
+    return {key: finite_number(given[key], f"{what} {key}", low, high=high) if key in given
+            else default for key, (default, low, high) in FAMILY_PARAMS.get(family, {}).items()}
+
+
 DRAW_FAMILIES = {
     "standard-normal-pair": DrawFamily(
         _normal_z, lambda rng, rows, out, params: {"y": rng.standard_normal(out=out)}),
@@ -772,7 +798,8 @@ class Sampler:
     ``draw`` callable) with a PCG64 generator; the same seed always yields
     the identical sample, and ``substream(i)`` derives an independent child
     stream for parallel use.  A built-in family's parameters missing from
-    ``params`` take their FAMILY_PARAMS defaults.  ``restricted(hull)``
+    ``params`` take their FAMILY_PARAMS defaults, and one outside its range
+    is a ValueError; other keys pass through.  ``restricted(hull)``
     keeps only the rows inside an interval event; ``hull`` is None on a full
     stream.
     """
@@ -793,8 +820,7 @@ class Sampler:
             if self.family not in DRAW_FAMILIES:
                 raise ValueError(f"unknown sampler family {self.family!r}; "
                                  f"expected one of {sorted(DRAW_FAMILIES)}")
-            defaults = FAMILY_PARAMS.get(self.family, {})
-            self.params = {key: d for key, (d, _, _) in defaults.items()} | self.params
+            self.params = self.params | family_params(self.family, self.params, "sampler params")
 
     def columns(self) -> dict:
         """The drawn rows by column name: only the kept rows on a restricted stream."""

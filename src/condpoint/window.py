@@ -12,7 +12,7 @@ windows and non-contracting tails get their own verdicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -113,11 +113,7 @@ class WindowTrace:
             "bound": self.bound,
             "tol": float(self.tol),
             "one_sided": self.one_sided,
-            "steps": [
-                {"eps": float(s.eps), "estimate": float(s.estimate),
-                 "se": float(s.se), "n": s.n, "prob": float(s.prob)}
-                for s in self.steps
-            ],
+            "steps": [asdict(s) for s in self.steps],
         }
 
 
@@ -216,6 +212,14 @@ def _conditioning_geometry(space, Y: RandomVariable):
     return space.ranges[k], space.pitches[k]
 
 
+# (Y, y, eps) -> the event of each family of shrinking neighbourhoods of y
+WINDOW_FAMILIES = {
+    "symmetric": Event.window,
+    "upper": lambda Y, y, eps: Event.interval(Y, y, y + eps),
+    "lower": lambda Y, y, eps: Event.interval(Y, y - eps, y),
+}
+
+
 def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
                     schedule: Schedule | None = None, tol: float = DEFAULT_TOL,
                     n_min: int = DEFAULT_N_MIN, stop_early: bool = True,
@@ -228,7 +232,7 @@ def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
     opening to one side of y.  ``stop_early=False`` runs the whole schedule
     even after the tolerance is met, e.g. for plotting or order measurement.
     """
-    if family not in ("symmetric", "upper", "lower"):
+    if family not in WINDOW_FAMILIES:
         raise ValueError(f"unknown window family {family!r}")
     schedule = schedule or Schedule()
     rng, pitch = _conditioning_geometry(space, Y)
@@ -238,25 +242,21 @@ def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
         if default_eps0 == 0.0:
             default_eps0 = 1.0
     epsilons = schedule.epsilons(default_eps0)
-    one_sided = None if family == "symmetric" else family
     if rng is not None:
         lo, hi = rng
         if y < lo or y > hi:
             raise NonApproachablePoint(f"{y!r} lies outside the {Y.name!r} range {rng!r}")
         if family == "symmetric":
             if y - lo < pitch:
-                one_sided = "upper"
+                family = "upper"
             elif hi - y < pitch:
-                one_sided = "lower"
+                family = "lower"
     y = float(y)
-    if one_sided == "upper":
-        pairs = [(e, Event.interval(Y, y, y + e)) for e in epsilons]
-    elif one_sided == "lower":
-        pairs = [(e, Event.interval(Y, y - e, y)) for e in epsilons]
-    else:
-        pairs = [(e, Event.window(Y, y, e)) for e in epsilons]
-    return shrink_trace(space, X, pairs, tol=tol, n_min=n_min, target=y,
-                        resolution=pitch, one_sided=one_sided, stop_early=stop_early)
+    rule = WINDOW_FAMILIES[family]
+    return shrink_trace(space, X, [(e, rule(Y, y, e)) for e in epsilons], tol=tol,
+                        n_min=n_min, target=y, resolution=pitch,
+                        one_sided=None if family == "symmetric" else family,
+                        stop_early=stop_early)
 
 
 @dataclass(eq=False)

@@ -185,6 +185,19 @@ def test_cli_paradox_and_compare(tmp_path):
     assert same["passed"] and same["max_diff"] == 0.0
 
 
+def test_cli_paradox_without_control_and_with_an_unknown_instance(tmp_path, capsys):
+    out = tmp_path / "paradox.json"
+    rc = cli.main(["paradox", "--budget", "200000", "--seed", "20260811", "--no-control",
+                   "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["kind"] == "paradox_report" and "control" not in doc
+    capsys.readouterr()
+    assert cli.main(["paradox", "--instance", "nope"]) == 1
+    assert capsys.readouterr().err == to_json(
+        {"error": "TaskError: unknown paradox instance 'nope'"})
+
+
 def test_compare_grid_mismatch():
     a = {"grid": [0.0, 1.0], "values": [1.0, 2.0]}
     b = {"grid": [0.0, 2.0], "values": [1.0, 2.0]}
@@ -595,6 +608,21 @@ def test_inline_window_writes_the_bytes_of_its_scenario(tmp_path, capsys):
     assert (tmp_path / "o" / "a.json").read_bytes() == out.read_bytes()
 
 
+def test_window_at_csv_has_one_row_per_trace_step(tmp_path, capsys):
+    doc = tmp_path / "w.json"
+    doc.write_text(json.dumps({"schema_version": 1, "task": "window", "name": "w",
+                               "space": str(SCENARIO_DIR / "spaces" / "bivariate-05.json"),
+                               "params": {"x": "Z", "y": "Y", "at": 0.5}}))
+    assert cli.main(["run", str(doc), "--outdir", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    header, *rows = (tmp_path / "o" / "w.csv").read_text().splitlines()
+    assert header == "eps,estimate,se,n,prob"
+    steps = json.loads((tmp_path / "o" / "w.json").read_text())["steps"]
+    assert len(steps) >= 2
+    assert [[None if v == "" else float(v) for v in row.split(",")] for row in rows] == [
+        [s["eps"], s["estimate"], s["se"], s["n"], s["prob"]] for s in steps]
+
+
 def _grid_with_cell(interval):
     return {"schema_version": 1, "kind": "grid1d", "density": {"family": "normal"},
             "nodes": 101, "variables": {"Y": {"coord": "y"}},
@@ -647,6 +675,13 @@ def _discrete(atoms, variables=None):
     ({**_grid_with_cell({"var": "Y"}), "partitions": {"p": ["low"]}},
      "partition 'p' cell 1 must be an object"),
     (_grid_with_cell(5), "partition cell 'low' interval must be an object"),
+    (_grid({"family": "bivariate-normal", "rh": 0.9}, "grid2d"),
+     "unknown grid2d density key 'rh'; expected one of ['family', 'rho']"),
+    (_grid({"family": "normal", "components": []}), "unknown grid1d density key 'components'"),
+    (_grid({"family": "mixture", "components": [{"weight": 1, "vr": 2}]}),
+     "unknown mixture component key 'vr'; expected one of ['mean', 'var', 'weight']"),
+    (_sampler("bivariate-normal", {"rh": 0.9}),
+     "unknown sampler params key 'rh'; expected one of ['rho']"),
 ])
 def test_run_reports_bad_config_field(tmp_path, capsys, space, error):
     bad = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ stream keeps only the rows inside an interval event.  Both must give the
 rows of one whole-array draw, in the same order, bit for bit.
 """
 
+import math
 import threading
 
 import numpy as np
@@ -111,6 +112,19 @@ def test_an_unknown_sampler_family_fails_at_construction():
     with pytest.raises(ValueError, match="unknown sampler family 'nope'; expected one of"):
         cp.Sampler("nope", seed=1, budget=100)
     assert cp.Sampler("nope", seed=1, budget=100, draw=_custom_draw).columns()["z"].size == 100
+
+
+@pytest.mark.parametrize("family, params, error", [
+    ("bivariate-normal", {"rho": 2}, "sampler params rho must be a finite number in [-1, 1], got 2"),
+    ("bivariate-normal", {"rho": math.nan},
+     "sampler params rho must be a finite number in [-1, 1], got nan"),
+    ("gaussian-sum", {"var_noise": math.inf},
+     "sampler params var_noise must be a finite number >= 0, got inf"),
+])
+def test_a_sampler_checks_its_family_params_at_construction(family, params, error):
+    with pytest.raises(ValueError) as info:
+        cp.Sampler(family, params, seed=1, budget=10)
+    assert str(info.value) == error
 
 
 def test_restricted_windows_equal_full_stream_windows():
