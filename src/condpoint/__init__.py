@@ -28,6 +28,7 @@ from .pathology import (
     ApproximationFamily,
     ParadoxReport,
     borel_kolmogorov,
+    paradox_reports,
     ratio_normal_instance,
     too_coarse_demo,
     too_fine_demo,

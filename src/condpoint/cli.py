@@ -92,10 +92,9 @@ def _task_paradox(scn: Scenario):
     inst = pathology.ratio_normal_instance(**{k: v for k, v in given.items() if v is not None})
     # the main report, then the control one from the instance's "control_" keys
     prefixes = ("", "control_") if scn.param("control", True) else ("",)
-    reports = [pathology.borel_kolmogorov(inst["space"], inst["X"], inst[pre + "families"],
-                                          inst["schedule"], tol=scn.tol,
-                                          description=inst[pre + "description"])
-               for pre in prefixes]
+    groups = [(inst[pre + "families"], inst[pre + "description"]) for pre in prefixes]
+    reports = pathology.paradox_reports(inst["space"], inst["X"], groups, inst["schedule"],
+                                        tol=scn.tol)
     doc, *control = (r.to_json_dict() for r in reports)
     if control:
         doc["control"] = control[0]

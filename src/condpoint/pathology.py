@@ -14,6 +14,7 @@ Three demonstrations:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -157,48 +158,30 @@ def _check_shrinking(name: str, trace: WindowTrace):
         raise FamilyNotShrinking(f"family {name!r} mass does not shrink along the schedule")
 
 
-def _restricted(stream: Sampler, hull):
-    return stream if hull is None else stream.restricted(hull)
+def _draw_streams(sub: Sampler, hulls: tuple) -> list:
+    """One stream of ``sub`` per hull, from one pass of its generator."""
+    return [sub.restricted(hulls[0])] if len(hulls) == 1 else sub.restricted_each(hulls)
 
 
-def borel_kolmogorov(space, X: RandomVariable, families, schedule: Schedule,
-                     tol: float = DEFAULT_TOL, n_min: int = DEFAULT_N_MIN,
-                     description: str = "") -> ParadoxReport:
-    """Run every family over the full schedule and compare converged limits.
+def _kept_rows(stream) -> int:
+    """Rows a sampler stream holds; 0 on any other space."""
+    if not isinstance(stream, Sampler):
+        return 0
+    return len(next(iter(stream.columns().values()), ()))
 
-    Families run on independent sampler sub-streams, over one shared eps
-    grid (no early stopping), so their traces are directly comparable.  The
-    discrepancy is the largest gap between converged limits; the combined
-    tolerance is the sum of the two effective tolerances of that pair.
 
-    A family whose events are intervals of one variable draws only the rows
-    inside their hull, which gives the numbers of the full stream.  The
-    streams are drawn on DRAW_THREADS worker threads, which call no public
-    method of the sampler; the traces then run in family order on the
-    calling thread.
-    """
-    if schedule.eps0 is None:
-        raise ValueError("paradox schedules need an explicit eps0")
-    epsilons = schedule.epsilons(schedule.eps0)
-    runs = [(fam, fam.pairs(epsilons)) for fam in families]
-    streams = [space] * len(runs)
-    if isinstance(space, Sampler):
-        # imported here: it would add 2.5 ms to every `import condpoint`
-        from concurrent.futures import ThreadPoolExecutor
+def _family_trace(fam: ApproximationFamily, stream, X: RandomVariable, pairs,
+                  tol: float, n_min: int) -> WindowTrace:
+    try:
+        trace = shrink_trace(stream, X, pairs, tol=tol, n_min=n_min, target=0.0,
+                             stop_early=False)
+    except NonApproachablePoint as exc:
+        raise FamilyNotShrinking(f"family {fam.name!r} lost positivity: {exc}") from exc
+    _check_shrinking(fam.name, trace)
+    return trace
 
-        subs = [space.substream(i) for i in range(len(runs))]
-        hulls = [interval_hull(event for _, event in pairs) for _, pairs in runs]
-        with ThreadPoolExecutor(DRAW_THREADS) as pool:
-            streams = list(pool.map(_restricted, subs, hulls))
-    traces = {}
-    for (fam, pairs), fam_space in zip(runs, streams):
-        try:
-            trace = shrink_trace(fam_space, X, pairs, tol=tol,
-                                 n_min=n_min, target=0.0, stop_early=False)
-        except NonApproachablePoint as exc:
-            raise FamilyNotShrinking(f"family {fam.name!r} lost positivity: {exc}") from exc
-        _check_shrinking(fam.name, trace)
-        traces[fam.name] = trace
+
+def _report(description: str, traces: dict) -> ParadoxReport:
     converged = [(name, t) for name, t in traces.items() if t.verdict == CONVERGED]
     discrepancy = math.nan
     combined = math.inf
@@ -210,6 +193,63 @@ def borel_kolmogorov(space, X: RandomVariable, families, schedule: Schedule,
             if pair is None or gap > discrepancy:
                 discrepancy, combined, pair = gap, ta.tol + tb.tol, (na, nb)
     return ParadoxReport(description, traces, discrepancy, combined, pair)
+
+
+def paradox_reports(space, X: RandomVariable, groups, schedule: Schedule,
+                    tol: float = DEFAULT_TOL, n_min: int = DEFAULT_N_MIN) -> list:
+    """One ParadoxReport per ``(families, description)`` group, from one draw plan.
+
+    Every family runs over the full schedule (no early stopping) on one
+    shared eps grid, so the traces are directly comparable.  A report's
+    discrepancy is the largest gap between its converged limits; the
+    combined tolerance is the sum of the two effective tolerances of that
+    pair.
+
+    On a sampler, family ``i`` of a group runs on ``space.substream(i)``.
+    A trace is keyed by (substream index, family): a key listed by several
+    groups is traced once and its trace shared.  A family whose events are
+    intervals of one variable keeps only the rows inside their hull, which
+    gives the numbers of the full stream.  Each substream is drawn once, on
+    DRAW_THREADS worker threads that call no public method of the sampler,
+    and that one generator pass fills the hull of every family it feeds.
+    The traces then run on the calling thread, fewest kept rows first
+    (family order on ties), and each stream is dropped when its trace ends.
+    """
+    if schedule.eps0 is None:
+        raise ValueError("paradox schedules need an explicit eps0")
+    epsilons = schedule.epsilons(schedule.eps0)
+    pairs = {key: key[1].pairs(epsilons) for key in dict.fromkeys(
+        (i, fam) for families, _ in groups for i, fam in enumerate(families))}
+    if isinstance(space, Sampler):
+        # imported here: it would add 2.5 ms to every `import condpoint`
+        from concurrent.futures import ThreadPoolExecutor
+
+        plan: dict = {}  # substream index -> the trace keys it feeds
+        for key in pairs:
+            plan.setdefault(key[0], []).append(key)
+        subs = [space.substream(i) for i in plan]
+        hulls = [tuple(interval_hull(event for _, event in pairs[key]) for key in keys)
+                 for keys in plan.values()]
+        with ThreadPoolExecutor(DRAW_THREADS) as pool:
+            # one expression: no name is left holding a substream's streams
+            streams = dict(zip((key for keys in plan.values() for key in keys),
+                               itertools.chain.from_iterable(
+                                   pool.map(_draw_streams, subs, hulls))))
+    else:
+        streams = dict.fromkeys(pairs, space)
+    traces = {}
+    for key in sorted(pairs, key=lambda key: _kept_rows(streams[key])):
+        traces[key] = _family_trace(key[1], streams.pop(key), X, pairs[key], tol, n_min)
+    return [_report(description, {fam.name: traces[i, fam] for i, fam in enumerate(families)})
+            for families, description in groups]
+
+
+def borel_kolmogorov(space, X: RandomVariable, families, schedule: Schedule,
+                     tol: float = DEFAULT_TOL, n_min: int = DEFAULT_N_MIN,
+                     description: str = "") -> ParadoxReport:
+    """Run every family over the full schedule and compare converged limits:
+    the one-group case of ``paradox_reports``."""
+    return paradox_reports(space, X, [(families, description)], schedule, tol, n_min)[0]
 
 
 def ratio_normal_instance(seed: int = 20260811, budget: int = 20_000_000) -> dict:

@@ -613,7 +613,7 @@ class DrawFamily:
     last: Callable
 
     def __call__(self, rng, n, params) -> dict:
-        return _stream(self, rng, int(n), params, None)
+        return _stream(self, rng, int(n), params, (None,))[0]
 
 
 # Anonymous maps private to this process (Windows maps take no flags and are).
@@ -715,18 +715,22 @@ DRAW_FAMILIES = {
 }
 
 
-def _stream(draw: Callable, rng, n: int, params, hull: Event | None) -> dict:
-    """The ``n`` rows of ``draw``, or only those inside the interval event ``hull``.
+def _stream(draw: Callable, rng, n: int, params, hulls: tuple) -> list:
+    """The columns of the ``n`` rows of ``draw`` once per hull in ``hulls``:
+    every row where the hull is None, else only the rows inside that
+    interval event.
 
     A ``DrawFamily`` draws its head column whole into an ``n``-row mapped
     column and its last column in blocks of ``DRAW_BLOCK`` rows, each into
     one reused, cache-warm buffer; a custom ``draw`` callable is one block.
     Blocks come in order from one generator, so their numbers equal one
-    whole-array draw.  Each block's rows (with a hull, only those inside it)
-    are written, in order, after the rows already kept at the front of every
-    column; with a hull the head rows left behind go back to the system as
-    the draw proceeds, so a draw holds about one head column plus the kept
-    rows.  A full stream returns its columns themselves.
+    whole-array draw, and that one pass fills every hull.  The first hull's
+    rows of each block are written, in order, after the rows already kept
+    at the front of every column; with a hull the head rows left behind go
+    back to the system as the draw proceeds, so a draw holds about one head
+    column plus the kept rows.  Every other hull copies its rows into
+    mapped columns of its own, reading each block before the first hull
+    overwrites it.  A full first stream returns the columns themselves.
     """
     family = isinstance(draw, DrawFamily)
     if family:
@@ -734,31 +738,37 @@ def _stream(draw: Callable, rng, n: int, params, hull: Event | None) -> dict:
         buf = np.empty(min(size, n))
     else:
         cols, size = draw(rng, n, params), max(n, 1)
-        if hull is not None:  # compacted in place below
+        if hulls[0] is not None:  # compacted in place below
             cols = {name: np.array(col) for name, col in cols.items()}
-    kept = 0
+    outs = [cols, *({} for _ in hulls[1:])]
+    kept = [0] * len(hulls)
     for start in range(0, max(n, 1), size):
         stop = min(start + size, n)
         frame = {name: col[start:stop] for name, col in cols.items()}
         if family:
             frame |= draw.last(rng, frame, buf[:stop - start], params)
-            cols |= {name: _mapped(n, col.dtype) for name, col in frame.items()
-                     if name not in cols}
-        keep = slice(None) if hull is None else np.flatnonzero(_interval_mask(_evaluate(
-            f"variable {hull.rv.name!r}", hull.rv.fn, frame, (stop - start,)), hull.pieces))
-        count = stop - start if hull is None else keep.size
-        for name, col in cols.items():
-            col[kept:kept + count] = frame[name][keep]
-            _release(col, kept + count, stop)
-        kept += count
-    return cols if hull is None else {name: col[:kept] for name, col in cols.items()}
+        # the first hull last: it compacts the block's own rows in place
+        for j in reversed(range(len(hulls))):
+            out, hull = outs[j], hulls[j]
+            out |= {name: _mapped(n, col.dtype) for name, col in frame.items()
+                    if name not in out}
+            keep = slice(None) if hull is None else np.flatnonzero(_interval_mask(_evaluate(
+                f"variable {hull.rv.name!r}", hull.rv.fn, frame, (stop - start,)), hull.pieces))
+            count = stop - start if hull is None else keep.size
+            for name, col in out.items():
+                col[kept[j]:kept[j] + count] = frame[name][keep]
+                if j == 0:
+                    _release(col, kept[j] + count, stop)
+            kept[j] += count
+    return [out if hull is None else {name: col[:k] for name, col in out.items()}
+            for out, hull, k in zip(outs, hulls, kept)]
 
 
-def _draw(sampler: "Sampler") -> dict:
-    """The sampler's columns: every row, or only the rows inside its hull."""
+def _draw(sampler: "Sampler", hulls: tuple) -> list:
+    """The sampler's columns once per hull, from one pass of its generator."""
     rng = np.random.default_rng(np.random.SeedSequence(sampler.seed, spawn_key=sampler.spawn))
     draw = sampler.draw if sampler.draw is not None else DRAW_FAMILIES[sampler.family]
-    return _stream(draw, rng, int(sampler.budget), sampler.params, sampler.hull)
+    return _stream(draw, rng, int(sampler.budget), sampler.params, hulls)
 
 
 class _RowFrame(Mapping):
@@ -824,13 +834,13 @@ class Sampler:
 
     def columns(self) -> dict:
         """The drawn rows by column name: only the kept rows on a restricted stream."""
-        return _memo(self, "columns", None, lambda: (_draw(self),))[0]
+        return _memo(self, "columns", None, lambda: (_draw(self, (self.hull,))[0],))[0]
 
     def substream(self, index: int) -> "Sampler":
         return replace(self, spawn=self.spawn + (int(index),),
                        meta=dict(self.meta), _cache={})
 
-    def restricted(self, hull: Event) -> "Sampler":
+    def restricted(self, hull: Event | None) -> "Sampler":
         """This stream keeping only its rows inside the interval event ``hull``.
 
         The rows are drawn now, so on any thread; they are the full stream's
@@ -840,14 +850,25 @@ class Sampler:
         query that reads rows as the sample (``frame``, ``values_of``,
         ``indicator``, an unconditional moment, ``pushforward``) raises
         OutsideHull, and so does an event that is not an interval of the
-        hull's variable within it.
+        hull's variable within it.  A None hull keeps every row.  This is
+        the one-hull case of ``restricted_each``.
         """
-        if hull.kind != "intervals":
+        return self.restricted_each((hull,))[0]
+
+    def restricted_each(self, hulls) -> list:
+        """One ``restricted`` stream per hull in ``hulls``, all from one
+        pass of this stream's generator; ValueError before any row is drawn
+        when a hull is neither None nor an interval event."""
+        hulls = tuple(hulls)
+        if any(hull is not None and hull.kind != "intervals" for hull in hulls):
             raise ValueError("a sampler stream restricts to an interval event")
-        out = replace(self, meta=dict(self.meta), _cache={})
-        out.hull = hull
-        _memo(out, "columns", None, lambda: (_draw(out),))
-        return out
+        streams = []
+        for hull, cols in zip(hulls, _draw(self, hulls)):
+            out = replace(self, meta=dict(self.meta), _cache={})
+            out.hull = hull
+            _memo(out, "columns", None, lambda: (cols,))
+            streams.append(out)
+        return streams
 
     def _full_stream(self, query: str) -> None:
         if self.hull is not None:

@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 import condpoint as cp
+from condpoint import pathology, spaces
 from condpoint.errors import DegenerateA, FamilyNotShrinking, NotNull
 from condpoint.pathology import (
     ARBITRARY_NULL_VALUE,
@@ -192,3 +195,56 @@ def test_paradox_report_json():
     assert doc["kind"] == "paradox_report"
     assert set(doc["families"]) == {"via_y", "via_ratio"}
     assert doc["pair"] == ["via_y", "via_ratio"]
+
+
+def _main_and_control(inst):
+    return [(inst["families"], inst["description"]),
+            (inst["control_families"], inst["control_description"])]
+
+
+def _count_calls(monkeypatch, owner, attr):
+    calls = []
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_paradox_plan_reproduces_one_call_per_report(seed, monkeypatch):
+    inst = ratio_normal_instance(seed=seed, budget=400_000)
+    draws = _count_calls(monkeypatch, spaces, "_draw")
+    traces = _count_calls(monkeypatch, pathology, "shrink_trace")
+    reports = cp.paradox_reports(inst["space"], inst["X"], _main_and_control(inst),
+                                 inst["schedule"])
+    # via_y on substream 0 is drawn and traced once for both reports;
+    # via_ratio and via_y_narrow share one pass of substream 1
+    assert (len(draws), len(traces)) == (2, 3)
+    alone = [cp.borel_kolmogorov(inst["space"], inst["X"], families, inst["schedule"],
+                                 description=description)
+             for families, description in _main_and_control(inst)]
+    assert (len(draws), len(traces)) == (2 + 4, 3 + 4)
+    assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in alone]
+    assert reports[0].traces["via_y"] is reports[1].traces["via_y"]
+
+
+def test_paradox_plan_releases_each_stream_when_its_trace_ends(monkeypatch):
+    inst = ratio_normal_instance(seed=3, budget=400_000)
+    traced, kept = [], []
+    original = pathology.shrink_trace
+
+    def watched(space, *args, **kwargs):
+        # every stream traced before this one is gone
+        assert [ref() for ref in traced] == [None] * len(traced)
+        traced.append(weakref.ref(space))
+        kept.append(space.columns()["y"].size)
+        return original(space, *args, **kwargs)
+
+    monkeypatch.setattr(pathology, "shrink_trace", watched)
+    cp.paradox_reports(inst["space"], inst["X"], _main_and_control(inst), inst["schedule"])
+    assert len(traced) == 3 and all(ref() is None for ref in traced)
+    assert kept == sorted(kept)  # fewest kept rows first

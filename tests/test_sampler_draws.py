@@ -100,6 +100,54 @@ def test_restricted_rows_equal_masked_full_draw(family, hull_kind, block):
     assert sub.budget == N
 
 
+# a coordinate window, a window of y over the other column, a hull that keeps
+# no row, and every row
+HULL_KINDS = {
+    "window": lambda y, ratio: cp.Event.window(y, 0.0, 0.4),
+    "ratio": lambda y, ratio: cp.Event.interval(ratio, -0.4, 0.4),
+    "empty": lambda y, ratio: cp.Event.interval(y, 50.0, 60.0),
+    "every": lambda y, ratio: None,
+}
+
+
+@pytest.mark.parametrize("first", list(HULL_KINDS))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_pass_fills_every_hull_as_one_hull_draws_do(family, first, block):
+    # each hull in turn comes first, the one that compacts in place, and the
+    # budget ends inside a block
+    assert N % block
+    y = cp.coordinate("y")
+    ratio = cp.RandomVariable("ratio", HULLS["two-column"][0])
+    kinds = list(HULL_KINDS)
+    kinds = kinds[kinds.index(first):] + kinds[:kinds.index(first)]
+    hulls = [HULL_KINDS[kind](y, ratio) for kind in kinds]
+    streams = _sampler(family).restricted_each(hulls)
+    assert len(streams) == len(hulls)
+    rows = {}
+    for kind, hull, stream in zip(kinds, hulls, streams):
+        alone = _sampler(family).restricted(hull)
+        assert stream.hull is hull and stream.budget == N
+        cols, want = stream.columns(), alone.columns()
+        assert list(cols) == list(want)
+        for name in want:
+            assert np.array_equal(cols[name], want[name]), (kind, name)
+        rows[kind] = cols["y"].size
+    assert rows["every"] == N and rows["empty"] == 0
+    assert 0 < rows["window"] < N and 0 < rows["ratio"] < N
+
+
+@pytest.mark.parametrize("family", ["standard-normal-pair", "custom"])
+def test_a_non_interval_hull_fails_before_any_row_is_drawn(family, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("rows drawn")
+
+    monkeypatch.setattr(spaces, "_stream", no_draw)
+    y = cp.coordinate("y")
+    with pytest.raises(ValueError, match="restricts to an interval event"):
+        _sampler(family).restricted_each((cp.Event.window(y, 0.0, 0.4),
+                                          cp.Event.where(lambda c: c["y"] > 0, "positive")))
+
+
 def test_a_missing_sampler_rho_is_zero():
     default = cp.Sampler("bivariate-normal", seed=SEED, budget=1000).columns()
     explicit = cp.Sampler("bivariate-normal", {"rho": 0.0}, seed=SEED, budget=1000).columns()
