@@ -36,25 +36,24 @@ def cumulative(values: np.ndarray, step: float) -> np.ndarray:
 def _antiderivative_at(nodes, values, cum, t):
     """Evaluate the piecewise-linear antiderivative at scalar `t`.
 
-    `t` must already be clamped to [nodes[0], nodes[-1]].
+    `t` must already be clamped to [nodes[0], nodes[-1]].  The arithmetic
+    runs on Python floats, which round as float64 does.
     """
     j = min(max(int(nodes.searchsorted(t, side="right")) - 1, 0), nodes.shape[0] - 2)
-    h = nodes[j + 1] - nodes[j]
-    frac = (t - nodes[j]) / h
-    v_t = values[j] + (values[j + 1] - values[j]) * frac
-    return cum[j] + (t - nodes[j]) * 0.5 * (values[j] + v_t)
+    x0, x1 = nodes[j:j + 2].tolist()
+    v0, v1 = values[j:j + 2].tolist()
+    v_t = v0 + (v1 - v0) * ((t - x0) / (x1 - x0))
+    return cum[j].item() + (t - x0) * 0.5 * (v0 + v_t)
 
 
 def clip_integral(nodes, values, lo, hi, cum=None) -> float:
     """Integral of the piecewise-linear interpolant over [lo, hi].
 
-    `nodes` is a 1D sorted array and `values` the 1D node values.  The
-    window is intersected with the node range; a window that misses the
-    range entirely integrates to zero.  Passing a precomputed
+    `nodes` is a 1D sorted float array and `values` the 1D float node
+    values.  The window is intersected with the node range; a window that
+    misses the range entirely integrates to zero.  Passing a precomputed
     `cumulative(values, step)` avoids the O(n) prefix sum.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
     lo = max(float(lo), float(nodes[0]))
     hi = min(float(hi), float(nodes[-1]))
     if hi <= lo:
@@ -63,7 +62,7 @@ def clip_integral(nodes, values, lo, hi, cum=None) -> float:
         cum = cumulative(values, float(nodes[1] - nodes[0]))
     upper = _antiderivative_at(nodes, values, cum, hi)
     lower = _antiderivative_at(nodes, values, cum, lo)
-    return float(upper - lower)
+    return upper - lower
 
 
 def interp_at(nodes, values, t: float):

@@ -15,7 +15,8 @@ Every space reads variables and events through one ``values_of`` and one
 per atom on discrete spaces and once to the "frame", a dict of named
 coordinate arrays, on grids and samplers.  A function that fails is an
 UndefinedPredicate.  Values are memoised on the space while their variable
-lives, and a sum, difference, product or negation reads its operands'.
+lives (a coordinate's under its axis name, for the life of the space), and
+a sum, difference, product or negation reads its operands'.
 Events are atom sets, predicates, unions of open intervals of a random
 variable, or complements of those.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import mmap
+import numbers
 import operator
 import weakref
 from collections.abc import Mapping
@@ -290,6 +292,15 @@ def complement_within(space, event: Event, name: str | None = None) -> Event:
 # grid subclasses too: the benchmark tracer patches each class's own attribute.
 
 
+def _cache_key(rv: RandomVariable | None) -> tuple:
+    """(cache key, owner) of a variable: a coordinate by its axis name, for
+    the life of the space, so every extractor of one axis shares its
+    entries; any other variable by id, while it lives; None for the mass."""
+    if rv is None:
+        return None, None
+    return (rv.coord, None) if rv.coord is not None else (id(rv), rv)
+
+
 def _evict(space_ref, key, _dead) -> None:
     space = space_ref()
     if space is not None:
@@ -348,7 +359,8 @@ def _values_of(self, rv: RandomVariable) -> np.ndarray:
                 self.indicator(x) if isinstance(x, Event) else x for x in rv.operands]
         return (_evaluate(f"variable {rv.name!r}", lambda a: rv.op(*a), args, args[0].shape),)
 
-    return _memo(self, ("rv", id(rv)), rv, build)[0]
+    key, owner = _cache_key(rv)
+    return _memo(self, ("rv", key), owner, build)[0]
 
 
 def _interval_mask(v, pieces):
@@ -477,14 +489,31 @@ def _grid_marginal(space, rv: RandomVariable | None, k: int) -> tuple:
     Both are 1D over the nodes of axis ``k``.  The trapezoid rule over the
     other axes is linear, so it runs once here, on a product that lives only
     while it is integrated; a window along ``k`` clips only this marginal,
-    and the full mean integrates the marginal of axis 0.
+    a full mean integrates the marginal of axis 0, and the ratio route of
+    ``density`` interpolates the marginals of its conditioning axis.
     """
     def build():
         others = space.pitches[:k] + space.pitches[k + 1:]
         marg = _frozen(_trapezoid(np.moveaxis(_grid_product(space, rv), k, 0), others))
         return marg, _frozen(quad.cumulative(marg, space.pitches[k]))
 
-    return _memo(space, ("marg", id(rv) if rv is not None else None, k), rv, build)
+    key, owner = _cache_key(rv)
+    return _memo(space, ("marg", key, k), owner, build)
+
+
+def _axis_of(space, rv: RandomVariable | None) -> int | None:
+    """The one grid axis that ``rv`` varies along: a coordinate's, or the
+    common axis of an arithmetic combination of such variables and real
+    constants; None for anything else."""
+    if rv is None:
+        return None
+    if rv.coord is not None:
+        return space.axes.index(rv.coord) if rv.coord in space.axes else None
+    if rv.op is None or not all(isinstance(x, (RandomVariable, numbers.Real))
+                                for x in rv.operands):
+        return None
+    axes = {_axis_of(space, x) for x in rv.operands if isinstance(x, RandomVariable)}
+    return axes.pop() if len(axes) == 1 else None
 
 
 def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
@@ -493,11 +522,22 @@ def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estima
     The full mean and interval events on an axis integrate x*f by the
     trapezoid rule over the other axes first (the cached 1D marginal), then
     along the remaining axis: whole for the full mean, exactly against the
-    piecewise-linear interpolant for a window.  Other events fall back to
-    node-indicator quadrature of x*f.
+    piecewise-linear interpolant for a window.  A variable that varies along
+    one axis only has its full mean from that axis's nodes and the cached
+    mass marginal, so it builds no product over the grid.  Other events
+    fall back to node-indicator quadrature of x*f.
     """
     if event is None:
-        return Estimate(float(quad.integrate(_grid_marginal(self, rv, 0)[0], self.pitches[0])))
+        k = _axis_of(self, rv)
+        if k is None:
+            return Estimate(float(quad.integrate(_grid_marginal(self, rv, 0)[0],
+                                                 self.pitches[0])))
+        nodes = self.grid[k]
+        x = _evaluate(f"variable {rv.name!r}", rv.fn, {self.axes[k]: nodes}, nodes.shape)
+        if not np.all(np.isfinite(x)):
+            raise NonIntegrable(f"{rv.name} is not finite on the grid")
+        return Estimate(float(quad.integrate(x * _grid_marginal(self, None, k)[0],
+                                             self.pitches[k])))
     if event.kind == "complement":
         return Estimate(self.moment(rv, None).value - self.moment(rv, event.base).value)
     if event.kind == "intervals" and event.rv.coord in self.axes:
@@ -730,7 +770,9 @@ def _stream(draw: Callable, rng, n: int, params, hulls: tuple) -> list:
     back to the system as the draw proceeds, so a draw holds about one head
     column plus the kept rows.  Every other hull copies its rows into
     mapped columns of its own, reading each block before the first hull
-    overwrites it.  A full first stream returns the columns themselves.
+    overwrites it.  A full first stream returns the columns themselves,
+    whose drawn rows are never written again, so a custom draw may return
+    read-only arrays.
     """
     family = isinstance(draw, DrawFamily)
     if family:
@@ -740,6 +782,7 @@ def _stream(draw: Callable, rng, n: int, params, hulls: tuple) -> list:
         cols, size = draw(rng, n, params), max(n, 1)
         if hulls[0] is not None:  # compacted in place below
             cols = {name: np.array(col) for name, col in cols.items()}
+    in_place = set(cols) if hulls[0] is None else set()
     outs = [cols, *({} for _ in hulls[1:])]
     kept = [0] * len(hulls)
     for start in range(0, max(n, 1), size):
@@ -756,6 +799,8 @@ def _stream(draw: Callable, rng, n: int, params, hulls: tuple) -> list:
                 f"variable {hull.rv.name!r}", hull.rv.fn, frame, (stop - start,)), hull.pieces))
             count = stop - start if hull is None else keep.size
             for name, col in out.items():
+                if j == 0 and name in in_place:
+                    continue
                 col[kept[j]:kept[j] + count] = frame[name][keep]
                 if j == 0:
                     _release(col, kept[j] + count, stop)
@@ -884,7 +929,8 @@ class Sampler:
                               f"{self.hull.rv.name!r} within {self.hull.name!r}")
         # the hull's variable on the kept rows, under a key values_of never reads
         kept = self.columns()
-        v, = _memo(self, ("kept", id(event.rv)), event.rv, lambda: (_evaluate(
+        key, owner = _cache_key(event.rv)
+        v, = _memo(self, ("kept", key), owner, lambda: (_evaluate(
             f"variable {event.rv.name!r}", event.rv.fn, kept, _frame_shape(kept)),))
         return np.flatnonzero(_interval_mask(v, event.pieces))
 
@@ -975,7 +1021,8 @@ def variance(space: ProbabilitySpace, rv: RandomVariable) -> float:
         m2 = expectation(space, rv * rv).value
         return (max(m2 - m * m, 0.0),)
 
-    return _memo(space, ("var", id(rv)), rv, build)[0]
+    key, owner = _cache_key(rv)
+    return _memo(space, ("var", key), owner, build)[0]
 
 
 def std(space: ProbabilitySpace, rv: RandomVariable) -> float:

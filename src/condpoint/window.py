@@ -153,7 +153,7 @@ def shrink_trace(space, X: RandomVariable, pairs, tol: float = DEFAULT_TOL,
                  stop_early: bool = True) -> WindowTrace:
     """Drive a shrinking sequence of positive-probability events.
 
-    ``pairs`` is a strictly-decreasing list of (eps, event).  Raises
+    ``pairs`` yields (eps, event) in strictly decreasing eps.  Raises
     NonApproachablePoint when an event's probability is floored before any
     adequate step exists; otherwise sampler windows below ``n_min`` rows end
     the trace with the Starved verdict instead of a noise-dominated value.
@@ -253,7 +253,8 @@ def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
                 family = "lower"
     y = float(y)
     rule = WINDOW_FAMILIES[family]
-    return shrink_trace(space, X, [(e, rule(Y, y, e)) for e in epsilons], tol=tol,
+    # each window event is built only when its step runs
+    return shrink_trace(space, X, ((e, rule(Y, y, e)) for e in epsilons), tol=tol,
                         n_min=n_min, target=y, resolution=pitch,
                         one_sided=None if family == "symmetric" else family,
                         stop_early=stop_early)

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 import condpoint as cp
+from condpoint import density, spaces
+from condpoint.config import load_space
 from condpoint.errors import NullMarginal, OutOfRectangle
 
 import oracles
+from conftest import SCENARIO_DIR
 
 
 def test_marginal_standard_bivariate(bivariate):
@@ -134,3 +137,26 @@ def test_window_density_cross_validation(bivariate):
         tr = cp.window_estimate(joint, cp.coordinate("z"), cp.coordinate("y"), y)
         dv = cp.conditional_expectation_via_density(joint, y)
         assert abs(tr.value - dv) <= 1e-3
+
+
+def test_ratio_route_reads_the_window_paths_marginals(monkeypatch):
+    # a window table along y caches the marginals of Z*f and f along y; the
+    # ratio route then reads those, O(1) per point and with no new entry
+    bundle = load_space(SCENARIO_DIR / "spaces" / "bivariate-05.json")
+    joint, Z, Y = bundle.space, bundle.variables["Z"], bundle.variables["Y"]
+    cp.evaluate_on_grid(joint, Z, Y, np.linspace(-2.0, 2.0, 5))
+    entries = set(joint._cache)
+    products, columns = [], []
+    real_product, real_column = spaces._grid_product, density._column_at
+    monkeypatch.setattr(spaces, "_grid_product",
+                        lambda space, rv: products.append(rv) or real_product(space, rv))
+    monkeypatch.setattr(density, "_column_at",
+                        lambda joint, y: columns.append(y) or real_column(joint, y))
+    ys = np.linspace(-4.0, 4.0, 81)
+    got = [cp.conditional_expectation_via_density(joint, y) for y in ys]
+    assert set(joint._cache) == entries
+    assert products == [] and columns == []
+    for y, value in zip(ys, got):
+        assert abs(value - cp.conditional_density(joint, y).expectation()) <= 1e-13, y
+        assert abs(cp.marginal(joint, y) - cp.conditional_density(joint, y).marginal_value) \
+            <= 1e-13 * cp.marginal(joint, 0.0)

@@ -148,6 +148,26 @@ def test_a_non_interval_hull_fails_before_any_row_is_drawn(family, monkeypatch):
                                           cp.Event.where(lambda c: c["y"] > 0, "positive")))
 
 
+def _read_only_draw(rng, n, params):
+    cols = _custom_draw(rng, n, params)
+    for col in cols.values():
+        col.flags.writeable = False
+    return cols
+
+
+@pytest.mark.parametrize("hull", [None, cp.Event.window(cp.coordinate("y"), 0.0, 0.5)],
+                         ids=["full", "restricted"])
+def test_a_custom_draw_may_return_read_only_arrays(hull):
+    sampler = cp.Sampler("custom", seed=1, budget=1000, draw=_read_only_draw)
+    cols = sampler.columns() if hull is None else sampler.restricted(hull).columns()
+    ref = _custom_draw(np.random.default_rng(np.random.SeedSequence(1)), 1000, {})
+    keep = slice(None) if hull is None else (-0.5 < ref["y"]) & (ref["y"] < 0.5)
+    assert list(cols) == list(ref)
+    for name in ref:
+        assert np.array_equal(cols[name], ref[name][keep]), name
+    assert 0 < cols["y"].size <= 1000
+
+
 def test_a_missing_sampler_rho_is_zero():
     default = cp.Sampler("bivariate-normal", seed=SEED, budget=1000).columns()
     explicit = cp.Sampler("bivariate-normal", {"rho": 0.0}, seed=SEED, budget=1000).columns()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condpoint as cp
+from condpoint import spaces
 from condpoint.config import expression_variable
 from condpoint.errors import EmptyRange, NonIntegrable, UndefinedPredicate
 
@@ -534,3 +535,90 @@ def test_complement_within_of_a_predicate_is_a_complement_node(space_name, reque
     assert comp.kind == "complement" and comp.base is high
     both = cp.probability(space, comp).value + cp.probability(space, high).value
     assert abs(both - space.moment(None, None).value) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Full means of variables along one axis: the axis's nodes against its cached
+# mass marginal, no product over the grid.
+
+
+def _full_grid_mean(space, fn):
+    """E[X] and E[|X|] as the trapezoid over every axis of x*f on the whole
+    grid, in plain numpy."""
+    frame = dict(zip(space.axes, np.meshgrid(*space.grid, indexing="ij")))
+    x = np.broadcast_to(np.asarray(fn(frame), dtype=float), space.values.shape)
+    out = []
+    for g in (x * space.values, np.abs(x) * space.values):
+        for pitch in reversed(space.pitches):
+            g = _plain_trapezoid(g, pitch)
+        out.append(float(g))
+    return out
+
+
+def _count_grid_products(monkeypatch):
+    """The variables whose x*f product over the grid gets built from now on
+    (the mass, f itself, is no product)."""
+    calls = []
+    real = spaces._grid_product
+
+    def counted(space, rv):
+        if rv is not None:
+            calls.append(rv)
+        return real(space, rv)
+
+    monkeypatch.setattr(spaces, "_grid_product", counted)
+    return calls
+
+
+def _one_axis_variables(axis):
+    y = cp.coordinate(axis)
+    return {"y": y, "y*y": y * y, "2*y+1": 2 * y + 1}
+
+
+@pytest.fixture
+def bivariate_05(bivariate):
+    return bivariate(0.5)
+
+
+@pytest.mark.parametrize("space_name, axis", [
+    ("gaussian_sum_grid", "x"), ("gaussian_sum_grid", "y"),
+    ("bivariate_05", "z"), ("bivariate_05", "y"),
+])
+def test_one_axis_full_mean_equals_the_full_grid_trapezoid(space_name, axis, request,
+                                                           monkeypatch):
+    space = request.getfixturevalue(space_name)
+    calls = _count_grid_products(monkeypatch)
+    for name, rv in _one_axis_variables(axis).items():
+        got = cp.expectation(space, rv).value
+        ref, scale = _full_grid_mean(space, rv.fn)
+        # relative to E|X|: E[y] itself is zero up to roundoff
+        assert abs(got - ref) <= 1e-13 * scale, name
+    assert calls == []
+
+
+def test_one_axis_full_mean_on_a_1d_grid_is_bit_identical(normal_grid):
+    nodes, pitch = normal_grid.grid[0], normal_grid.pitches[0]
+    for name, rv in _one_axis_variables("y").items():
+        ref = float(_plain_trapezoid(rv.fn({"y": nodes}) * normal_grid.values, pitch))
+        assert cp.expectation(normal_grid, rv).value == ref, name
+
+
+def test_a_two_axis_variable_takes_the_full_path(gaussian_sum_grid, monkeypatch):
+    x, y = cp.coordinate("x"), cp.coordinate("y")
+    variables = [x + y, x * y]
+    calls = _count_grid_products(monkeypatch)
+    for rv in variables:
+        got = cp.expectation(gaussian_sum_grid, rv).value
+        ref, scale = _full_grid_mean(gaussian_sum_grid, rv.fn)
+        assert abs(got - ref) <= 1e-13 * scale
+    assert calls == variables
+
+
+@pytest.mark.parametrize("space_name", ["normal_grid", "gaussian_sum_grid"])
+def test_a_one_axis_variable_with_a_non_finite_node_is_not_integrable(space_name, request):
+    space = request.getfixturevalue(space_name)
+    y = cp.coordinate("y")
+    for rv in (y * math.inf, -(y * math.nan) + 1.0):
+        for _ in range(2):
+            with pytest.raises(NonIntegrable, match="not finite on the grid"):
+                cp.expectation(space, rv)
