@@ -40,6 +40,12 @@ INLINE = [
                          "--y", "Y", "--grid", "-1:1:1"]),
     ("window-outside", ["window", "--space", SPACES + "bivariate-05.json", "--x", "Z",
                         "--y", "Y", "--at", "50"]),
+    # the ends of the y range: the one-sided upper family, degenerate at its
+    # second window, and a degenerate symmetric window; each error names it
+    ("window-range-low", ["window", "--space", SPACES + "bivariate-05.json", "--x", "Z",
+                          "--y", "Y", "--at", "-8"]),
+    ("window-range-high", ["window", "--space", SPACES + "bivariate-05.json", "--x", "Z",
+                           "--y", "Y", "--at", "7.5"]),
     ("window-sampler", ["window", "--space", SPACES + "gaussian-sum-sampler.json",
                         "--x", "X", "--y", "Y", "--at", "2.0", "--seed", "7"]),
     ("density", ["density", "--joint", SPACES + "bivariate-05.json", "--at", "1.0",

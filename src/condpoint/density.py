@@ -15,6 +15,7 @@ of the window route on the same interpolant, in O(1) per point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +90,14 @@ class ConditionalDensity:
             np.asarray(g(self.nodes), dtype=float), self.nodes.shape)
         return float(quad.integrate(gz * self.values, self.pitch))
 
-    def cdf(self, x: float) -> float:
-        """Mass at or below x."""
-        return float(quad.clip_integral(self.nodes, self.values, self.nodes[0], x))
+    @functools.cached_property
+    def cum(self) -> np.ndarray:
+        """The antiderivative at the nodes, built on the first ``cdf`` call."""
+        return quad.cumulative(self.values, self.pitch)
+
+    def cdf(self, x):
+        """Mass at or below x: a float for a number, an array for an array."""
+        return quad.clip_integral(self.nodes, self.values, self.nodes[0], x, self.cum)
 
 
 def conditional_density(joint: JointDensity, y: float) -> ConditionalDensity:

@@ -6,6 +6,11 @@ piecewise-linear interpolant over an arbitrary sub-interval.  The clipped
 form is exact for the interpolant, so a window boundary falling inside a
 cell costs no additional error order; everything stays O(pitch^2) for
 smooth integrands.
+
+The clipped integral is one array kernel: a grid answers a window trace's
+whole eps schedule in one call per integrand (the mass and the x-moment of
+every window at once), with the same per-window IEEE operations as one
+window on its own.
 """
 
 from __future__ import annotations
@@ -33,36 +38,41 @@ def cumulative(values: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
-def _antiderivative_at(nodes, values, cum, t):
-    """Evaluate the piecewise-linear antiderivative at scalar `t`.
+def clip_integral(nodes, values, lo, hi, cum):
+    """Integral of the piecewise-linear interpolant over each window [lo, hi].
 
-    `t` must already be clamped to [nodes[0], nodes[-1]].  The arithmetic
-    runs on Python floats, which round as float64 does.
+    `nodes` is a 1D sorted float array, `values` the 1D float node values
+    and `cum` their `cumulative(values, step)`.  `lo` and `hi` are scalars or
+    broadcastable arrays of window ends: a scalar window gives a float, an
+    array of windows an array, so a single window is a batch of one.  Each
+    window is intersected with the node range (NaN ends stay NaN), and one
+    that misses the range entirely integrates to 0.0.
+
+    Both ends of every window are located by one ``searchsorted`` (a node
+    tie goes right) and read by gathers; each end then costs the same IEEE
+    operations, in the same order, as the scalar formula
+    ``cum[j] + (t - x0) * 0.5 * (v0 + v(t))``.
     """
-    j = min(max(int(nodes.searchsorted(t, side="right")) - 1, 0), nodes.shape[0] - 2)
-    x0, x1 = nodes[j:j + 2].tolist()
-    v0, v1 = values[j:j + 2].tolist()
-    v_t = v0 + (v1 - v0) * ((t - x0) / (x1 - x0))
-    return cum[j].item() + (t - x0) * 0.5 * (v0 + v_t)
-
-
-def clip_integral(nodes, values, lo, hi, cum=None) -> float:
-    """Integral of the piecewise-linear interpolant over [lo, hi].
-
-    `nodes` is a 1D sorted float array and `values` the 1D float node
-    values.  The window is intersected with the node range; a window that
-    misses the range entirely integrates to zero.  Passing a precomputed
-    `cumulative(values, step)` avoids the O(n) prefix sum.
-    """
-    lo = max(float(lo), float(nodes[0]))
-    hi = min(float(hi), float(nodes[-1]))
-    if hi <= lo:
-        return 0.0
-    if cum is None:
-        cum = cumulative(values, float(nodes[1] - nodes[0]))
-    upper = _antiderivative_at(nodes, values, cum, hi)
-    lower = _antiderivative_at(nodes, values, cum, lo)
-    return upper - lower
+    if np.shape(lo) != np.shape(hi):
+        lo, hi = np.broadcast_arrays(lo, hi)
+    t = np.array((hi, lo), dtype=float)
+    # clamp both ends into the node range: as max(lo, first) and min(hi, last)
+    # on every window that is not empty, and NaN stays NaN
+    first, last = nodes[0], nodes[-1]
+    np.copyto(t, first, where=first > t)
+    np.copyto(t, last, where=last < t)
+    empty = t[0] <= t[1]
+    j = nodes.searchsorted(t, side="right")
+    j -= 1
+    np.maximum(j, 0, out=j)
+    np.minimum(j, nodes.shape[0] - 2, out=j)
+    x0, x1 = nodes[j], nodes[j + 1]
+    v0, v1 = values[j], values[j + 1]
+    d = t - x0
+    v_t = v0 + (v1 - v0) * (d / (x1 - x0))
+    at = cum[j] + d * 0.5 * (v0 + v_t)
+    out = np.where(empty, 0.0, at[0] - at[1])
+    return float(out) if out.ndim == 0 else out
 
 
 def interp_at(nodes, values, t: float):

@@ -516,6 +516,17 @@ def _axis_of(space, rv: RandomVariable | None) -> int | None:
     return axes.pop() if len(axes) == 1 else None
 
 
+def window_moments(space, rv: RandomVariable | None, k: int, lo, hi) -> np.ndarray:
+    """E[1_A X] on a grid for each window A = (lo, hi) along axis ``k`` at
+    once, the event mass with rv None: one clipped-integral call on the
+    cached 1D marginal.  ``lo`` and ``hi`` are arrays of window ends.  Each
+    value is the sum of one piece started at 0, as an event's moment is, so
+    a -0.0 integral reads 0.0.
+    """
+    marg, cum = _grid_marginal(space, rv, k)
+    return quad.clip_integral(space.grid[k], marg, lo, hi, cum) + 0.0
+
+
 def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
     """E[1_A X]; with rv None the event mass, with event None the full mean.
 
@@ -541,10 +552,9 @@ def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estima
     if event.kind == "complement":
         return Estimate(self.moment(rv, None).value - self.moment(rv, event.base).value)
     if event.kind == "intervals" and event.rv.coord in self.axes:
-        k = self.axes.index(event.rv.coord)
-        marg, cum = _grid_marginal(self, rv, k)
-        return Estimate(float(sum(quad.clip_integral(self.grid[k], marg, lo, hi, cum=cum)
-                                  for lo, hi in event.pieces)))
+        lo, hi = np.array(event.pieces, dtype=float).reshape(-1, 2).T
+        pieces = window_moments(self, rv, self.axes.index(event.rv.coord), lo, hi)
+        return Estimate(float(sum(pieces.tolist())))
     # Node-indicator fallback: O(pitch) accuracy at region boundaries.
     g = _grid_product(self, rv)
     return Estimate(float(np.sum(_node_weights(self) * g * self.indicator(event))))
@@ -920,13 +930,17 @@ class Sampler:
             raise OutsideHull(f"{query} on {self.name!r} needs the full stream; "
                               f"it keeps only the rows inside {self.hull.name!r}")
 
-    def _rows(self, event: Event) -> np.ndarray:
-        """Indices of the rows inside ``event``."""
+    def _rows(self, event: Event) -> np.ndarray | None:
+        """Indices of the rows inside ``event``; None when that is every kept
+        row, because ``event`` covers the hull that kept them by the same
+        open-interval test."""
         if self.hull is None:
             return np.flatnonzero(self.indicator(event))
         if not _inside(event, self.hull):
             raise OutsideHull(f"event {event.name!r} is not an interval of "
                               f"{self.hull.rv.name!r} within {self.hull.name!r}")
+        if _inside(self.hull, event):
+            return None
         # the hull's variable on the kept rows, under a key values_of never reads
         kept = self.columns()
         key, owner = _cache_key(event.rv)
@@ -942,9 +956,14 @@ class Sampler:
     values_of = _values_of
     indicator = _indicator
 
-    def _masked_values(self, rv: RandomVariable, rows: np.ndarray) -> np.ndarray:
-        frame = _RowFrame(self.columns(), rows)
-        return _evaluate(f"variable {rv.name!r}", rv.fn, frame, rows.shape)
+    def _count(self, rows: np.ndarray | None) -> int:
+        """Rows behind ``_rows``'s answer: every kept row for None."""
+        return _frame_shape(self.columns())[0] if rows is None else rows.size
+
+    def _masked_values(self, rv: RandomVariable, rows: np.ndarray | None) -> np.ndarray:
+        """``rv`` on the rows ``rows``, or on every kept row for None."""
+        frame = self.columns() if rows is None else _RowFrame(self.columns(), rows)
+        return _evaluate(f"variable {rv.name!r}", rv.fn, frame, (self._count(rows),))
 
     def moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
         n = int(self.budget)
@@ -955,7 +974,7 @@ class Sampler:
             x = self.values_of(rv)
             return Estimate(float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)), n)
         rows = self._rows(event)
-        k = rows.size
+        k = self._count(rows)
         if rv is None:
             p = k / n
             return Estimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / n), n)
@@ -968,7 +987,7 @@ class Sampler:
 
     def cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
         rows = self._rows(event)
-        k = rows.size
+        k = self._count(rows)
         n = int(self.budget)
         p = k / n
         if is_null(self, p, floor):

@@ -23,7 +23,9 @@ from .spaces import (
     RandomVariable,
     Sampler,
     cond_expectation_event,
+    is_null,
     std,
+    window_moments,
 )
 from . import quadrature as quad
 
@@ -147,6 +149,65 @@ def _extrapolate(steps):
     return quad.richardson_limit(steps[-2].estimate, steps[-1].estimate, r_bc, p_bc), True
 
 
+# family -> (y, eps) -> the ends (lo, hi) of its open window around y;
+# ``eps`` is one radius or the array of a whole schedule
+WINDOW_FAMILIES = {
+    "symmetric": lambda y, eps: (y - eps, y + eps),
+    "upper": lambda y, eps: (y, y + eps),
+    "lower": lambda y, eps: (y - eps, y),
+}
+
+
+@dataclass(frozen=True)
+class _Windows:
+    """One family's windows around ``y`` along a schedule.
+
+    Iterated, it gives the (eps, event) pairs ``shrink_trace`` takes, each
+    event built as its step runs; a grid reads the window ends of the whole
+    schedule at once instead and builds an event only for a message.
+    """
+
+    Y: RandomVariable
+    y: float
+    family: str
+    epsilons: list
+
+    def event(self, eps: float) -> Event:
+        if self.family == "symmetric":
+            return Event.window(self.Y, self.y, eps)
+        return Event.interval(self.Y, *WINDOW_FAMILIES[self.family](self.y, eps))
+
+    def __iter__(self):
+        return ((eps, self.event(eps)) for eps in self.epsilons)
+
+
+def _steps(space, X: RandomVariable, pairs):
+    """(step, degenerate, event) per window, from the one source of ``space``.
+
+    A grid answers a ``_Windows`` schedule from two clipped-integral calls on
+    its cached marginals, the masses and the x-moments of every window, and
+    builds a step's event only when the step is degenerate, the one case
+    whose message names it on a grid; the x-moments wait for the first step
+    that needs them.  Any other space or schedule conditions on one event
+    per step, lazily.
+    """
+    if not (isinstance(space, DensityGrid) and isinstance(pairs, _Windows)):
+        for eps, event in pairs:
+            r = cond_expectation_event(space, X, event)
+            yield WindowStep(float(eps), r.value, r.se, r.n, r.prob), r.degenerate, event
+        return
+    k = space.axes.index(pairs.Y.coord)
+    lo, hi = WINDOW_FAMILIES[pairs.family](pairs.y, np.array(pairs.epsilons, dtype=float))
+    masses, moments = window_moments(space, None, k, lo, hi).tolist(), None
+    for i, (eps, p) in enumerate(zip(map(float, pairs.epsilons), masses)):
+        if is_null(space, p):
+            yield WindowStep(eps, 0.0, 0.0, None, p), True, pairs.event(eps)
+            continue
+        if moments is None:
+            moments = window_moments(space, X, k, lo, hi).tolist()
+        yield WindowStep(eps, moments[i] / p, 0.0, None, p), False, None
+
+
 def shrink_trace(space, X: RandomVariable, pairs, tol: float = DEFAULT_TOL,
                  n_min: int = DEFAULT_N_MIN, target: float = 0.0,
                  resolution: float | None = None, one_sided: str | None = None,
@@ -163,18 +224,17 @@ def shrink_trace(space, X: RandomVariable, pairs, tol: float = DEFAULT_TOL,
     """
     steps: list[WindowStep] = []
     ran_dry = False
-    for eps, event in pairs:
-        r = cond_expectation_event(space, X, event)
-        if r.degenerate or (r.n is not None and r.n < n_min):
+    for step, degenerate, event in _steps(space, X, pairs):
+        if degenerate or (step.n is not None and step.n < n_min):
             # a sampler window starved after some steps ends the trace
-            if r.n is not None and steps:
+            if step.n is not None and steps:
                 ran_dry = True
                 break
             raise NonApproachablePoint(
-                f"window {event.name!r} at target {target!r} has mass {r.prob!r}"
-                if r.degenerate else
-                f"window {event.name!r} holds {r.n} samples, below n_min={n_min}")
-        steps.append(WindowStep(float(eps), r.value, r.se, r.n, r.prob))
+                f"window {event.name!r} at target {target!r} has mass {step.prob!r}"
+                if degenerate else
+                f"window {event.name!r} holds {step.n} samples, below n_min={n_min}")
+        steps.append(step)
         if stop_early and len(steps) >= 2 and _assess(steps, tol):
             break
     if not steps:
@@ -212,14 +272,6 @@ def _conditioning_geometry(space, Y: RandomVariable):
     return space.ranges[k], space.pitches[k]
 
 
-# (Y, y, eps) -> the event of each family of shrinking neighbourhoods of y
-WINDOW_FAMILIES = {
-    "symmetric": Event.window,
-    "upper": lambda Y, y, eps: Event.interval(Y, y, y + eps),
-    "lower": lambda Y, y, eps: Event.interval(Y, y - eps, y),
-}
-
-
 def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
                     schedule: Schedule | None = None, tol: float = DEFAULT_TOL,
                     n_min: int = DEFAULT_N_MIN, stop_early: bool = True,
@@ -234,6 +286,8 @@ def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
     """
     if family not in WINDOW_FAMILIES:
         raise ValueError(f"unknown window family {family!r}")
+    if not math.isfinite(y):
+        raise NonApproachablePoint(f"target {y!r} is not a finite number")
     schedule = schedule or Schedule()
     rng, pitch = _conditioning_geometry(space, Y)
     default_eps0 = None
@@ -252,9 +306,7 @@ def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
             elif hi - y < pitch:
                 family = "lower"
     y = float(y)
-    rule = WINDOW_FAMILIES[family]
-    # each window event is built only when its step runs
-    return shrink_trace(space, X, ((e, rule(Y, y, e)) for e in epsilons), tol=tol,
+    return shrink_trace(space, X, _Windows(Y, y, family, epsilons), tol=tol,
                         n_min=n_min, target=y, resolution=pitch,
                         one_sided=None if family == "symmetric" else family,
                         stop_early=stop_early)
@@ -264,8 +316,8 @@ def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
 class PointwiseCondExp:
     """Window traces tabulated over a grid of conditioning values.
 
-    Nodes whose trace cannot be formed (window outside the support) are kept
-    as flags, never silently interpolated.
+    Nodes whose trace cannot be formed (a window outside the support, a
+    non-finite node) are kept as flags, never silently interpolated.
     """
 
     space: object

@@ -105,6 +105,18 @@ def test_conditional_cdf_sweep(bivariate):
     assert abs(ind - cd.cdf(0.5)) <= cd.pitch * float(cd.values.max())
 
 
+def test_conditional_cdf_takes_arrays(bivariate):
+    from condpoint import quadrature as quad
+    cd = cp.conditional_density(bivariate(0.5), 1.0)
+    xs = np.concatenate([np.linspace(-9.0, 9.0, 37), cd.nodes[::97]])
+    one_by_one = [cd.cdf(x) for x in xs]
+    assert all(type(v) is float for v in one_by_one)
+    assert [repr(v) for v in cd.cdf(xs).tolist()] == [repr(v) for v in one_by_one]
+    # the cumulative built once is the one a fresh prefix sum gives
+    fresh = quad.cumulative(cd.values, float(cd.nodes[1] - cd.nodes[0]))
+    assert np.array_equal(cd.cum, fresh)
+
+
 def test_reconstruction_total_expectation(bivariate):
     # integrating the conditional mean against the marginal law recovers E[g(Z)]
     joint = bivariate(0.5)

@@ -207,6 +207,20 @@ def test_restricted_windows_equal_full_stream_windows():
         assert sub.moment(None, event) == full.moment(None, event)
 
 
+def test_a_window_covering_the_hull_reads_every_kept_row():
+    # the hull kept its rows by the same open-interval test, so a window
+    # equal to it holds all of them: no mask of the kept rows is built
+    y, z = cp.coordinate("y"), cp.coordinate("z")
+    full = cp.Sampler("standard-normal-pair", seed=SEED, budget=N)
+    sub = full.restricted(cp.Event.window(y, 0.0, 0.4))
+    kept = len(sub.columns()["y"])
+    event = cp.Event.window(y, 0.0, 0.4)
+    got = sub.cond(z, event, 0.0)
+    assert got.n == kept and got == full.cond(z, event, 0.0)
+    assert sub.moment(z, event) == full.moment(z, event)
+    assert not [key for key in sub._cache if isinstance(key, tuple) and key[0] == "kept"]
+
+
 def _restricted_pair():
     y = cp.coordinate("y")
     sub = cp.Sampler("standard-normal-pair", seed=SEED, budget=N).restricted(

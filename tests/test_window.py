@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -292,3 +294,93 @@ def test_sampler_starves_on_an_empty_window_after_some_steps():
     tr = cp.window_estimate(space, Y_COORD, Y_COORD, -0.25, schedule=cp.Schedule(eps0=1.0))
     assert tr.verdict == STARVED and tr.bound is None and tr.tol == 1e-6
     assert [s.n for s in tr.steps] == [7499, 2555]
+
+
+# The window of each family around y at radius eps, built one event at a time.
+FAMILY_EVENTS = {
+    "symmetric": lambda Y, y, eps: cp.Event.window(Y, y, eps),
+    "upper": lambda Y, y, eps: cp.Event.interval(Y, y, y + eps),
+    "lower": lambda Y, y, eps: cp.Event.interval(Y, y - eps, y),
+}
+
+
+def _grid_cases(normal_grid, bivariate):
+    return [("1d", normal_grid, Y_COORD * Y_COORD, 0.3),
+            ("2d", bivariate(0.5), Z_COORD, -0.7)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_EVENTS))
+def test_grid_trace_steps_equal_one_event_at_a_time(normal_grid, bivariate, family):
+    # the whole schedule in one array pass gives every step's bits of
+    # conditioning on that step's window event alone
+    for label, space, X, y in _grid_cases(normal_grid, bivariate):
+        tr = cp.window_estimate(space, X, Y_COORD, y, family=family, stop_early=False)
+        assert len(tr.steps) == 20, label
+        for step in tr.steps:
+            r = cp.cond_expectation_event(space, X, FAMILY_EVENTS[family](Y_COORD, y, step.eps))
+            assert (repr(step.estimate), repr(step.prob)) == (repr(r.value), repr(r.prob)), label
+            assert step.se == 0.0 and step.n is None
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_EVENTS))
+def test_grid_trace_stopped_early_is_a_prefix_of_the_full_schedule(normal_grid, bivariate,
+                                                                   family):
+    for label, space, X, y in _grid_cases(normal_grid, bivariate):
+        early = cp.window_estimate(space, X, Y_COORD, y, family=family, tol=1e-4)
+        full = cp.window_estimate(space, X, Y_COORD, y, family=family, tol=1e-4,
+                                  stop_early=False)
+        assert 2 <= len(early.steps) < len(full.steps), label
+        assert ([repr(astuple(s)) for s in early.steps]
+                == [repr(astuple(s)) for s in full.steps[:len(early.steps)]]), label
+
+
+def _count_interval_events(monkeypatch) -> list:
+    built = []
+    interval = cp.Event.interval.__func__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return interval(cls, *args, **kwargs)
+
+    monkeypatch.setattr(cp.Event, "interval", classmethod(counted))
+    return built
+
+
+def test_grid_trace_builds_no_event_per_step(monkeypatch, bivariate):
+    space = bivariate(0.5)
+    cp.window_estimate(space, Z_COORD, Y_COORD, 0.2)  # std of y, memoised
+    built = _count_interval_events(monkeypatch)
+    tr = cp.window_estimate(space, Z_COORD, Y_COORD, 0.2, stop_early=False)
+    assert len(tr.steps) == 20 and built == []
+
+
+@pytest.mark.parametrize("y, family, k", [(-8.0, "upper", 1), (7.5, "symmetric", 2)])
+def test_degenerate_grid_window_is_named_in_the_error(monkeypatch, bivariate, y, family, k):
+    # at the ends of the y range window k is the first whose mass is below
+    # the floor; the error names it, the one event the trace builds
+    space = bivariate(0.5)
+    eps = cp.spaces.std(space, Y_COORD) * 0.5**k
+    name = FAMILY_EVENTS[family](Y_COORD, y, eps).name
+    built = _count_interval_events(monkeypatch)
+    with pytest.raises(NonApproachablePoint, match=re.escape(f"window {name!r} at target {y!r}")):
+        cp.window_estimate(space, Z_COORD, Y_COORD, y)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_non_finite_target_is_not_approachable(dice, normal_grid, y):
+    spaces = [(dice, cp.RandomVariable("X", lambda w: w), cp.RandomVariable("Y", lambda w: w)),
+              (normal_grid, Y_COORD * Y_COORD, Y_COORD),
+              (cp.Sampler("gaussian-sum", seed=1, budget=1000), X_COORD, Y_COORD)]
+    for space, X, Y in spaces:
+        with pytest.raises(NonApproachablePoint, match="not a finite number"):
+            cp.window_estimate(space, X, Y, y)
+    # rejected before any window: the sampler drew no row
+    assert "columns" not in spaces[2][0]._cache
+
+
+def test_evaluate_on_grid_flags_a_non_finite_node(normal_grid):
+    pw = cp.evaluate_on_grid(normal_grid, Y_COORD * Y_COORD, Y_COORD, [0.5, math.nan])
+    assert pw.verdicts == [CONVERGED, "NonApproachablePoint"]
+    assert len(pw.flags) == 1 and math.isnan(pw.flags[0][0])
+    assert pw.to_json_dict()["values"][1] is None
