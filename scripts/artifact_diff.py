@@ -64,6 +64,9 @@ INLINE = [
     ("verify", ["verify", "--space", SPACES + "d8-null.json", "--x", "X",
                 "--candidate", "candidate_17_on_null", "--generators", "null-algebra",
                 "--out", "{out}/inline-verify.json"]),
+    # non-zero residuals of both halves: pins the worst union's residual
+    ("verify-dice", ["verify", "--space", SPACES + "dice.json", "--x", "X2",
+                     "--candidate", "X", "--generators", "halves"]),
     ("paradox", ["paradox", "--budget", "200000", "--seed", "20260811"]),
     ("paradox-no-control", ["paradox", "--budget", "200000", "--seed", "3",
                             "--no-control", "--tol", "1e-4"]),

@@ -8,7 +8,6 @@ conditioning variable rather than a generic algebra.
 
 from .density import (
     ConditionalDensity,
-    JointDensity,
     conditional_density,
     conditional_expectation_via_density,
     marginal,

@@ -242,7 +242,7 @@ def build_space(cfg: dict):
             raise ConfigError(str(exc)) from exc
     if kind in ("grid1d", "grid2d"):
         density = _as_object(cfg.get("density") or {}, f"{kind} density")
-        quad_tol = _as_float(cfg.get("quad_tol", 1e-8), f"{kind} quad_tol")
+        quad_tol = _as_finite(cfg.get("quad_tol", 1e-8), f"{kind} quad_tol", 0.0)
         try:
             if kind == "grid1d":
                 ranges = ((_as_pair(cfg["range"], "grid1d range", _as_float),)

@@ -24,13 +24,10 @@ from . import quadrature as quad
 from .errors import NullMarginal, OutOfRectangle
 from .spaces import DensityGrid2D, _grid_marginal, coordinate
 
-# A joint density is just a 2D density grid; the name marks intent.
-JointDensity = DensityGrid2D
-
 DENSITY_FLOOR = 1e-12
 
 
-def _inside(joint: JointDensity, y: float) -> float:
+def _inside(joint: DensityGrid2D, y: float) -> float:
     """``y`` as a float; OutOfRectangle when it lies off the conditioning range."""
     c, d = joint.ranges[1]
     if not (c <= y <= d):
@@ -38,18 +35,18 @@ def _inside(joint: JointDensity, y: float) -> float:
     return float(y)
 
 
-def _column_at(joint: JointDensity, y: float) -> np.ndarray:
+def _column_at(joint: DensityGrid2D, y: float) -> np.ndarray:
     """Density profile z -> f(z, y), linear between the two nearest columns."""
     return np.asarray(quad.interp_at(joint.grid[1], joint.values, _inside(joint, y)))
 
 
-def _marginal_at(joint: JointDensity, rv, y: float) -> float:
+def _marginal_at(joint: DensityGrid2D, rv, y: float) -> float:
     """The z-integral of x*f at y (of f when ``rv`` is None), read off the
     cached node marginals along y."""
     return quad.interp_at(joint.grid[1], _grid_marginal(joint, rv, 1)[0], y)
 
 
-def marginal(joint: JointDensity, y: float) -> float:
+def marginal(joint: DensityGrid2D, y: float) -> float:
     """Marginal density of the conditioning axis at y."""
     return _marginal_at(joint, None, _inside(joint, y))
 
@@ -100,7 +97,7 @@ class ConditionalDensity:
         return quad.clip_integral(self.nodes, self.values, self.nodes[0], x, self.cum)
 
 
-def conditional_density(joint: JointDensity, y: float) -> ConditionalDensity:
+def conditional_density(joint: DensityGrid2D, y: float) -> ConditionalDensity:
     """The ratio construction f(z, y) / f_Y(y) on the z grid; NullMarginal
     when the marginal is below ``DENSITY_FLOOR`` (1e-12)."""
     col = _column_at(joint, y)
@@ -111,7 +108,7 @@ def conditional_density(joint: JointDensity, y: float) -> ConditionalDensity:
                               marginal_value=fy, defect=raw - 1.0, pitch=joint.pitches[0])
 
 
-def conditional_expectation_via_density(joint: JointDensity, y: float, g=None) -> float:
+def conditional_expectation_via_density(joint: DensityGrid2D, y: float, g=None) -> float:
     """Integral of g(z) against the conditional density at y: the marginal
     of g(z)*f at y over the marginal of f at y; NullMarginal when the
     latter is below ``DENSITY_FLOOR``.

@@ -81,7 +81,7 @@ class ConfigError(CondpointError):
 
 class UnsupportedQuery(CondpointError, ValueError):
     """A query a space cannot answer as posed: a grid window off the axes, a
-    level band with no width, too many generators to check every union."""
+    level band with no width, generators to verify against that overlap."""
 
 
 class TaskError(CondpointError):

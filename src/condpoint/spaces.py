@@ -398,7 +398,7 @@ def _ratio_cond(self, rv: RandomVariable, event: Event, floor: float) -> Conditi
 
 @dataclass(eq=False)
 class DiscreteAtoms:
-    """Finite weighted atom space. Weights sum to 1 within 1e-12, >= 0.
+    """Finite weighted atom space. Weights are numbers >= 0 summing to 1 within 1e-12.
 
     Zero-weight atoms are allowed; they model exactly-null events while
     keeping their points representable.
@@ -415,8 +415,8 @@ class DiscreteAtoms:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (len(self.atoms),):
             raise ValueError("one weight per atom required")
-        if np.any(self.weights < 0):
-            raise ValueError("negative atom weight")
+        if not np.all(self.weights >= 0):  # NaN fails this test too
+            raise ValueError("atom weights must be non-negative numbers")
         total = _fsum(self.weights)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom weights sum to {total!r}, not 1")
@@ -568,8 +568,8 @@ class DensityGrid:
     ``values[i, j, ...]`` is the density at ``(grid[0][i], grid[1][j], ...)``,
     where ``grid`` holds the uniform nodes of each axis and ``pitches`` their
     spacings.  The density must be non-negative, not NaN, and integrate to a
-    finite mass within ``quad_tol`` of 1 under the trapezoid rule; the defect
-    is recorded in ``meta``.
+    finite mass within ``quad_tol``, a finite number >= 0, of 1 under the
+    trapezoid rule; the defect is recorded in ``meta``.
     """
 
     axes: tuple
@@ -583,6 +583,7 @@ class DensityGrid:
     def __post_init__(self):
         self.axes = tuple(self.axes)
         self.values = np.asarray(self.values, dtype=float)
+        self.quad_tol = finite_number(self.quad_tol, "quad_tol", 0.0)
         if self.values.ndim != len(self.ranges):
             raise ValueError("density values need exactly one axis per range")
         if any(n < 2 or hi <= lo for (lo, hi), n in zip(self.ranges, self.values.shape)):

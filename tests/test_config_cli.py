@@ -54,6 +54,13 @@ def test_unknown_variable_and_partition():
         bundle.partition("nope")
 
 
+@pytest.mark.parametrize("weight", [math.nan, "NaN"])
+def test_nan_atom_weight_is_a_config_error(weight):
+    cfg = {"schema_version": 1, "kind": "discrete", "atoms": [[0, weight], [1, 1.0]]}
+    with pytest.raises(ConfigError, match="atom weights must be non-negative numbers"):
+        load_space(cfg)
+
+
 def test_sampler_config_requires_seed():
     with pytest.raises(ConfigError):
         load_space({"schema_version": 1, "kind": "sampler", "family": "uniform-square"})
@@ -351,6 +358,9 @@ def test_sampler_seed_and_budget_must_be_integers(field, value):
     ("grid2d", "ranges", [[0, 1]], "grid2d ranges"),
     ("grid2d", "axes", ["x"], "grid2d axes"),
     ("grid1d", "quad_tol", "x", "grid1d quad_tol"),
+    ("grid1d", "quad_tol", math.nan, "grid1d quad_tol"),
+    ("grid1d", "quad_tol", math.inf, "grid1d quad_tol"),
+    ("grid1d", "quad_tol", -1, "grid1d quad_tol"),
     ("grid1d", "nodes", 1, "grid1d space: grid needs at least 2 nodes"),
 ])
 def test_bad_grid_field_is_a_config_error(kind, field, value, match):
@@ -526,14 +536,16 @@ def test_run_reports_task_numbers_that_mean_nothing(tmp_path, task, params, tol,
 
 
 # A grid with a variable that is not an axis, and 16 atoms with 13 singleton
-# generators: 2^13 unions are too many to check.
+# generators and two overlapping ones.
 GRID_WITH_SUM = {"schema_version": 1, "kind": "grid2d", "axes": ["z", "y"],
                  "density": {"family": "bivariate-normal", "rho": 0.5}, "nodes": [101, 101],
                  "variables": {"Z": {"coord": "z"}, "Y": {"coord": "y"},
                                "S": {"expr": "y + z"}}}
 ATOMS_16 = {"schema_version": 1, "kind": "discrete", "atoms": [[k, 0.0625] for k in range(16)],
             "variables": {"X": {"identity": True}},
-            "partitions": {"singletons": [{"atoms": [k]} for k in range(13)]}}
+            "partitions": {"singletons": [{"atoms": [k]} for k in range(13)],
+                           "overlapping": [{"name": "A", "atoms": [0, 1, 2]},
+                                           {"name": "B", "atoms": [2, 3]}]}}
 
 
 @pytest.mark.parametrize("task, space, params, error", [
@@ -541,13 +553,24 @@ ATOMS_16 = {"schema_version": 1, "kind": "discrete", "atoms": [[k, 0.0625] for k
      "window conditioning on a grid requires a coordinate variable"),
     ("factorize", GRID_WITH_SUM, {"g": "Z", "y": "S", "levels": [0.0]},
      "level bands for 'S' need an explicit band width"),
-    ("verify", ATOMS_16, {"x": "X", "candidate": "X", "generators": "singletons"},
-     "too many generators"),
+    ("verify", ATOMS_16, {"x": "X", "candidate": "X", "generators": "overlapping"},
+     "generators 'A' and 'B' overlap with mass 0.0625"),
 ])
 def test_run_reports_an_unsupported_query(tmp_path, task, space, params, error):
     bad = _run_beside_dice(tmp_path, {"schema_version": 1, "task": task, "space": space,
                                       "params": params})
     assert bad["error"].startswith(f"UnsupportedQuery: {error}")
+
+
+def test_run_verifies_thirteen_singleton_generators(tmp_path):
+    doc = tmp_path / "singletons.json"
+    doc.write_text(json.dumps({"schema_version": 1, "task": "verify", "space": ATOMS_16,
+                               "params": {"x": "X", "candidate": "X",
+                                          "generators": "singletons"}}))
+    assert cli.run_paths([doc], tmp_path / "o")["ok"]
+    report = json.loads((tmp_path / "o" / "singletons.json").read_text())
+    assert report["passed"] is True
+    assert sum(c["kind"] == "identity" for c in report["checks"]) == 1 + 13 + 1
 
 
 def test_cli_factorize_off_the_axes_without_a_band_exits_1(tmp_path, capsys):

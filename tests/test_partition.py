@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condpoint as cp
-from condpoint.errors import InvalidPartition, ZeroEvidence
+from condpoint.errors import InvalidPartition, UnsupportedQuery, ZeroEvidence
 from condpoint.partition import RESIDUAL_CELL_CAP
 
 
@@ -92,6 +92,54 @@ def test_verify_union_of_touching_cells_skips_their_shared_atom():
     gens = [cp.Event.interval(X, -math.inf, 0.0), cp.Event.interval(X, 0.0, math.inf)]
     report = cp.verify_cond_exp(space, X, Z, gens)
     assert report.passed and report.max_residual("identity") == 0.0
+
+
+def _check_worst_union(space, X, Z, cells, tol):
+    """The report's largest identity residual is the largest |E[1_U (X - Z)]|
+    over every union U of cells, taken as one direct moment per union, on a
+    candidate whose cell residuals have mixed signs."""
+    signed = [cp.indicator_moment(space, X - Z, c).value for c in cells]
+    assert min(signed) < 0 < max(signed)
+    direct = max(abs(cp.indicator_moment(space, X - Z, cp.union_events(subset)).value)
+                 for r in range(1, len(cells) + 1)
+                 for subset in itertools.combinations(cells, r))
+    got = cp.verify_cond_exp(space, X, Z, cells).max_residual("identity")
+    assert abs(got - direct) <= tol
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_verify_worst_union_is_the_largest_union_moment_on_3d6(seed):
+    atoms = list(itertools.product(range(1, 7), repeat=3))
+    space = cp.DiscreteAtoms(tuple(atoms), np.full(len(atoms), 1.0 / len(atoms)))
+    X = cp.RandomVariable("sum", lambda w: w[0] + w[1] + w[2])
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 8, size=len(atoms))
+    labels[:8] = np.arange(8)
+    part = cp.Partition.from_atom_groups(
+        space, [[a for a, c in zip(atoms, labels) if c == k] for k in range(8)],
+        labels=[f"c{k}" for k in range(8)])
+    values = cp.partition_cond_exp(space, X, part).values + rng.normal(0.0, 1.0, size=8)
+    Z = cp.RandomVariable("Z", dict(zip(atoms, values[labels])).__getitem__)
+    _check_worst_union(space, X, Z, part.cells, 1e-15)
+
+
+def test_verify_worst_union_is_the_largest_union_moment_on_grid_and_sampler(
+        normal_grid, gaussian_sum_sampler):
+    x, y = cp.coordinate("x"), cp.coordinate("y")
+    part = cp.Partition.from_interval_cuts(normal_grid, y, [-1.0, -0.3, 0.4, 1.2])
+    _check_worst_union(normal_grid, y * y, 0.5 * y + 0.9, part.cells, 1e-12)
+    part = cp.Partition.from_interval_cuts(gaussian_sum_sampler, y, [-1.0, 0.0, 0.5, 1.0])
+    _check_worst_union(gaussian_sum_sampler, x, 0.4 * y + 0.01, part.cells, 1e-12)
+
+
+def test_verify_rejects_overlapping_generators(dice, dice_X):
+    # E[X | sigma(A, B)] is 1.5, 3.5 and 5.5 on {1, 2}, {3, 4} and {5, 6}
+    A = cp.Event.from_atoms({1, 2, 3, 4}, name="A")
+    B = cp.Event.from_atoms({3, 4, 5, 6}, name="B")
+    truth = cp.RandomVariable("E[X|A,B]", lambda w: 1.5 + 2.0 * ((w - 1) // 2))
+    with pytest.raises(UnsupportedQuery,
+                       match=r"generators 'A' and 'B' overlap with mass 0\.333"):
+        cp.verify_cond_exp(dice, dice_X, truth, [A, B])
 
 
 def test_verify_default_sampler_tolerance():
@@ -210,8 +258,9 @@ def test_total_probability_random_events(dice, mask, cut):
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
-def test_verify_evaluates_each_union_indicator_once(monkeypatch, n):
-    # one indicator per generator for measurability, then one per union
+def test_verify_evaluates_one_indicator_per_pair_and_two_per_generator(monkeypatch, n):
+    # one per pair for disjointness, one per generator for measurability,
+    # then one per generator for its identity moment
     space = cp.DiscreteAtoms(tuple(range(n)), np.full(n, 1.0 / n))
     X = cp.RandomVariable("X", lambda w: w)
     gens = [cp.Event.from_atoms({k}, name=f"a{k}") for k in range(n)]
@@ -220,7 +269,7 @@ def test_verify_evaluates_each_union_indicator_once(monkeypatch, n):
     monkeypatch.setattr(cp.DiscreteAtoms, "indicator",
                         lambda self, event: calls.append(event) or indicator(self, event))
     assert cp.verify_cond_exp(space, X, X, gens).passed
-    assert len(calls) == n + 2 ** n - 1
+    assert len(calls) == n * (n - 1) // 2 + n + n
 
 
 def test_candidate_values_read_one_indicator_per_cell(monkeypatch):

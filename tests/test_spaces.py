@@ -239,6 +239,19 @@ def test_weight_validation():
         cp.DiscreteAtoms((1, 2), np.array([1.2, -0.2]))
 
 
+@pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.nan, math.nan]])
+def test_nan_atom_weight_is_rejected(weights):
+    with pytest.raises(ValueError, match="atom weights must be non-negative numbers"):
+        cp.DiscreteAtoms((0, 1), np.array(weights))
+
+
+@pytest.mark.parametrize("quad_tol", [math.nan, math.inf, -1.0])
+def test_grid_quad_tol_must_be_finite_and_non_negative(quad_tol):
+    # the density integrates to 0.34: no quad_tol may wave that through
+    with pytest.raises(ValueError, match="quad_tol must be a finite number >= 0"):
+        cp.DensityGrid1D("y", 0.0, 1.0, np.full(11, 0.34), quad_tol=quad_tol)
+
+
 def test_grid_normalization_validation():
     with pytest.raises(ValueError):
         cp.DensityGrid1D("y", 0.0, 1.0, np.full(11, 2.0), quad_tol=1e-8)
