@@ -460,16 +460,29 @@ def _trapezoid(values, pitches):
     return values
 
 
+def _axis_weights(space, i: int) -> np.ndarray:
+    """Trapezoid weights of the nodes of axis ``i``: one pitch inside and
+    half a pitch at both ends."""
+    w = np.full(space.grid[i].shape[0], space.pitches[i])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 def _node_weights(space) -> np.ndarray:
-    """Trapezoid weight of every grid node: the outer product of the per-axis
-    weights, which are one pitch inside and half a pitch at both ends."""
-    weights = []
-    for nodes, pitch in zip(space.grid, space.pitches):
-        w = np.full(nodes.shape[0], pitch)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        weights.append(w)
-    return functools.reduce(np.multiply.outer, weights)
+    """Trapezoid weight of every grid node: the outer product of the per-axis weights."""
+    return functools.reduce(np.multiply.outer,
+                            (_axis_weights(space, i) for i in range(len(space.axes))))
+
+
+def _axis_values(space, rv: RandomVariable, j: int) -> np.ndarray:
+    """``rv`` at the nodes of axis ``j``, the one axis it varies along; not
+    cached, so a non-finite node raises NonIntegrable at each call."""
+    nodes = space.grid[j]
+    x = _evaluate(f"variable {rv.name!r}", rv.fn, {space.axes[j]: nodes}, nodes.shape)
+    if not np.all(np.isfinite(x)):
+        raise NonIntegrable(f"{rv.name} is not finite on the grid")
+    return x
 
 
 def _grid_product(space, rv: RandomVariable | None) -> np.ndarray:
@@ -486,16 +499,33 @@ def _grid_product(space, rv: RandomVariable | None) -> np.ndarray:
 def _grid_marginal(space, rv: RandomVariable | None, k: int) -> tuple:
     """(x*f integrated over every axis but ``k``, its antiderivative); cached.
 
-    Both are 1D over the nodes of axis ``k``.  The trapezoid rule over the
-    other axes is linear, so it runs once here, on a product that lives only
-    while it is integrated; a window along ``k`` clips only this marginal,
-    a full mean integrates the marginal of axis 0, and the ratio route of
-    ``density`` interpolates the marginals of its conditioning axis.
+    Both are 1D over the nodes of axis ``k``.  The marginal is one ``einsum``
+    of f with the trapezoid weights of every other axis.  A variable along
+    one axis ``j`` (``_axis_of``) folds its node values into axis ``j``'s
+    weights, or scales the result when ``j`` is ``k``, so it builds no array
+    the size of the grid; any other variable contracts its x*f product.  A
+    window along ``k`` clips only this marginal, a full mean integrates the
+    marginal of axis 0, and the ratio route of ``density`` interpolates the
+    marginals of its conditioning axis.
     """
     def build():
-        others = space.pitches[:k] + space.pitches[k + 1:]
-        marg = _frozen(_trapezoid(np.moveaxis(_grid_product(space, rv), k, 0), others))
-        return marg, _frozen(quad.cumulative(marg, space.pitches[k]))
+        weights = [_axis_weights(space, i) for i in range(len(space.axes))]
+        f, scale = space.values, None
+        j = _axis_of(space, rv)
+        if j is None:
+            f = _grid_product(space, rv)
+        elif j == k:
+            scale = _axis_values(space, rv, j)
+        else:
+            weights[j] *= _axis_values(space, rv, j)
+        operands = [f, range(f.ndim)]
+        for i, w in enumerate(weights):
+            if i != k:
+                operands += [w, [i]]
+        marg = np.einsum(*operands, [k])  # a view of f on a 1D grid: never scaled in place
+        if scale is not None:
+            marg = scale * marg
+        return _frozen(marg), _frozen(quad.cumulative(marg, space.pitches[k]))
 
     key, owner = _cache_key(rv)
     return _memo(space, ("marg", key, k), owner, build)
@@ -535,20 +565,15 @@ def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estima
     along the remaining axis: whole for the full mean, exactly against the
     piecewise-linear interpolant for a window.  A variable that varies along
     one axis only has its full mean from that axis's nodes and the cached
-    mass marginal, so it builds no product over the grid.  Other events
-    fall back to node-indicator quadrature of x*f.
+    mass marginal.  Other events fall back to node-indicator quadrature of x*f.
     """
     if event is None:
         k = _axis_of(self, rv)
         if k is None:
             return Estimate(float(quad.integrate(_grid_marginal(self, rv, 0)[0],
                                                  self.pitches[0])))
-        nodes = self.grid[k]
-        x = _evaluate(f"variable {rv.name!r}", rv.fn, {self.axes[k]: nodes}, nodes.shape)
-        if not np.all(np.isfinite(x)):
-            raise NonIntegrable(f"{rv.name} is not finite on the grid")
-        return Estimate(float(quad.integrate(x * _grid_marginal(self, None, k)[0],
-                                             self.pitches[k])))
+        return Estimate(float(quad.integrate(
+            _axis_values(self, rv, k) * _grid_marginal(self, None, k)[0], self.pitches[k])))
     if event.kind == "complement":
         return Estimate(self.moment(rv, None).value - self.moment(rv, event.base).value)
     if event.kind == "intervals" and event.rv.coord in self.axes:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condpoint as cp
+from condpoint import partition
 from condpoint.errors import InvalidPartition, UnsupportedQuery, ZeroEvidence
 from condpoint.partition import RESIDUAL_CELL_CAP
 
@@ -259,11 +260,12 @@ def test_total_probability_random_events(dice, mask, cut):
 
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_verify_evaluates_one_indicator_per_pair_and_two_per_generator(monkeypatch, n):
-    # one per pair for disjointness, one per generator for measurability,
-    # then one per generator for its identity moment
+    # predicates have no structural disjointness proof: one per pair for
+    # disjointness, one per generator for measurability, then one per
+    # generator for its identity moment
     space = cp.DiscreteAtoms(tuple(range(n)), np.full(n, 1.0 / n))
     X = cp.RandomVariable("X", lambda w: w)
-    gens = [cp.Event.from_atoms({k}, name=f"a{k}") for k in range(n)]
+    gens = [cp.Event.where(lambda w, k=k: w == k, f"a{k}") for k in range(n)]
     calls = []
     indicator = cp.DiscreteAtoms.indicator
     monkeypatch.setattr(cp.DiscreteAtoms, "indicator",
@@ -289,3 +291,60 @@ def test_candidate_values_read_one_indicator_per_cell(monkeypatch):
     got = space.values_of(pce.rv)
     assert evals == []
     assert got.tobytes() == pointwise.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_verify_proves_atom_set_generators_disjoint_by_counting(monkeypatch, n):
+    # singletons: their sizes sum to the size of their union, so no pair is
+    # intersected and only the two indicators per generator remain
+    space = cp.DiscreteAtoms(tuple(range(n)), np.full(n, 1.0 / n))
+    X = cp.RandomVariable("X", lambda w: w)
+    gens = [cp.Event.from_atoms({k}, name=f"a{k}") for k in range(n)]
+    calls = []
+    indicator = cp.DiscreteAtoms.indicator
+    monkeypatch.setattr(cp.DiscreteAtoms, "indicator",
+                        lambda self, event: calls.append(event) or indicator(self, event))
+    assert cp.verify_cond_exp(space, X, X, gens).passed
+    assert calls == gens + gens
+
+
+def test_interval_cells_are_proven_disjoint_without_an_intersection(normal_grid, monkeypatch):
+    # 200 cells of one variable: sorting their pieces proves them disjoint,
+    # so Partition takes only the cells' masses and verify none of its own
+    y = cp.coordinate("y")
+    intersected, masses = [], []
+    intersect, probability = cp.Event.intersect, partition.probability
+    monkeypatch.setattr(cp.Event, "intersect", lambda self, other, name=None: (
+        intersected.append((self, other)) or intersect(self, other, name)))
+    monkeypatch.setattr(partition, "probability", lambda space, event: (
+        masses.append(event) or probability(space, event)))
+    part = cp.Partition.from_interval_cuts(normal_grid, y, np.linspace(-4.0, 4.0, 199))
+    assert len(part) == 200 and masses == list(part.cells)
+    candidate = cp.partition_cond_exp(normal_grid, y, part).rv
+    report = cp.verify_cond_exp(normal_grid, y, candidate, part.cells)
+    assert report.measurable
+    assert intersected == [] and len(masses) == 200
+
+
+def test_overlaps_keep_the_first_pair_message(dice, dice_X, normal_grid):
+    y = cp.coordinate("y")
+    overlapping = {
+        "intervals": (normal_grid, y, [cp.Event.interval(y, -math.inf, -1.0, name="A"),
+                                       cp.Event.interval(y, -1.0, 0.5, name="B"),
+                                       cp.Event.interval(y, 0.0, math.inf, name="C")],
+                      r"'B' and 'C' overlap with mass 0\.1914"),
+        "atom sets": (dice, dice_X, [cp.Event.from_atoms({1, 2}, name="A"),
+                                     cp.Event.from_atoms({3, 4}, name="B"),
+                                     cp.Event.from_atoms({4, 5, 6}, name="C")],
+                      r"'B' and 'C' overlap with mass 0\.1666"),
+        "mixed kinds": (dice, dice_X, [cp.Event.from_atoms({1, 2, 3}, name="A"),
+                                       cp.Event.interval(dice_X, 2.5, math.inf, name="B")],
+                        r"'A' and 'B' overlap with mass 0\.1666"),
+    }
+    for kind, (space, X, events, message) in overlapping.items():
+        with pytest.raises(InvalidPartition, match="cells " + message):
+            cp.Partition(space, tuple(events))
+        with pytest.raises(UnsupportedQuery, match="generators " + message):
+            cp.verify_cond_exp(space, X, X, events)
+    # a mixed list without overlap passes the pairwise test
+    cp.Partition(dice, (cp.Event.from_atoms({1, 2}), cp.Event.interval(dice_X, 2.5, math.inf)))

@@ -635,3 +635,90 @@ def test_a_one_axis_variable_with_a_non_finite_node_is_not_integrable(space_name
         for _ in range(2):
             with pytest.raises(NonIntegrable, match="not finite on the grid"):
                 cp.expectation(space, rv)
+
+
+# ---------------------------------------------------------------------------
+# Grid marginals are one contraction of f with the trapezoid weights of the
+# other axes; a variable along one axis folds its node values into them and
+# builds no product over the grid.  The reference multiplies x by f on the
+# whole grid and applies the trapezoid rule axis by axis, in plain numpy.
+
+
+def _three_axis_grid():
+    """A correlated density over (x, y, w) on a 21x31x17 grid, normalised by
+    the trapezoid rule."""
+    ranges = ((-2.0, 3.0), (-2.5, 4.0), (-1.0, 2.0))
+    grid = [np.linspace(lo, hi, n) for (lo, hi), n in zip(ranges, (21, 31, 17))]
+    gx, gy, gw = np.meshgrid(*grid, indexing="ij")
+    f = np.exp(-0.5 * (gx - 0.5) ** 2 - 0.5 * (gy - gx) ** 2 - (gw - 0.3 * gy) ** 2)
+    total = f
+    for nodes in reversed(grid):
+        total = _plain_trapezoid(total, nodes[1] - nodes[0])
+    return spaces.DensityGrid(("x", "y", "w"), ranges, f / total)
+
+
+def _reference_marginal(space, fn, k):
+    """(marginal of x*f along axis k, the same of |x|*f) by the whole-grid
+    product and the trapezoid rule over every other axis."""
+    frame = dict(zip(space.axes, np.meshgrid(*space.grid, indexing="ij")))
+    x = np.broadcast_to(np.asarray(fn(frame), dtype=float), space.values.shape)
+    others = space.pitches[:k] + space.pitches[k + 1:]
+    out = []
+    for g in (x * space.values, np.abs(x) * space.values):
+        g = np.moveaxis(g, k, 0)
+        for pitch in reversed(others):
+            g = _plain_trapezoid(g, pitch)
+        out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("make", [_offset_gaussian_sum_grid, _three_axis_grid],
+                         ids=["offset-2d", "3d"])
+def test_grid_marginal_is_the_trapezoid_of_the_whole_grid_product(make, monkeypatch):
+    space = make()
+    x, y = cp.coordinate("x"), cp.coordinate("y")
+    xy = x * y
+    calls = _count_grid_products(monkeypatch)
+    for k, axis in enumerate(space.axes):
+        other = cp.coordinate(space.axes[1 - k] if k < 2 else "x")
+        variables = {"mass": None, "other axis": other, "own axis": cp.coordinate(axis),
+                     "2*y+1": 2 * y + 1, "x*y": xy}
+        for name, rv in variables.items():
+            marg, cum = spaces._grid_marginal(space, rv, k)
+            ref, scale = _reference_marginal(space, (lambda c: 1.0) if rv is None else rv.fn, k)
+            assert marg.shape == cum.shape == space.grid[k].shape
+            assert np.all(np.abs(marg - ref) <= 1e-13 * scale), (axis, name)
+            assert np.array_equal(cum, cp.quadrature.cumulative(marg, space.pitches[k]))
+    # only the two-axis variable builds a product, once per axis
+    assert calls == [xy] * len(space.axes)
+
+
+def test_a_window_of_a_non_finite_one_axis_variable_is_not_integrable(bivariate_05,
+                                                                       monkeypatch):
+    z, y = cp.coordinate("z"), cp.coordinate("y")
+    rv = z * math.inf
+    window = cp.Event.window(y, 0.0, 0.5)
+    calls = _count_grid_products(monkeypatch)
+    for _ in range(2):  # nothing is cached on failure, so every call checks
+        with pytest.raises(NonIntegrable, match="not finite on the grid"):
+            bivariate_05.moment(rv, window)
+        with pytest.raises(NonIntegrable, match="not finite on the grid"):
+            cp.cond_expectation_event(bivariate_05, rv, window)
+    assert ("marg", id(rv), 1) not in bivariate_05._cache
+    assert calls == []
+
+
+def test_a_grid_marginal_has_the_same_bits_at_any_array_address():
+    # the second density sits one float past an aligned buffer's start
+    space = _offset_gaussian_sum_grid()
+    buf = np.empty(space.values.size + 1)
+    shifted = buf[1:].reshape(space.values.shape)
+    shifted[...] = space.values
+    twins = [_offset_gaussian_sum_grid(), cp.DensityGrid2D(space.axes, space.ranges, shifted)]
+    assert np.shares_memory(twins[1].values, buf)
+    x, y = cp.coordinate("x"), cp.coordinate("y")
+    for rv in (None, x, 2 * y + 1, x * y):
+        for k in range(2):
+            bits = spaces._grid_marginal(space, rv, k)[0].tobytes()
+            for twin in twins:
+                assert spaces._grid_marginal(twin, rv, k)[0].tobytes() == bits
