@@ -4,8 +4,10 @@ The second grid axis is the conditioning one: with a joint density f(z, y)
 on a rectangle, the marginal at y is the z-quadrature of the interpolated
 column, and the conditional density of z given y is the pointwise ratio of
 joint to marginal.  The ratio is renormalized so its quadrature integral is
-exactly 1, with the pre-normalization defect kept on record; conditioning is
-only defined where the marginal clears the density floor.
+exactly 1, and the defect of the raw ratio is kept on record.  The marginal
+is the z-trapezoid of the same column, so that defect is roundoff by
+construction: it does not measure the mesh error of the grid.  Conditioning
+is only defined where the marginal clears the density floor.
 
 Interpolation in y and quadrature in z are both linear, so the marginal at
 y is the interpolant of the cached node marginals along y, and the
@@ -62,8 +64,9 @@ def _above_floor(fy: float, y: float) -> float:
 class ConditionalDensity:
     """The z-density given a fixed conditioning value.
 
-    ``defect`` is the pre-normalization quadrature error of the raw ratio;
-    after renormalization the density integrates to 1 exactly (to roundoff),
+    ``defect`` is the quadrature integral of the raw ratio minus 1: roundoff,
+    since the marginal is the quadrature of the same column, not mesh error.
+    After renormalization the density integrates to 1 exactly (to roundoff),
     which keeps downstream distribution functions ending at 1.
     """
 
@@ -109,18 +112,15 @@ def conditional_density(joint: DensityGrid2D, y: float) -> ConditionalDensity:
 
 
 def conditional_expectation_via_density(joint: DensityGrid2D, y: float, g=None) -> float:
-    """Integral of g(z) against the conditional density at y: the marginal
-    of g(z)*f at y over the marginal of f at y; NullMarginal when the
-    latter is below ``DENSITY_FLOOR``.
+    """Integral of g(z) against the conditional density at y; NullMarginal
+    when the marginal at y is below ``DENSITY_FLOOR``.
 
     With g None this is the conditional mean, the density-ratio counterpart
-    of the shrinking-window limit, read off the cached marginals of z*f and
-    f along y.  A given g is applied to the z nodes, and its numerator is
-    the z-quadrature of g times the interpolated column at y.
+    of the shrinking-window limit: the marginal of z*f at y over the marginal
+    of f at y, read off the cached marginals along y.  A given g is the
+    ``expectation`` of ``conditional_density(joint, y)``.
     """
+    if g is not None:
+        return conditional_density(joint, y).expectation(g)
     fy = _above_floor(marginal(joint, y), y)
-    if g is None:
-        return _marginal_at(joint, coordinate(joint.axes[0]), float(y)) / fy
-    z = joint.grid[0]
-    gz = np.broadcast_to(np.asarray(g(z), dtype=float), z.shape)
-    return float(quad.integrate(gz * _column_at(joint, y), joint.pitches[0])) / fy
+    return _marginal_at(joint, coordinate(joint.axes[0]), float(y)) / fy

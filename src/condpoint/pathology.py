@@ -158,11 +158,6 @@ def _check_shrinking(name: str, trace: WindowTrace):
         raise FamilyNotShrinking(f"family {name!r} mass does not shrink along the schedule")
 
 
-def _draw_streams(sub: Sampler, hulls: tuple) -> list:
-    """One stream of ``sub`` per hull, from one pass of its generator."""
-    return [sub.restricted(hulls[0])] if len(hulls) == 1 else sub.restricted_each(hulls)
-
-
 def _kept_rows(stream) -> int:
     """Rows a sampler stream holds; 0 on any other space."""
     if not isinstance(stream, Sampler):
@@ -209,9 +204,9 @@ def paradox_reports(space, X: RandomVariable, groups, schedule: Schedule,
     A trace is keyed by (substream index, family): a key listed by several
     groups is traced once and its trace shared.  A family whose events are
     intervals of one variable keeps only the rows inside their hull, which
-    gives the numbers of the full stream.  Each substream is drawn once, on
-    DRAW_THREADS worker threads that call no public method of the sampler,
-    and that one generator pass fills the hull of every family it feeds.
+    gives the numbers of the full stream.  Each substream is drawn once, by
+    ``Sampler.restricted_each`` on DRAW_THREADS worker threads, and that one
+    generator pass fills the hull of every family it feeds.
     The traces then run on the calling thread, fewest kept rows first
     (family order on ties), and each stream is dropped when its trace ends.
     """
@@ -234,7 +229,7 @@ def paradox_reports(space, X: RandomVariable, groups, schedule: Schedule,
             # one expression: no name is left holding a substream's streams
             streams = dict(zip((key for keys in plan.values() for key in keys),
                                itertools.chain.from_iterable(
-                                   pool.map(_draw_streams, subs, hulls))))
+                                   pool.map(Sampler.restricted_each, subs, hulls))))
     else:
         streams = dict.fromkeys(pairs, space)
     traces = {}

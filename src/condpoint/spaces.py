@@ -453,13 +453,6 @@ class DiscreteAtoms:
     cond = _ratio_cond
 
 
-def _trapezoid(values, pitches):
-    """Trapezoid rule over the trailing axes of ``values``, one pitch per axis."""
-    for pitch in reversed(pitches):
-        values = quad.integrate(values, pitch)
-    return values
-
-
 def _axis_weights(space, i: int) -> np.ndarray:
     """Trapezoid weights of the nodes of axis ``i``: one pitch inside and
     half a pitch at both ends."""
@@ -618,7 +611,10 @@ class DensityGrid:
         self.pitches = tuple(float(nodes[1] - nodes[0]) for nodes in self.grid)
         if not np.all(self.values >= 0):  # NaN fails this test too
             raise ValueError("density values must be non-negative numbers")
-        defect = float(_trapezoid(self.values, self.pitches)) - 1.0
+        # the mass moment(None, None) reads; an inf node fails the check, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            mass = quad.integrate(_grid_marginal(self, None, 0)[0], self.pitches[0])
+        defect = float(mass) - 1.0
         if not math.isfinite(defect) or abs(defect) > self.quad_tol:  # an infinite node too
             raise ValueError(f"density integrates to 1{defect:+e}, beyond quad_tol")
         self.meta.setdefault("normalization_defect", defect)
@@ -635,15 +631,11 @@ class DensityGrid:
 
 class DensityGrid1D(DensityGrid):
     """Density values on a uniform 1D node grid over [lo, hi]: the one-axis
-    ``DensityGrid``, whose one entry each of ``axes``, ``ranges``, ``grid``
-    and ``pitches`` also reads as ``axis``, ``lo``, ``hi``, ``nodes`` and ``pitch``.
-    """
+    ``DensityGrid``."""
 
     def __init__(self, axis, lo, hi, values, quad_tol=1e-8, name="grid1d", meta=None):
         super().__init__((axis,), ((lo, hi),), values, quad_tol, name,
                          {} if meta is None else meta)
-        self.axis, self.lo, self.hi = axis, lo, hi
-        self.nodes, self.pitch = self.grid[0], self.pitches[0]
 
     # bound again: the tracer patches each class's own attribute
     values_of, indicator, moment, cond = _values_of, _indicator, _grid_moment, _ratio_cond
@@ -652,15 +644,9 @@ class DensityGrid1D(DensityGrid):
 @dataclass(eq=False)
 class DensityGrid2D(DensityGrid):
     """Joint density values on a uniform rectangle grid: the two-axis
-    ``DensityGrid``, whose per-axis tuples also read as ``nodes0``,
-    ``nodes1``, ``pitch0`` and ``pitch1``.
-    """
+    ``DensityGrid``."""
 
     name: str = "grid2d"
-
-    def __post_init__(self):
-        super().__post_init__()
-        (self.nodes0, self.nodes1), (self.pitch0, self.pitch1) = self.grid, self.pitches
 
     # bound again: the tracer patches each class's own attribute
     values_of, indicator, moment, cond = _values_of, _indicator, _grid_moment, _ratio_cond
@@ -1008,8 +994,10 @@ class Sampler:
             return Estimate(0.0, 0.0, n)
         xs = self._masked_values(rv, rows)
         m1 = float(xs.sum()) / n
-        m2 = float((xs * xs).sum()) / n
-        return Estimate(m1, math.sqrt(max(m2 - m1 * m1, 0.0) / n), n)
+        # the variance of 1_A X over all n rows, centred: the n - k rows off A are 0
+        d = xs - m1
+        var = (float((d * d).sum()) + (n - k) * m1 * m1) / n
+        return Estimate(m1, math.sqrt(var / n), n)
 
     def cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
         rows = self._rows(event)

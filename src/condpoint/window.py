@@ -317,17 +317,14 @@ class PointwiseCondExp:
     """Window traces tabulated over a grid of conditioning values.
 
     Nodes whose trace cannot be formed (a window outside the support, a
-    non-finite node) are kept as flags, never silently interpolated.
+    non-finite node) are kept as flags, never silently interpolated.  The
+    table holds its traces only, not the space they were read from.
     """
 
-    space: object
     X: RandomVariable
     Y: RandomVariable
     y_grid: np.ndarray
     traces: list
-    schedule: Schedule
-    tol: float
-    n_min: int
     flags: list = field(default_factory=list)
 
     @property
@@ -337,15 +334,6 @@ class PointwiseCondExp:
     @property
     def verdicts(self) -> list:
         return [t.verdict if t is not None else "NonApproachablePoint" for t in self.traces]
-
-    def evaluate(self, y: float) -> WindowTrace:
-        """Fresh trace at an arbitrary point, same schedule and tolerance.
-
-        Deterministic for a fixed space: sampler rows are drawn once and
-        frozen, so repeated evaluation at one y reproduces the trace.
-        """
-        return window_estimate(self.space, self.X, self.Y, float(y),
-                               schedule=self.schedule, tol=self.tol, n_min=self.n_min)
 
     def to_json_dict(self) -> dict:
         return {
@@ -368,7 +356,6 @@ def evaluate_on_grid(space, X: RandomVariable, Y: RandomVariable, y_grid,
     from (space seed, node index), so grid evaluation parallelizes without
     sharing sample noise between nodes.
     """
-    schedule = schedule or Schedule()
     y_grid = np.asarray(y_grid, dtype=float)
     traces = []
     flags = []
@@ -380,7 +367,7 @@ def evaluate_on_grid(space, X: RandomVariable, Y: RandomVariable, y_grid,
         except NonApproachablePoint as exc:
             traces.append(None)
             flags.append((float(y), str(exc)))
-    return PointwiseCondExp(space, X, Y, y_grid, traces, schedule, tol, n_min, flags)
+    return PointwiseCondExp(X, Y, y_grid, traces, flags)
 
 
 def convergence_order(trace: WindowTrace) -> float:

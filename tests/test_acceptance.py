@@ -172,13 +172,14 @@ def test_criterion_07_non_uniqueness_executed(d8_null):
 
 
 def test_criterion_08_paradox_margin(paradox_oracle):
+    # main and control from one draw plan, as `condpoint paradox` runs them
     inst = ratio_normal_instance()
-    rep = cp.borel_kolmogorov(inst["space"], inst["X"], inst["families"],
-                              inst["schedule"], description=inst["description"])
+    rep, control = cp.paradox_reports(
+        inst["space"], inst["X"],
+        [(inst["families"], inst["description"]), (inst["control_families"], "")],
+        inst["schedule"])
     gap_err = abs(rep.discrepancy - paradox_oracle["gap_second_moment"])
     margin_ok = rep.discrepancy > 10.0 * rep.combined_tol
-    control = cp.borel_kolmogorov(inst["space"], inst["X"],
-                                  inst["control_families"], inst["schedule"])
     control_ok = control.discrepancy <= control.combined_tol
     converged = all(t.verdict == "Converged" for t in rep.traces.values())
     ok = gap_err <= 1e-2 and margin_ok and control_ok and converged

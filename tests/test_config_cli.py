@@ -392,7 +392,7 @@ def test_config_integers_pass_through_exactly():
     assert bundle.space.seed == seed and bundle.space.budget == 100
     grid = load_space({"schema_version": 1, "kind": "grid1d", "nodes": 101.0,
                        "density": {"family": "normal"}})
-    assert grid.space.nodes.size == 101
+    assert grid.space.grid[0].size == 101
 
 
 @pytest.mark.parametrize("density, match", [

@@ -122,10 +122,10 @@ def test_reconstruction_total_expectation(bivariate):
     joint = bivariate(0.5)
     law = cp.pushforward(joint, cp.coordinate("y"))
     keep = law.values > 1e-10  # stay where conditioning is defined
-    nodes = law.nodes[keep]
+    nodes = law.grid[0][keep]
     g = lambda z: z * z
     cond = np.array([cp.conditional_density(joint, y).expectation(g) for y in nodes])
-    total = float(np.trapezoid(cond * law.values[keep], dx=law.pitch))
+    total = float(np.trapezoid(cond * law.values[keep], dx=law.pitches[0]))
     direct = cp.expectation(joint, cp.coordinate("z") * cp.coordinate("z")).value
     assert abs(total - direct) <= 1e-6
 
@@ -138,7 +138,7 @@ def test_conditional_probability_window_vs_cdf(bivariate):
     ind = cp.RandomVariable("z<=0.5", lambda f: (f["z"] <= 0.5).astype(float))
     tr = cp.window_estimate(joint, ind, cp.coordinate("y"), 1.0)
     cdf = cp.conditional_density(joint, 1.0).cdf(0.5)
-    assert abs(tr.value - cdf) <= 2.0 * joint.pitch0  # indicator smear is O(pitch)
+    assert abs(tr.value - cdf) <= 2.0 * joint.pitches[0]  # indicator smear is O(pitch)
     assert 0.0 <= tr.value <= 1.0
 
 

@@ -88,10 +88,10 @@ def test_grid_band_factorization(gaussian_sum_grid):
     # a function of the y coordinate factors through y on a thin band
     y = cp.coordinate("y")
     g = cp.RandomVariable("g", lambda f: 3.0 * f["y"] + 1.0)
-    node = float(gaussian_sum_grid.nodes1[600])
+    node = float(gaussian_sum_grid.grid[1][600])
     res = factorize(gaussian_sum_grid, g, y, [node])
     assert res.verdict == FACTORED
-    assert res.band_width == pytest.approx(0.5 * gaussian_sum_grid.pitch1)
+    assert res.band_width == pytest.approx(0.5 * gaussian_sum_grid.pitches[1])
     assert abs(res.table[node] - (3.0 * node + 1.0)) <= 1e-10
 
 

@@ -332,14 +332,14 @@ def test_paradox_draws_streams_on_workers_off_the_public_methods(monkeypatch):
             return _method(self, *args, **kwargs)
 
         monkeypatch.setattr(cp.Sampler, name, spy)
-    restricted = cp.Sampler.restricted
+    restricted_each = cp.Sampler.restricted_each
 
-    def record(self, hull):
+    def record(self, each):
         drawers.append(threading.current_thread())
-        hulls.append(hull.pieces)
-        return restricted(self, hull)
+        hulls.extend(hull.pieces for hull in each)
+        return restricted_each(self, each)
 
-    monkeypatch.setattr(cp.Sampler, "restricted", record)
+    monkeypatch.setattr(cp.Sampler, "restricted_each", record)
     inst = ratio_normal_instance(seed=SEED, budget=200_000)
     cp.borel_kolmogorov(inst["space"], inst["X"], inst["families"], inst["schedule"])
     assert seen and all(t is main for t in seen)

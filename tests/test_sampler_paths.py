@@ -80,10 +80,26 @@ def test_cond_and_moment_equal_numpy_on_columns(label):
     assert (got.value, got.se, got.n, got.prob, got.degenerate) == (
         float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(k)), k, k / N, False)
 
-    m1, m2 = float(xs.sum()) / N, float((xs * xs).sum()) / N
-    assert space.moment(x, event) == cp.Estimate(m1, math.sqrt(max(m2 - m1 * m1, 0.0) / N), N)
+    m1 = float(xs.sum()) / N
+    d = xs - m1
+    var = (float((d * d).sum()) + (N - k) * m1 * m1) / N
+    assert space.moment(x, event) == cp.Estimate(m1, math.sqrt(var / N), N)
     p = k / N
     assert space.moment(None, event) == cp.Estimate(p, math.sqrt(p * (1.0 - p) / N), N)
+
+
+@pytest.mark.parametrize("lo", [-math.inf, 0.0], ids=["every-row", "half"])
+@pytest.mark.parametrize("c", [0.0, 1e6, 1e7, 1e8])
+def test_event_moment_se_holds_at_any_offset(c, lo):
+    # the se of E[1_A X] is the spread of 1_A X over all n rows; at a large
+    # offset c a raw second moment m2 - m1^2 cancels
+    n = 200_000
+    space = cp.Sampler("standard-normal-pair", seed=0, budget=n)
+    X = cp.coordinate("z") + c
+    event = cp.Event.interval(y, lo, math.inf)
+    cols = space.columns()
+    ref = np.where(cols["y"] > lo, cols["z"] + c, 0.0).std() / math.sqrt(n)
+    assert space.moment(X, event).se == pytest.approx(ref, rel=1e-6)
 
 
 def test_empty_window_takes_the_degenerate_branch():

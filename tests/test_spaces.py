@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 import condpoint as cp
 from condpoint import spaces
-from condpoint.config import expression_variable
+from condpoint.config import expression_variable, load_space
 from condpoint.errors import EmptyRange, NonIntegrable, UndefinedPredicate
 
 import oracles
+from conftest import SCENARIO_DIR
 
 
 def test_dice_event_probability(dice):
@@ -37,7 +38,7 @@ def test_normal_grid_half_line(normal_grid):
     assert abs(p.value - 0.5) <= 1e-9
     # predicate fallback carries O(pitch) boundary error
     p2 = cp.probability(normal_grid, cp.Event.where(lambda f: f["y"] <= 0.0, "left"))
-    assert abs(p2.value - 0.5) <= 2.0 * normal_grid.pitch * oracles.normal_pdf(0.0)
+    assert abs(p2.value - 0.5) <= 2.0 * normal_grid.pitches[0] * oracles.normal_pdf(0.0)
 
 
 def test_dice_expectation(dice, dice_X):
@@ -94,7 +95,7 @@ def test_pushforward_identity_grid(normal_grid):
 def test_pushforward_marginal_of_joint(bivariate):
     joint = bivariate(0.5)
     law = cp.pushforward(joint, cp.coordinate("y"))
-    ref = oracles.normal_pdf(law.nodes)
+    ref = oracles.normal_pdf(law.grid[0])
     assert np.abs(law.values - ref).max() <= 1e-6
 
 
@@ -263,12 +264,23 @@ def test_grid_normalization_validation():
     lambda: cp.DensityGrid2D(("z", "y"), ((0.0, 1.0), (0.0, 1.0)),
                              np.where(np.eye(11, dtype=bool), np.nan, 1.0)),
     lambda: cp.DensityGrid1D("y", 0.0, 1.0, np.where(np.arange(11) == 5, np.inf, 1.0)),
+    lambda: cp.DensityGrid1D("y", 0.0, 1.0, np.where(np.arange(11) == 10, np.inf, 1.0)),
+    lambda: cp.DensityGrid2D(("z", "y"), ((0.0, 1.0), (0.0, 1.0)),
+                             np.where(np.eye(11, dtype=bool), np.inf, 1.0)),
     lambda: cp.DensityGrid1D("y", 0.0, 100.0, np.full(11, 1e308)),
-], ids=["nan-node-1d", "all-nan-1d", "nan-nodes-2d", "inf-node-1d", "overflowing-mass"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing sum warns
+], ids=["nan-node-1d", "all-nan-1d", "nan-nodes-2d", "inf-node-1d", "inf-end-node-1d",
+        "inf-nodes-2d", "overflowing-mass"])
 def test_grid_rejects_non_finite_density(make):
-    with pytest.raises(ValueError):
-        make()
+    # a ValueError, and no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_normalization_defect_is_the_mass_that_moment_reads():
+    space = load_space(SCENARIO_DIR / "spaces" / "bivariate-05.json").space
+    assert space.meta["normalization_defect"] == space.moment(None, None).value - 1.0
 
 
 @pytest.mark.parametrize("make", [

@@ -1,15 +1,18 @@
 import math
 import re
+import weakref
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import condpoint as cp
+from condpoint.config import load_space
 from condpoint.errors import InsufficientTrace, NonApproachablePoint
 from condpoint.window import CONVERGED, STARVED, shrink_trace
 
 import oracles
+from conftest import SCENARIO_DIR
 
 
 X_COORD = cp.coordinate("x")
@@ -105,11 +108,21 @@ def test_single_point_grid_on_sampler_uses_substream(gaussian_sum_sampler):
 
 
 def test_pointwise_evaluate_is_deterministic(gaussian_sum_sampler):
-    table = cp.evaluate_on_grid(gaussian_sum_sampler, X_COORD, Y_COORD, [0.0, 1.0])
-    a = table.evaluate(0.3)
-    b = table.evaluate(0.3)
+    # sampler rows are drawn once and frozen, so a repeated window at one y
+    # reproduces the trace
+    a = cp.window_estimate(gaussian_sum_sampler, X_COORD, Y_COORD, 0.3)
+    b = cp.window_estimate(gaussian_sum_sampler, X_COORD, Y_COORD, 0.3)
     assert a.value == b.value
     assert [s.estimate for s in a.steps] == [s.estimate for s in b.steps]
+
+
+def test_window_table_does_not_keep_its_space_alive():
+    space = load_space(SCENARIO_DIR / "spaces" / "bivariate-05.json").space
+    table = cp.evaluate_on_grid(space, Z_COORD, Y_COORD, [-1.0, 0.0, 1.0])
+    ref = weakref.ref(space)
+    del space
+    assert ref() is None
+    assert all(v == CONVERGED for v in table.verdicts)
 
 
 def test_uniform_interior_constant(uniform_square):
@@ -256,7 +269,7 @@ def test_tower_property_over_conditioning_law(gaussian_sum_grid):
     y_grid = np.linspace(-8.0, 8.0, 81)
     table = cp.evaluate_on_grid(gaussian_sum_grid, X_COORD, Y_COORD, y_grid)
     law = cp.pushforward(gaussian_sum_grid, Y_COORD)
-    fy = np.interp(y_grid, law.nodes, law.values)
+    fy = np.interp(y_grid, law.grid[0], law.values)
     h = y_grid[1] - y_grid[0]
     integral = float(np.trapezoid(table.values * fy, dx=h))
     assert abs(integral - cp.expectation(gaussian_sum_grid, X_COORD).value) <= 5e-3
