@@ -652,27 +652,28 @@ class DensityGrid2D(DensityGrid):
     values_of, indicator, moment, cond = _values_of, _indicator, _grid_moment, _ratio_cond
 
 
-# Rows per block when a draw family streams its last column.  Small blocks
-# keep the per-block temporaries, which stay in malloc's per-thread pools,
-# small: with 2^20-row blocks the shipped scenarios peaked at 121-132 MiB
-# against 89-91 MiB.
+# Rows per block of a draw stream.  Small blocks keep the per-block
+# temporaries, which stay in malloc's per-thread pools, small: with 2^20-row
+# blocks the shipped scenarios peaked at 121-132 MiB against 89-91 MiB.
 DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
 class DrawFamily:
-    """A built-in sample family: a head column drawn whole, then a last
-    column drawn block by block.
+    """A sample family: head columns drawn whole, then, in a built-in
+    family, a last column drawn block by block.
 
-    ``head(rng, out, params)`` draws the head column into the buffer ``out``
-    and returns it by name.  ``last(rng, rows, out, params)`` draws one block
-    of the last column into ``out`` and returns it with any column derived
-    from it; ``rows`` holds the head column of that block.  Calling the
-    family draws all ``n`` rows, the protocol of a custom ``draw`` callable.
+    ``head(rng, n, params)`` draws all ``n`` rows of the head columns, each
+    into a column of its own, and returns them by name: the protocol of a
+    custom ``draw`` callable, which is ``DrawFamily(draw)``, a family with
+    no last column.  ``last(rng, rows, out, params)`` draws one block of
+    the last column into ``out`` and returns it with any column derived
+    from it; ``rows`` holds the head columns of that block.  Calling the
+    family draws all ``n`` rows.
     """
 
     head: Callable
-    last: Callable
+    last: Callable | None = None
 
     def __call__(self, rng, n, params) -> dict:
         return _stream(self, rng, int(n), params, (None,))[0]
@@ -705,8 +706,8 @@ def _release(col: np.ndarray, lo: int, hi: int) -> None:
         region.madvise(mmap.MADV_DONTNEED, first, end - first)
 
 
-def _normal_z(rng, out, params):
-    return {"z": rng.standard_normal(out=out)}
+def _normal_z(rng, n, params):
+    return {"z": rng.standard_normal(out=_mapped(n))}
 
 
 def _bivariate_last(rng, rows, out, params):
@@ -718,8 +719,8 @@ def _bivariate_last(rng, rows, out, params):
     return {"y": y}
 
 
-def _gaussian_sum_head(rng, out, params):
-    x = rng.standard_normal(out=out)
+def _gaussian_sum_head(rng, n, params):
+    x = rng.standard_normal(out=_mapped(n))
     x *= math.sqrt(float(params["var_x"]))
     return {"x": x}
 
@@ -772,61 +773,50 @@ DRAW_FAMILIES = {
         _normal_z, lambda rng, rows, out, params: {"y": rng.standard_normal(out=out)}),
     "bivariate-normal": DrawFamily(_normal_z, _bivariate_last),
     "gaussian-sum": _draw_gaussian_sum,
-    "uniform-square": DrawFamily(lambda rng, out, params: {"z": rng.random(out=out)},
+    "uniform-square": DrawFamily(lambda rng, n, params: {"z": rng.random(out=_mapped(n))},
                                  lambda rng, rows, out, params: {"y": rng.random(out=out)}),
 }
 
 
-def _stream(draw: Callable, rng, n: int, params, hulls: tuple) -> list:
-    """The columns of the ``n`` rows of ``draw`` once per hull in ``hulls``:
-    every row where the hull is None, else only the rows inside that
-    interval event.
+def _stream(family: DrawFamily, rng, n: int, params, hulls: tuple) -> list:
+    """The columns of the ``n`` rows of ``family`` once per hull in
+    ``hulls``: every row where the hull is None, else only the rows inside
+    that interval event.
 
-    A ``DrawFamily`` draws its head column whole into an ``n``-row mapped
-    column and its last column in blocks of ``DRAW_BLOCK`` rows, each into
-    one reused, cache-warm buffer; a custom ``draw`` callable is one block.
-    Blocks come in order from one generator, so their numbers equal one
-    whole-array draw, and that one pass fills every hull.  The first hull's
-    rows of each block are written, in order, after the rows already kept
-    at the front of every column; with a hull the head rows left behind go
-    back to the system as the draw proceeds, so a draw holds about one head
-    column plus the kept rows.  Every other hull copies its rows into
-    mapped columns of its own, reading each block before the first hull
-    overwrites it.  A full first stream returns the columns themselves,
-    whose drawn rows are never written again, so a custom draw may return
-    read-only arrays.
+    The head columns are drawn whole; the rows then go by in blocks of
+    ``DRAW_BLOCK``, a last column drawn block by block into one reused,
+    cache-warm buffer.  Blocks come in order from one generator, so their
+    numbers equal one whole-array draw, and that one pass fills every hull.
+    A full stream keeps the head columns themselves; every stream copies its
+    rows of each block, in order, into mapped columns of its own, so no
+    drawn column is written and a custom draw may return read-only arrays.
+    When no stream is full, a built-in head's rows go back to the system as
+    each block is copied, so a draw holds about one head column plus the
+    kept rows; a custom draw's arrays stay as it returned them.
     """
-    family = isinstance(draw, DrawFamily)
-    if family:
-        cols, size = draw.head(rng, _mapped(n), params), DRAW_BLOCK
-        buf = np.empty(min(size, n))
-    else:
-        cols, size = draw(rng, n, params), max(n, 1)
-        if hulls[0] is not None:  # compacted in place below
-            cols = {name: np.array(col) for name, col in cols.items()}
-    in_place = set(cols) if hulls[0] is None else set()
-    outs = [cols, *({} for _ in hulls[1:])]
+    cols = family.head(rng, n, params)
+    buf = np.empty(min(DRAW_BLOCK, n))
+    release = family.last is not None and all(hull is not None for hull in hulls)
+    outs = [dict(cols) if hull is None else {} for hull in hulls]
     kept = [0] * len(hulls)
-    for start in range(0, max(n, 1), size):
-        stop = min(start + size, n)
+    for start in range(0, max(n, 1), DRAW_BLOCK):
+        stop = min(start + DRAW_BLOCK, n)
         frame = {name: col[start:stop] for name, col in cols.items()}
-        if family:
-            frame |= draw.last(rng, frame, buf[:stop - start], params)
-        # the first hull last: it compacts the block's own rows in place
-        for j in reversed(range(len(hulls))):
-            out, hull = outs[j], hulls[j]
+        if family.last is not None:
+            frame |= family.last(rng, frame, buf[:stop - start], params)
+        for j, (out, hull) in enumerate(zip(outs, hulls)):
             out |= {name: _mapped(n, col.dtype) for name, col in frame.items()
                     if name not in out}
             keep = slice(None) if hull is None else np.flatnonzero(_interval_mask(_evaluate(
                 f"variable {hull.rv.name!r}", hull.rv.fn, frame, (stop - start,)), hull.pieces))
             count = stop - start if hull is None else keep.size
             for name, col in out.items():
-                if j == 0 and name in in_place:
-                    continue
-                col[kept[j]:kept[j] + count] = frame[name][keep]
-                if j == 0:
-                    _release(col, kept[j] + count, stop)
+                if col is not cols.get(name):
+                    col[kept[j]:kept[j] + count] = frame[name][keep]
             kept[j] += count
+        if release:
+            for col in cols.values():
+                _release(col, start, stop)
     return [out if hull is None else {name: col[:k] for name, col in out.items()}
             for out, hull, k in zip(outs, hulls, kept)]
 
@@ -834,8 +824,8 @@ def _stream(draw: Callable, rng, n: int, params, hulls: tuple) -> list:
 def _draw(sampler: "Sampler", hulls: tuple) -> list:
     """The sampler's columns once per hull, from one pass of its generator."""
     rng = np.random.default_rng(np.random.SeedSequence(sampler.seed, spawn_key=sampler.spawn))
-    draw = sampler.draw if sampler.draw is not None else DRAW_FAMILIES[sampler.family]
-    return _stream(draw, rng, int(sampler.budget), sampler.params, hulls)
+    family = DRAW_FAMILIES[sampler.family] if sampler.draw is None else DrawFamily(sampler.draw)
+    return _stream(family, rng, int(sampler.budget), sampler.params, hulls)
 
 
 class _RowFrame(Mapping):
@@ -893,6 +883,8 @@ class Sampler:
     hull: Event | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.budget, numbers.Integral) or self.budget < 1:
+            raise ValueError(f"sampler budget must be an integer >= 1, got {self.budget!r}")
         if self.draw is None:
             if self.family not in DRAW_FAMILIES:
                 raise ValueError(f"unknown sampler family {self.family!r}; "
@@ -1048,11 +1040,13 @@ def values_on(space: ProbabilitySpace, rv: RandomVariable, event: Event) -> np.n
 
 
 def variance(space: ProbabilitySpace, rv: RandomVariable) -> float:
-    """Variance of ``rv``, memoised on the space per variable."""
+    """Variance of ``rv``, centred as E[(X - E[X])^2], memoised on the
+    space per variable."""
     def build():
         m = expectation(space, rv).value
-        m2 = expectation(space, rv * rv).value
-        return (max(m2 - m * m, 0.0),)
+        # squared in place: one array the size of rv's values, as rv * rv made
+        sq = _combination(f"({rv.name}-E)^2", lambda x: np.square(d := x - m, out=d), rv)
+        return (expectation(space, sq).value,)
 
     key, owner = _cache_key(rv)
     return _memo(space, ("var", key), owner, build)[0]

@@ -149,23 +149,42 @@ def test_a_non_interval_hull_fails_before_any_row_is_drawn(family, monkeypatch):
 
 
 def _read_only_draw(rng, n, params):
-    cols = _custom_draw(rng, n, params)
-    for col in cols.values():
+    # in anonymous maps, as a built-in family's columns are: a stream that
+    # gave their pages back would leave them reading zeros
+    cols = {}
+    for name, values in _custom_draw(rng, n, params).items():
+        col = cols[name] = spaces._mapped(n)
+        col[:] = values
         col.flags.writeable = False
     return cols
 
 
-@pytest.mark.parametrize("hull", [None, cp.Event.window(cp.coordinate("y"), 0.0, 0.5)],
-                         ids=["full", "restricted"])
-def test_a_custom_draw_may_return_read_only_arrays(hull):
-    sampler = cp.Sampler("custom", seed=1, budget=1000, draw=_read_only_draw)
-    cols = sampler.columns() if hull is None else sampler.restricted(hull).columns()
-    ref = _custom_draw(np.random.default_rng(np.random.SeedSequence(1)), 1000, {})
-    keep = slice(None) if hull is None else (-0.5 < ref["y"]) & (ref["y"] < 0.5)
-    assert list(cols) == list(ref)
-    for name in ref:
-        assert np.array_equal(cols[name], ref[name][keep]), name
-    assert 0 < cols["y"].size <= 1000
+@pytest.mark.parametrize("kinds", [("every",), ("window",), ("window", "every", "ratio")],
+                         ids=["full", "restricted", "several-hulls"])
+def test_a_custom_draw_may_return_read_only_arrays(kinds, block):
+    # no stream writes into a drawn column, whichever hull comes first
+    returned = []
+
+    def draw(rng, n, params):
+        returned.append(_read_only_draw(rng, n, params))
+        return returned[-1]
+
+    y = cp.coordinate("y")
+    ratio = cp.RandomVariable("ratio", HULLS["two-column"][0])
+    hulls = [HULL_KINDS[kind](y, ratio) for kind in kinds]
+    streams = cp.Sampler("custom", seed=1, budget=N, draw=draw).restricted_each(hulls)
+    ref = _custom_draw(np.random.default_rng(np.random.SeedSequence(1)), N, {})
+    for hull, stream in zip(hulls, streams):
+        v = ref["y"] if hull is None else hull.rv.fn(ref)
+        keep = slice(None) if hull is None else (hull.pieces[0][0] < v) & (v < hull.pieces[0][1])
+        cols = stream.columns()
+        assert list(cols) == list(ref)
+        for name in ref:
+            assert np.array_equal(cols[name], ref[name][keep]), name
+        assert 0 < cols["y"].size <= N
+    drawn, = returned
+    for name, col in drawn.items():
+        assert not col.flags.writeable and np.array_equal(col, ref[name]), name
 
 
 def test_a_missing_sampler_rho_is_zero():
@@ -193,6 +212,13 @@ def test_a_sampler_checks_its_family_params_at_construction(family, params, erro
     with pytest.raises(ValueError) as info:
         cp.Sampler(family, params, seed=1, budget=10)
     assert str(info.value) == error
+
+
+@pytest.mark.parametrize("budget", [0, -3, 2.5])
+def test_a_sampler_checks_its_budget_at_construction(budget):
+    with pytest.raises(ValueError) as info:
+        cp.Sampler("standard-normal-pair", seed=1, budget=budget)
+    assert str(info.value) == f"sampler budget must be an integer >= 1, got {budget!r}"
 
 
 def test_restricted_windows_equal_full_stream_windows():

@@ -621,6 +621,19 @@ def test_one_axis_full_mean_equals_the_full_grid_trapezoid(space_name, axis, req
     assert calls == []
 
 
+@pytest.mark.parametrize("c", [0.0, 1e6, 1e8, 1e9])
+def test_variance_holds_at_any_offset(c, bivariate_05):
+    # the variance is centred: a raw E[X^2] - E[X]^2 cancels at a large offset c
+    y = cp.coordinate("y")
+    sampler = cp.Sampler("standard-normal-pair", seed=0, budget=200_000)
+    assert spaces.std(sampler, y + c) == pytest.approx(sampler.columns()["y"].std(), rel=1e-9)
+    # the grid's mass is 1 + defect, so its mean of y + c is off by c * defect,
+    # whose square the centred variance keeps
+    shift = c * bivariate_05.meta["normalization_defect"]
+    assert spaces.variance(bivariate_05, y + c) == pytest.approx(
+        spaces.variance(bivariate_05, y) + shift * shift, rel=1e-9)
+
+
 def test_one_axis_full_mean_on_a_1d_grid_is_bit_identical(normal_grid):
     nodes, pitch = normal_grid.grid[0], normal_grid.pitches[0]
     for name, rv in _one_axis_variables("y").items():
