@@ -105,7 +105,16 @@ def expression_variable(name: str, expr: str, discrete: bool = False) -> RandomV
 
 
 def _normal_pdf(x, mean, var):
-    return np.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+    """exp(-0.5 * (x - mean)**2 / var) / sqrt(2 pi var), with ``x`` and
+    ``mean`` broadcast: the same operations, filled in place in the one
+    array ``x - mean`` makes."""
+    q = np.subtract(x, mean)
+    np.square(q, out=q)
+    q *= -0.5
+    q /= var
+    np.exp(q, out=q)
+    q /= math.sqrt(2.0 * math.pi * var)
+    return q
 
 
 def _family_params(family: str, given: dict, what: str, extra=()) -> dict:
@@ -154,14 +163,23 @@ def _grid_density(density: dict, what: str, ranges, nodes) -> tuple:
         ranges = ranges or ((-8.0, 8.0), (-8.0, 8.0))
         u, v = _axis_nodes(ranges, nodes)
         det = 1.0 - rho * rho
-        q = (u * u - 2.0 * rho * u * v + v * v) / det
-        return ranges, np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(det))
+        # exp(-0.5 * (u*u - 2 rho u v + v*v) / det) / (2 pi sqrt(det)) in place
+        q = (2.0 * rho * u) * v
+        np.subtract(u * u, q, out=q)
+        q += v * v
+        q /= det
+        q *= -0.5
+        np.exp(q, out=q)
+        q /= 2.0 * math.pi * math.sqrt(det)
+        return ranges, q
     if dims == 2 and family == "gaussian-sum":
         if ranges is None:
             sd_x, sd_y = math.sqrt(p["var_x"]), math.sqrt(p["var_x"] + p["var_noise"])
             ranges = ((-8.0 * sd_x, 8.0 * sd_x), (-8.0 * sd_y, 8.0 * sd_y))
         u, v = _axis_nodes(ranges, nodes)
-        return ranges, _normal_pdf(u, 0.0, p["var_x"]) * _normal_pdf(v - u, 0.0, p["var_noise"])
+        q = _normal_pdf(v, u, p["var_noise"])  # the noise density at y - x: one grid-sized array
+        q *= _normal_pdf(u, 0.0, p["var_x"])
+        return ranges, q
     if family == "uniform":
         raise ConfigError("density family 'uniform' needs "
                           + ("an explicit range" if dims == 1 else "explicit ranges"))

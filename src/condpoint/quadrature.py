@@ -8,9 +8,9 @@ cell costs no additional error order; everything stays O(pitch^2) for
 smooth integrands.
 
 The clipped integral is one array kernel: a grid answers a window trace's
-whole eps schedule in one call per integrand (the mass and the x-moment of
-every window at once), with the same per-window IEEE operations as one
-window on its own.
+whole eps schedule in one call, the mass and the x-moment of every window
+at once as two columns, with the same per-window IEEE operations as one
+window of one integrand on its own.
 """
 
 from __future__ import annotations
@@ -41,17 +41,20 @@ def cumulative(values: np.ndarray, step: float) -> np.ndarray:
 def clip_integral(nodes, values, lo, hi, cum):
     """Integral of the piecewise-linear interpolant over each window [lo, hi].
 
-    `nodes` is a 1D sorted float array, `values` the 1D float node values
-    and `cum` their `cumulative(values, step)`.  `lo` and `hi` are scalars or
-    broadcastable arrays of window ends: a scalar window gives a float, an
-    array of windows an array, so a single window is a batch of one.  Each
+    `nodes` is a 1D sorted float array, `values` the float node values and
+    `cum` their `cumulative`, column by column: 1D, or (nodes, columns) with
+    a trailing column axis whose columns share every window.  `lo` and `hi`
+    are scalars or broadcastable arrays of window ends: a scalar window on
+    1D values gives a float, and otherwise an array of the windows' shape
+    followed by the columns, so a single window is a batch of one.  Each
     window is intersected with the node range (NaN ends stay NaN), and one
     that misses the range entirely integrates to 0.0.
 
     Both ends of every window are located by one ``searchsorted`` (a node
     tie goes right) and read by gathers; each end then costs the same IEEE
     operations, in the same order, as the scalar formula
-    ``cum[j] + (t - x0) * 0.5 * (v0 + v(t))``.
+    ``cum[j] + (t - x0) * 0.5 * (v0 + v(t))``; every column reads the
+    same ``t - x0`` and fraction of its cell.
     """
     if np.shape(lo) != np.shape(hi):
         lo, hi = np.broadcast_arrays(lo, hi)
@@ -69,7 +72,10 @@ def clip_integral(nodes, values, lo, hi, cum):
     x0, x1 = nodes[j], nodes[j + 1]
     v0, v1 = values[j], values[j + 1]
     d = t - x0
-    v_t = v0 + (v1 - v0) * (d / (x1 - x0))
+    frac = d / (x1 - x0)
+    if values.ndim > 1:  # the columns share each end's cell
+        d, frac, empty = d[..., None], frac[..., None], empty[..., None]
+    v_t = v0 + (v1 - v0) * frac
     at = cum[j] + d * 0.5 * (v0 + v_t)
     out = np.where(empty, 0.0, at[0] - at[1])
     return float(out) if out.ndim == 0 else out

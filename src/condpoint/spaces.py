@@ -497,9 +497,10 @@ def _grid_marginal(space, rv: RandomVariable | None, k: int) -> tuple:
     one axis ``j`` (``_axis_of``) folds its node values into axis ``j``'s
     weights, or scales the result when ``j`` is ``k``, so it builds no array
     the size of the grid; any other variable contracts its x*f product.  A
-    window along ``k`` clips only this marginal, a full mean integrates the
-    marginal of axis 0, and the ratio route of ``density`` interpolates the
-    marginals of its conditioning axis.
+    window along ``k`` clips only this marginal, the mass integrates the
+    marginal of the last axis and any other full mean that of axis 0, and
+    the ratio route of ``density`` interpolates the marginals of its
+    conditioning axis.
     """
     def build():
         weights = [_axis_weights(space, i) for i in range(len(space.axes))]
@@ -550,6 +551,21 @@ def window_moments(space, rv: RandomVariable | None, k: int, lo, hi) -> np.ndarr
     return quad.clip_integral(space.grid[k], marg, lo, hi, cum) + 0.0
 
 
+def _window_pairs(space, rv: RandomVariable, k: int, lo, hi) -> np.ndarray:
+    """``window_moments`` of the mass and of ``rv``, as the two columns of
+    one array from one clipped-integral call on their cached marginals along
+    ``k``, side by side in an (nodes, 2) pair cached per variable and axis.
+    The mass marginal is built first, so it is cached even when ``rv`` fails.
+    """
+    def build():
+        mass, marg = _grid_marginal(space, None, k), _grid_marginal(space, rv, k)
+        return tuple(_frozen(np.stack(cols, axis=-1)) for cols in zip(mass, marg))
+
+    key, owner = _cache_key(rv)
+    pair, cum = _memo(space, ("pair", key, k), owner, build)
+    return quad.clip_integral(space.grid[k], pair, lo, hi, cum) + 0.0
+
+
 def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
     """E[1_A X]; with rv None the event mass, with event None the full mean.
 
@@ -562,9 +578,10 @@ def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estima
     """
     if event is None:
         k = _axis_of(self, rv)
-        if k is None:
-            return Estimate(float(quad.integrate(_grid_marginal(self, rv, 0)[0],
-                                                 self.pitches[0])))
+        if k is None:  # the mass off the last axis, the conditioning one; x*f off axis 0
+            k = len(self.axes) - 1 if rv is None else 0
+            return Estimate(float(quad.integrate(_grid_marginal(self, rv, k)[0],
+                                                 self.pitches[k])))
         return Estimate(float(quad.integrate(
             _axis_values(self, rv, k) * _grid_marginal(self, None, k)[0], self.pitches[k])))
     if event.kind == "complement":
@@ -600,7 +617,8 @@ class DensityGrid:
 
     def __post_init__(self):
         self.axes = tuple(self.axes)
-        self.values = np.asarray(self.values, dtype=float)
+        # a read-only view: a write through it would leave every cached marginal stale
+        self.values = _frozen(np.asarray(self.values, dtype=float).view())
         self.quad_tol = finite_number(self.quad_tol, "quad_tol", 0.0)
         if self.values.ndim != len(self.ranges):
             raise ValueError("density values need exactly one axis per range")
@@ -609,12 +627,11 @@ class DensityGrid:
         self.grid = tuple(np.linspace(lo, hi, n)
                           for (lo, hi), n in zip(self.ranges, self.values.shape))
         self.pitches = tuple(float(nodes[1] - nodes[0]) for nodes in self.grid)
-        if not np.all(self.values >= 0):  # NaN fails this test too
+        if not self.values.min() >= 0:  # NaN fails this test too
             raise ValueError("density values must be non-negative numbers")
         # the mass moment(None, None) reads; an inf node fails the check, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            mass = quad.integrate(_grid_marginal(self, None, 0)[0], self.pitches[0])
-        defect = float(mass) - 1.0
+            defect = _grid_moment(self, None, None).value - 1.0
         if not math.isfinite(defect) or abs(defect) > self.quad_tol:  # an infinite node too
             raise ValueError(f"density integrates to 1{defect:+e}, beyond quad_tol")
         self.meta.setdefault("normalization_defect", defect)

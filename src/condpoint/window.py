@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientTrace, NonApproachablePoint, UnsupportedQuery
+from .errors import CondpointError, InsufficientTrace, NonApproachablePoint, UnsupportedQuery
 from .spaces import (
     DensityGrid,
     Event,
@@ -25,6 +25,7 @@ from .spaces import (
     cond_expectation_event,
     is_null,
     std,
+    _window_pairs,
     window_moments,
 )
 from . import quadrature as quad
@@ -184,12 +185,13 @@ class _Windows:
 def _steps(space, X: RandomVariable, pairs):
     """(step, degenerate, event) per window, from the one source of ``space``.
 
-    A grid answers a ``_Windows`` schedule from two clipped-integral calls on
-    its cached marginals, the masses and the x-moments of every window, and
+    A grid answers a ``_Windows`` schedule from one clipped-integral call on
+    its cached marginals, the mass and the x-moment of every window, and
     builds a step's event only when the step is degenerate, the one case
-    whose message names it on a grid; the x-moments wait for the first step
-    that needs them.  Any other space or schedule conditions on one event
-    per step, lazily.
+    whose message names it on a grid.  When X has no marginal, its error
+    waits for the first step that needs the x-moment, as a degenerate step
+    raises first.  Any other space or schedule conditions on one event per
+    step, lazily.
     """
     if not (isinstance(space, DensityGrid) and isinstance(pairs, _Windows)):
         for eps, event in pairs:
@@ -198,14 +200,17 @@ def _steps(space, X: RandomVariable, pairs):
         return
     k = space.axes.index(pairs.Y.coord)
     lo, hi = WINDOW_FAMILIES[pairs.family](pairs.y, np.array(pairs.epsilons, dtype=float))
-    masses, moments = window_moments(space, None, k, lo, hi).tolist(), None
-    for i, (eps, p) in enumerate(zip(map(float, pairs.epsilons), masses)):
+    try:
+        rows, failure = _window_pairs(space, X, k, lo, hi).tolist(), None
+    except CondpointError as exc:
+        rows, failure = [(p, None) for p in window_moments(space, None, k, lo, hi).tolist()], exc
+    for eps, (p, moment) in zip(map(float, pairs.epsilons), rows):
         if is_null(space, p):
             yield WindowStep(eps, 0.0, 0.0, None, p), True, pairs.event(eps)
             continue
-        if moments is None:
-            moments = window_moments(space, X, k, lo, hi).tolist()
-        yield WindowStep(eps, moments[i] / p, 0.0, None, p), False, None
+        if failure is not None:
+            raise failure
+        yield WindowStep(eps, moment / p, 0.0, None, p), False, None
 
 
 def shrink_trace(space, X: RandomVariable, pairs, tol: float = DEFAULT_TOL,

@@ -122,6 +122,18 @@ def test_cached_arrays_are_read_only():
             arr[(0,) * arr.ndim] = 1.0
 
 
+def test_grid_density_is_a_read_only_view_of_the_callers_array():
+    # a write through the space would leave every cached marginal stale
+    f = np.ones((11, 21))
+    space = cp.DensityGrid2D(("x", "y"), ((0.0, 1.0), (0.0, 1.0)), f)
+    with pytest.raises(ValueError):
+        space.values[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        space.values[...] = space.values[::-1]
+    f[0, 0] = 1.0  # the caller's own array stays writable
+    assert np.shares_memory(space.values, f)
+
+
 def test_grid_cache_holds_no_full_grid_array_of_its_own():
     # a window table and a full mean leave values (coordinate views) and 1D
     # marginals behind, no per-node product

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import condpoint as cp
 from condpoint import cli
-from condpoint.config import load_scenario, load_space
+from condpoint.config import build_space, load_scenario, load_space
 from condpoint.errors import ConfigError, GridMismatch
 from condpoint.serialize import to_json, write_csv, write_json
 
@@ -787,3 +789,43 @@ def test_cli_density_expect_reading_a_missing_name(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") <= 1
     assert json.loads(err)["error"].startswith("UndefinedPredicate: expect 'y * 2' failed")
+
+
+@pytest.mark.parametrize("name", ["gaussian-sum-grid", "bivariate-05"])
+def test_grid_construction_holds_one_grid_sized_array(name):
+    # the density is filled in place and its mass read off 1D marginals:
+    # the peak is the density's own bytes plus 1D arrays
+    path = SCENARIO_DIR / "spaces" / f"{name}.json"
+    load_space(path)  # warm: any first-call allocations of the loader
+    tracemalloc.start()
+    try:
+        space = load_space(path).space
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * space.values.nbytes
+
+
+def _grid2d(density: dict, nodes=(121, 161)):
+    space = build_space({"kind": "grid2d", "axes": ["x", "y"], "density": density,
+                         "nodes": list(nodes)})
+    u, v = np.meshgrid(*space.grid, indexing="ij", sparse=True)
+    return space.values, u, v
+
+
+def _pdf(x, var):
+    return np.exp(-0.5 * x**2 / var) / math.sqrt(2.0 * math.pi * var)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+def test_bivariate_normal_fill_is_the_closed_form_bit_for_bit(rho):
+    values, u, v = _grid2d({"family": "bivariate-normal", "rho": rho})
+    det = 1.0 - rho * rho
+    ref = np.exp(-0.5 * (u * u - 2.0 * rho * u * v + v * v) / det) \
+        / (2.0 * math.pi * math.sqrt(det))
+    assert np.array_equal(values, ref)
+
+
+def test_gaussian_sum_fill_is_the_closed_form_bit_for_bit():
+    values, u, v = _grid2d({"family": "gaussian-sum", "var_x": 2.0, "var_noise": 0.5})
+    assert np.array_equal(values, _pdf(u, 2.0) * _pdf(v - u, 0.5))

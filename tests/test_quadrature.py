@@ -114,3 +114,38 @@ def test_grid_moment_of_a_negative_zero_integral_reads_zero():
 def test_kernel_requires_the_cumulative():
     with pytest.raises(TypeError):
         quad.clip_integral(NODES, VALUES, 0.0, 1.0)
+
+
+def _assert_columns_match_1d_calls(nodes, columns, lo, hi):
+    # (n, 2) node values clip to the repr of two 1D calls, column by column
+    pitch = float(nodes[1] - nodes[0])
+    cums = [quad.cumulative(c, pitch) for c in columns]
+    got = quad.clip_integral(nodes, np.stack(columns, axis=-1), lo, hi,
+                             np.stack(cums, axis=-1))
+    assert got.shape == np.broadcast(np.asarray(lo), np.asarray(hi)).shape + (2,)
+    for c, (values, cum) in enumerate(zip(columns, cums)):
+        want = np.asarray(quad.clip_integral(nodes, values, lo, hi, cum))
+        assert [repr(x) for x in got[..., c].ravel().tolist()] == \
+            [repr(x) for x in want.ravel().tolist()], c
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (np.array([0.0, 0.0, 0.5, 2.5]), np.array([1.3, 1.0, 0.5, 0.2])),  # -0.0, and empty
+    (np.array([-3.0, 3.5, -np.inf, 1.0]), np.array([-1.0, 9.0, np.inf, 1e300])),  # off the range
+    (np.array([np.nan, 0.2, 1.0]), np.array([1.0, np.nan, 3.5])),  # a NaN end
+    (0.7, np.array([0.9, 2.0, 3.3, 4.0])),                       # a scalar end broadcast
+    (np.array([[0.1, 1.5], [2.2, -1.0]]), np.array([[0.4, 3.9], [2.3, 0.0]])),  # 2D batch
+    (1.2, 3.1),                                                  # one window
+], ids=["signed-zero", "off-range", "nan-end", "scalar-end", "2d-batch", "one-window"])
+def test_kernel_on_two_columns_is_two_1d_calls(lo, hi):
+    nodes = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    columns = [np.array(SIGNED_ZERO), np.array([0.25, 1.5, 0.75, 2.0, 0.5])]
+    _assert_columns_match_1d_calls(nodes, columns, lo, hi)
+
+
+def test_kernel_on_two_columns_matches_random_windows():
+    rng = np.random.default_rng(20260811)
+    lo = rng.uniform(-2.0, 3.5, 200)
+    hi = lo + rng.uniform(-0.5, 2.0, 200)
+    lo[:20] = rng.choice(NODES, 20)  # node ties
+    _assert_columns_match_1d_calls(NODES, [VALUES, np.cos(NODES) * VALUES], lo, hi)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import condpoint as cp
+from condpoint import quadrature as quad
 from condpoint.config import load_space
-from condpoint.errors import InsufficientTrace, NonApproachablePoint
+from condpoint.errors import InsufficientTrace, NonApproachablePoint, NonIntegrable
 from condpoint.window import CONVERGED, STARVED, shrink_trace
 
 import oracles
@@ -397,3 +398,36 @@ def test_evaluate_on_grid_flags_a_non_finite_node(normal_grid):
     assert pw.verdicts == [CONVERGED, "NonApproachablePoint"]
     assert len(pw.flags) == 1 and math.isnan(pw.flags[0][0])
     assert pw.to_json_dict()["values"][1] is None
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    calls = []
+    real = quad.clip_integral
+    monkeypatch.setattr(quad, "clip_integral",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("stop_early", [True, False])
+def test_grid_trace_clips_its_masses_and_moments_in_one_kernel_call(monkeypatch, bivariate,
+                                                                  stop_early):
+    space = bivariate(0.5)
+    calls = _count_kernel_calls(monkeypatch)
+    tr = cp.window_estimate(space, Z_COORD, Y_COORD, 0.35, stop_early=stop_early)
+    assert len(tr.steps) >= 3 and len(calls) == 1
+
+
+def test_degenerate_first_window_is_named_before_a_variable_with_no_marginal():
+    # f vanishes for y < 0: the first window at y = -0.5 has no mass, so the
+    # trace raises its NonApproachablePoint, not 1/x's error, which a
+    # trace with mass raises at its first step
+    nodes = np.linspace(-1.0, 1.0, 41)
+    f = np.broadcast_to(np.where(nodes > 0.0, 1.0, 0.0), (41, 41))
+    f = f / np.trapezoid(np.trapezoid(f, nodes, axis=1), nodes)
+    space = cp.DensityGrid2D(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)), f, quad_tol=1e-12)
+    inv = cp.RandomVariable("1/x", lambda frame: 1.0 / frame["x"])
+    schedule = cp.Schedule(eps0=0.2)
+    with pytest.raises(NonApproachablePoint, match="has mass 0.0"):
+        cp.window_estimate(space, inv, Y_COORD, -0.5, schedule=schedule)
+    with pytest.raises(NonIntegrable, match="not finite on the grid"):
+        cp.window_estimate(space, inv, Y_COORD, 0.5, schedule=schedule)
