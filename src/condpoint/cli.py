@@ -155,25 +155,17 @@ def run(scenario: Scenario, outdir: Path) -> dict:
     return entry
 
 
-def _run_path(path_str: str, outdir_str: str) -> dict:
+def _run_path(path: Path, outdir: Path) -> dict:
     try:
-        scenario = load_scenario(path_str)
+        scenario = load_scenario(path)
     except CondpointError as exc:
-        return {"name": Path(path_str).stem, "task": None, "ok": False,
+        return {"name": Path(path).stem, "task": None, "ok": False,
                 "error": f"{type(exc).__name__}: {exc}", "artifacts": []}
-    return run(scenario, Path(outdir_str))
+    return run(scenario, outdir)
 
 
-def run_paths(paths, outdir: Path, parallel: bool = False) -> dict:
-    if parallel and len(paths) > 1:
-        # imported here: loading the process pool would slow every `import condpoint.cli`
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor() as pool:
-            entries = list(pool.map(_run_path, [str(p) for p in paths],
-                                    [str(outdir)] * len(paths)))
-    else:
-        entries = [_run_path(str(p), str(outdir)) for p in paths]
+def run_paths(paths, outdir: Path) -> dict:
+    entries = [_run_path(p, outdir) for p in paths]
     entries.sort(key=lambda e: e["name"])
     summary = {"kind": "run_summary", "schema_version": SCHEMA_VERSION,
                "ok": all(e["ok"] for e in entries), "scenarios": entries}
@@ -187,18 +179,29 @@ def run_paths(paths, outdir: Path, parallel: bool = False) -> dict:
 
 
 def _series(doc: dict, family: str | None = None):
-    if family is not None:
-        families = doc.get("families") or {}
-        if family not in families:
-            raise GridMismatch(f"no family {family!r} in this artifact")
-        doc = families[family]
-    kind = doc.get("kind")
-    if kind == "window_trace":
-        return ([s["eps"] for s in doc["steps"]],
-                [s["estimate"] for s in doc["steps"]])
-    if "grid" in doc and "values" in doc:
-        return doc["grid"], doc["values"]
-    raise GridMismatch(f"artifact kind {kind!r} carries no comparable series")
+    """(grid, values) of an artifact's trace; GridMismatch for a series that
+    cannot be read, or whose values and grid differ in length."""
+    try:
+        if family is not None:
+            families = doc.get("families") or {}
+            if family not in families:
+                raise GridMismatch(f"no family {family!r} in this artifact")
+            doc = families[family]
+        kind = doc.get("kind")
+        if kind == "window_trace":
+            grid = [s["eps"] for s in doc["steps"]]
+            values = [s["estimate"] for s in doc["steps"]]
+        elif "grid" in doc and "values" in doc:
+            grid, values = list(doc["grid"]), list(doc["values"])
+        else:
+            raise GridMismatch(f"artifact kind {kind!r} carries no comparable series")
+        values = [None if v is None else float(v) for v in values]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise GridMismatch(f"artifact series cannot be read: {exc!r}") from exc
+    if len(grid) != len(values):
+        raise GridMismatch(f"artifact series has {len(values)} values "
+                           f"on {len(grid)} grid nodes")
+    return grid, values
 
 
 def compare(trace_a: dict, trace_b: dict, tol: float,
@@ -281,7 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run scenario files")
     p.add_argument("scenarios", nargs="*", type=Path)
     p.add_argument("--outdir", type=Path, default=Path("out"))
-    p.add_argument("--parallel", action="store_true")
 
     p = sub.add_parser("compare", help="diff two trace artifacts")
     p.add_argument("a", type=Path)
@@ -318,7 +320,7 @@ _NOT_PARAMS = ("command", "space", "seed", "tol", "out", "emit_density")
 
 def _dispatch(args) -> int:
     if args.command == "run":
-        summary = run_paths(args.scenarios, args.outdir, parallel=args.parallel)
+        summary = run_paths(args.scenarios, args.outdir)
         sys.stdout.write(to_json(summary))
         return 0 if summary["ok"] else 1
 

@@ -48,9 +48,6 @@ class FactorizationResult:
         """phi on the levels where factorization holds."""
         return {lv: w[0] for lv, w in zip(self.levels, self.witnesses) if len(w) == 1}
 
-    def offending(self) -> list:
-        return [(lv, w) for lv, w in zip(self.levels, self.witnesses) if len(w) > 1]
-
     def to_json_dict(self) -> dict:
         return {
             "kind": "factorization",

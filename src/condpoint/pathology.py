@@ -35,7 +35,7 @@ from .spaces import (
     probability,
     values_on,
 )
-from .window import CONVERGED, DEFAULT_N_MIN, DEFAULT_TOL, Schedule, WindowTrace, shrink_trace
+from .window import CONVERGED, DEFAULT_TOL, Schedule, WindowTrace, shrink_trace
 
 # Value planted on the null set by the second candidate; any number works
 # there, which is the point being demonstrated.
@@ -166,10 +166,9 @@ def _kept_rows(stream) -> int:
 
 
 def _family_trace(fam: ApproximationFamily, stream, X: RandomVariable, pairs,
-                  tol: float, n_min: int) -> WindowTrace:
+                  tol: float) -> WindowTrace:
     try:
-        trace = shrink_trace(stream, X, pairs, tol=tol, n_min=n_min, target=0.0,
-                             stop_early=False)
+        trace = shrink_trace(stream, X, pairs, tol=tol, target=0.0, stop_early=False)
     except NonApproachablePoint as exc:
         raise FamilyNotShrinking(f"family {fam.name!r} lost positivity: {exc}") from exc
     _check_shrinking(fam.name, trace)
@@ -191,7 +190,7 @@ def _report(description: str, traces: dict) -> ParadoxReport:
 
 
 def paradox_reports(space, X: RandomVariable, groups, schedule: Schedule,
-                    tol: float = DEFAULT_TOL, n_min: int = DEFAULT_N_MIN) -> list:
+                    tol: float = DEFAULT_TOL) -> list:
     """One ParadoxReport per ``(families, description)`` group, from one draw plan.
 
     Every family runs over the full schedule (no early stopping) on one
@@ -234,17 +233,16 @@ def paradox_reports(space, X: RandomVariable, groups, schedule: Schedule,
         streams = dict.fromkeys(pairs, space)
     traces = {}
     for key in sorted(pairs, key=lambda key: _kept_rows(streams[key])):
-        traces[key] = _family_trace(key[1], streams.pop(key), X, pairs[key], tol, n_min)
+        traces[key] = _family_trace(key[1], streams.pop(key), X, pairs[key], tol)
     return [_report(description, {fam.name: traces[i, fam] for i, fam in enumerate(families)})
             for families, description in groups]
 
 
 def borel_kolmogorov(space, X: RandomVariable, families, schedule: Schedule,
-                     tol: float = DEFAULT_TOL, n_min: int = DEFAULT_N_MIN,
-                     description: str = "") -> ParadoxReport:
+                     tol: float = DEFAULT_TOL, description: str = "") -> ParadoxReport:
     """Run every family over the full schedule and compare converged limits:
     the one-group case of ``paradox_reports``."""
-    return paradox_reports(space, X, [(families, description)], schedule, tol, n_min)[0]
+    return paradox_reports(space, X, [(families, description)], schedule, tol)[0]
 
 
 def ratio_normal_instance(seed: int = 20260811, budget: int = 20_000_000) -> dict:

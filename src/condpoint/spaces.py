@@ -43,10 +43,10 @@ from .errors import EmptyRange, NonIntegrable, OutsideHull, UndefinedPredicate
 PROB_FLOOR = 1e-12
 
 
-def is_null(space, p: float, floor: float = PROB_FLOOR) -> bool:
-    """Whether the mass ``p`` is null on ``space``: zero, or below ``floor``
+def is_null(space, p: float) -> bool:
+    """Whether the mass ``p`` is null on ``space``: zero, or below ``PROB_FLOOR``
     off discrete spaces.  Every nullity decision in the package is this one."""
-    return p <= 0.0 or (p < floor and not isinstance(space, DiscreteAtoms))
+    return p <= 0.0 or (p < PROB_FLOOR and not isinstance(space, DiscreteAtoms))
 
 
 def _fsum(terms) -> float:
@@ -388,10 +388,10 @@ def _indicator(self, event: Event) -> np.ndarray:
     return self._apply(f"event {event.name!r}", test, bool)
 
 
-def _ratio_cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
+def _ratio_cond(self, rv: RandomVariable, event: Event) -> ConditionalEstimate:
     """E[1_A X] / P(A); the degenerate branch when ``is_null`` holds for P(A)."""
     p = self.moment(None, event).value
-    if is_null(self, p, floor):
+    if is_null(self, p):
         return ConditionalEstimate(0.0, prob=p, degenerate=True)
     return ConditionalEstimate(self.moment(rv, event).value / p, prob=p)
 
@@ -1008,12 +1008,12 @@ class Sampler:
         var = (float((d * d).sum()) + (n - k) * m1 * m1) / n
         return Estimate(m1, math.sqrt(var / n), n)
 
-    def cond(self, rv: RandomVariable, event: Event, floor: float) -> ConditionalEstimate:
+    def cond(self, rv: RandomVariable, event: Event) -> ConditionalEstimate:
         rows = self._rows(event)
         k = self._count(rows)
         n = int(self.budget)
         p = k / n
-        if is_null(self, p, floor):
+        if is_null(self, p):
             return ConditionalEstimate(0.0, n=k, prob=p, degenerate=True)
         xs = self._masked_values(rv, rows)
         mean = float(xs.mean())
@@ -1045,10 +1045,10 @@ def indicator_moment(space: ProbabilitySpace, rv: RandomVariable, event: Event) 
 
 
 def cond_expectation_event(space: ProbabilitySpace, rv: RandomVariable,
-                           event: Event, floor: float = PROB_FLOOR) -> ConditionalEstimate:
+                           event: Event) -> ConditionalEstimate:
     """E[X | A] = E[1_A X] / P(A), and 0 on the degenerate branch where
-    ``is_null(space, P(A), floor)`` holds."""
-    return space.cond(rv, event, floor)
+    ``is_null(space, P(A))`` holds."""
+    return space.cond(rv, event)
 
 
 def values_on(space: ProbabilitySpace, rv: RandomVariable, event: Event) -> np.ndarray:

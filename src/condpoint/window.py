@@ -36,7 +36,8 @@ DIVERGED = "Diverged"
 STARVED = "Starved"
 
 DEFAULT_TOL = 1e-6
-DEFAULT_N_MIN = 100
+# Fewest sampler rows a window may hold before its trace ends Starved.
+N_MIN = 100
 ORDER_STABILITY = 0.4
 ORDER_RANGE = (0.2, 8.0)
 
@@ -214,14 +215,13 @@ def _steps(space, X: RandomVariable, pairs):
 
 
 def shrink_trace(space, X: RandomVariable, pairs, tol: float = DEFAULT_TOL,
-                 n_min: int = DEFAULT_N_MIN, target: float = 0.0,
-                 resolution: float | None = None, one_sided: str | None = None,
-                 stop_early: bool = True) -> WindowTrace:
+                 target: float = 0.0, resolution: float | None = None,
+                 one_sided: str | None = None, stop_early: bool = True) -> WindowTrace:
     """Drive a shrinking sequence of positive-probability events.
 
     ``pairs`` yields (eps, event) in strictly decreasing eps.  Raises
     NonApproachablePoint when an event's probability is floored before any
-    adequate step exists; otherwise sampler windows below ``n_min`` rows end
+    adequate step exists; otherwise sampler windows below ``N_MIN`` rows end
     the trace with the Starved verdict instead of a noise-dominated value.
     With ``stop_early`` unset the full schedule runs and convergence is
     judged on the final pair of steps, which keeps multi-family comparisons
@@ -230,7 +230,7 @@ def shrink_trace(space, X: RandomVariable, pairs, tol: float = DEFAULT_TOL,
     steps: list[WindowStep] = []
     ran_dry = False
     for step, degenerate, event in _steps(space, X, pairs):
-        if degenerate or (step.n is not None and step.n < n_min):
+        if degenerate or (step.n is not None and step.n < N_MIN):
             # a sampler window starved after some steps ends the trace
             if step.n is not None and steps:
                 ran_dry = True
@@ -238,7 +238,7 @@ def shrink_trace(space, X: RandomVariable, pairs, tol: float = DEFAULT_TOL,
             raise NonApproachablePoint(
                 f"window {event.name!r} at target {target!r} has mass {step.prob!r}"
                 if degenerate else
-                f"window {event.name!r} holds {step.n} samples, below n_min={n_min}")
+                f"window {event.name!r} holds {step.n} samples, below n_min={N_MIN}")
         steps.append(step)
         if stop_early and len(steps) >= 2 and _assess(steps, tol):
             break
@@ -279,8 +279,7 @@ def _conditioning_geometry(space, Y: RandomVariable):
 
 def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
                     schedule: Schedule | None = None, tol: float = DEFAULT_TOL,
-                    n_min: int = DEFAULT_N_MIN, stop_early: bool = True,
-                    family: str = "symmetric") -> WindowTrace:
+                    stop_early: bool = True, family: str = "symmetric") -> WindowTrace:
     """E[X | Y = y] as the limit of E[X | Y in (y-eps, y+eps)].
 
     ``family`` selects the shrinking neighborhoods: "symmetric" (the tested
@@ -312,7 +311,7 @@ def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
                 family = "lower"
     y = float(y)
     return shrink_trace(space, X, _Windows(Y, y, family, epsilons), tol=tol,
-                        n_min=n_min, target=y, resolution=pitch,
+                        target=y, resolution=pitch,
                         one_sided=None if family == "symmetric" else family,
                         stop_early=stop_early)
 
@@ -353,8 +352,8 @@ class PointwiseCondExp:
 
 
 def evaluate_on_grid(space, X: RandomVariable, Y: RandomVariable, y_grid,
-                     schedule: Schedule | None = None, tol: float = DEFAULT_TOL,
-                     n_min: int = DEFAULT_N_MIN) -> PointwiseCondExp:
+                     schedule: Schedule | None = None,
+                     tol: float = DEFAULT_TOL) -> PointwiseCondExp:
     """Tabulate window traces over y_grid.
 
     Sampler evaluations draw an independent child stream per node, derived
@@ -368,7 +367,7 @@ def evaluate_on_grid(space, X: RandomVariable, Y: RandomVariable, y_grid,
         node_space = space.substream(i) if isinstance(space, Sampler) else space
         try:
             traces.append(window_estimate(node_space, X, Y, float(y),
-                                          schedule=schedule, tol=tol, n_min=n_min))
+                                          schedule=schedule, tol=tol))
         except NonApproachablePoint as exc:
             traces.append(None)
             flags.append((float(y), str(exc)))

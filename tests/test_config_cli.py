@@ -243,16 +243,6 @@ def test_run_reports_an_unknown_task_as_failed(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_run_parallel_matches_sequential(tmp_path):
-    paths = [SCENARIO_DIR / "dice-partition.json", SCENARIO_DIR / "coin-factorize.json"]
-    seq = cli.run_paths(paths, tmp_path / "seq")
-    par = cli.run_paths(paths, tmp_path / "par", parallel=True)
-    assert par["ok"] and par["scenarios"] == seq["scenarios"]
-    for name in ("dice-partition.json", "coin-factorize.json", "summary.json"):
-        assert (tmp_path / "par" / name).read_bytes() == \
-            (tmp_path / "seq" / name).read_bytes()
-
-
 def test_run_reports_scenario_errors(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text(json.dumps({"schema_version": 1, "name": "broken", "task": "window",
@@ -760,6 +750,22 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
         err = json.loads(captured.err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(f"artifact {message}: {tmp_path / name}")
+
+
+@pytest.mark.parametrize("doc_a, doc_b, message", [
+    ({"schema_version": 1, "kind": "window_trace"}, None, "cannot be read: KeyError('steps')"),
+    ({"schema_version": 1, "grid": [0, 1], "values": [1]},
+     {"schema_version": 1, "grid": [0, 1], "values": [1, 9]}, "has 1 values on 2 grid nodes"),
+], ids=["trace-without-steps", "values-shorter-than-grid"])
+def test_cli_compare_rejects_a_malformed_artifact(tmp_path, capsys, doc_a, doc_b, message):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(doc_a))
+    b.write_text(json.dumps(doc_b or doc_a))
+    assert cli.main(["compare", str(a), str(b)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "GridMismatch" and err["message"].endswith(message)
 
 
 def test_run_reports_a_variable_reading_a_missing_name(tmp_path, capsys):

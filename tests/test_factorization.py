@@ -18,7 +18,6 @@ def test_constant_map_counterexample():
     res = factorize(space, g, f, [0.0])
     assert res.verdict == NOT_MEASURABLE
     assert res.witnesses == [[1.0, 2.0]]
-    assert res.offending() == [(0.0, [1.0, 2.0])]
 
 
 def test_round_trip_exact(dice):

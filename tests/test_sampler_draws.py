@@ -228,7 +228,7 @@ def test_restricted_windows_equal_full_stream_windows():
     z_sq = cp.RandomVariable("z_squared", lambda c: c["z"] ** 2)
     for eps in (0.4, 0.2, 0.1, 0.05):
         event = cp.Event.window(y, 0.0, eps)
-        assert sub.cond(z_sq, event, 0.0) == full.cond(z_sq, event, 0.0)
+        assert sub.cond(z_sq, event) == full.cond(z_sq, event)
         assert sub.moment(z_sq, event) == full.moment(z_sq, event)
         assert sub.moment(None, event) == full.moment(None, event)
 
@@ -241,8 +241,8 @@ def test_a_window_covering_the_hull_reads_every_kept_row():
     sub = full.restricted(cp.Event.window(y, 0.0, 0.4))
     kept = len(sub.columns()["y"])
     event = cp.Event.window(y, 0.0, 0.4)
-    got = sub.cond(z, event, 0.0)
-    assert got.n == kept and got == full.cond(z, event, 0.0)
+    got = sub.cond(z, event)
+    assert got.n == kept and got == full.cond(z, event)
     assert sub.moment(z, event) == full.moment(z, event)
     assert not [key for key in sub._cache if isinstance(key, tuple) and key[0] == "kept"]
 
@@ -276,7 +276,7 @@ def test_restricted_stream_refuses_reads_of_its_rows_as_the_sample(query):
     # only the hull's rows
     sub, y = _restricted_pair()
     z = cp.coordinate("z")
-    sub.cond(z, cp.Event.window(y, 0.0, 0.1), 0.0)  # memoises y on the kept rows
+    sub.cond(z, cp.Event.window(y, 0.0, 0.1))  # memoises y on the kept rows
     calls = {
         "frame": lambda: sub.frame(),
         "values_of": lambda: sub.values_of(y),
@@ -327,8 +327,8 @@ def _serial_reference(inst, families):
     """The paradox report from full substreams, one family after another."""
     epsilons = inst["schedule"].epsilons(inst["schedule"].eps0)
     traces = {fam.name: shrink_trace(inst["space"].substream(i), inst["X"],
-                                     fam.pairs(epsilons), tol=1e-6, n_min=100,
-                                     target=0.0, stop_early=False)
+                                     fam.pairs(epsilons), tol=1e-6, target=0.0,
+                                     stop_early=False)
               for i, fam in enumerate(families)}
     (na, ta), (nb, tb) = traces.items()
     assert ta.verdict == tb.verdict == "Converged"

@@ -12,7 +12,7 @@ import pytest
 
 import condpoint as cp
 from condpoint.config import expression_variable
-from condpoint.spaces import PROB_FLOOR, _draw_gaussian_sum
+from condpoint.spaces import _draw_gaussian_sum
 
 N = 4000
 PARAMS = {"var_x": 1.0, "var_noise": 1.0}
@@ -76,7 +76,7 @@ def test_cond_and_moment_equal_numpy_on_columns(label):
     k = int(mask.sum())
     assert 1 < k < N
 
-    got = space.cond(x, event, PROB_FLOOR)
+    got = space.cond(x, event)
     assert (got.value, got.se, got.n, got.prob, got.degenerate) == (
         float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(k)), k, k / N, False)
 
@@ -105,7 +105,7 @@ def test_event_moment_se_holds_at_any_offset(c, lo):
 def test_empty_window_takes_the_degenerate_branch():
     space, taken = _spy_sampler()
     event = cp.Event.window(y, 100.0, 1e-3)
-    assert space.cond(x, event, PROB_FLOOR) == cp.ConditionalEstimate(
+    assert space.cond(x, event) == cp.ConditionalEstimate(
         0.0, n=0, prob=0.0, degenerate=True)
     assert space.moment(x, event) == cp.Estimate(0.0, 0.0, N)
     assert space.moment(None, event) == cp.Estimate(0.0, 0.0, N)
@@ -129,7 +129,7 @@ def test_config_expression_gathers_only_the_names_it_reads():
     expected = expr.fn({k: v[mask] for k, v in cols.items()})
     k = int(mask.sum())
 
-    got = space.cond(expr, event, PROB_FLOOR)
+    got = space.cond(expr, event)
     assert taken == ["y"]
     assert (got.value, got.se, got.n) == (
         float(expected.mean()), float(expected.std(ddof=1) / math.sqrt(k)), k)
@@ -143,7 +143,7 @@ def test_frame_membership_iteration_and_length_gather_nothing():
         probes.append(("y" in frame, "w" in frame, sorted(frame), len(frame)))
         return frame["y"] + frame["y"]
 
-    got = space.cond(cp.RandomVariable("2y", fn), cp.Event.window(x, 0.0, 0.5), PROB_FLOOR)
+    got = space.cond(cp.RandomVariable("2y", fn), cp.Event.window(x, 0.0, 0.5))
     assert probes == [(True, False, ["eps", "x", "y"], 3)]
     assert taken == ["y"]
     assert got.n > 1
@@ -165,7 +165,7 @@ def test_variable_reading_the_whole_frame_gets_every_column_masked():
     k = int(mask.sum())
     xs = cols["x"][mask] - 0.5 * cols["eps"][mask]
 
-    got = space.cond(rv, event, PROB_FLOOR)
+    got = space.cond(rv, event)
     assert seen == [{"x": k, "eps": k, "y": k}]
     assert sorted(taken) == ["eps", "x", "y"]
     assert (got.value, got.se) == (float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(k)))
@@ -176,9 +176,9 @@ def test_variable_reading_the_whole_frame_gets_every_column_masked():
 def test_window_gathers_add_no_cache_entries():
     space, _ = _spy_sampler()
     event = cp.Event.window(y, 0.5, 0.3)
-    space.cond(x, event, PROB_FLOOR)
+    space.cond(x, event)
     before = set(space._cache)
     for _ in range(3):
-        space.cond(x, event, PROB_FLOOR)
+        space.cond(x, event)
         space.moment(expression_variable("g", "x * y"), event)
     assert set(space._cache) == before

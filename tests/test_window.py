@@ -10,7 +10,7 @@ import condpoint as cp
 from condpoint import quadrature as quad
 from condpoint.config import load_space
 from condpoint.errors import InsufficientTrace, NonApproachablePoint, NonIntegrable
-from condpoint.window import CONVERGED, STARVED, shrink_trace
+from condpoint.window import CONVERGED, N_MIN, STARVED, shrink_trace
 
 import oracles
 from conftest import SCENARIO_DIR
@@ -195,13 +195,14 @@ def test_grid_window_requires_coordinate(gaussian_sum_grid):
 
 
 def test_sampler_starvation():
-    space = cp.Sampler("gaussian-sum", {"var_x": 1.0, "var_noise": 1.0},
-                       seed=5, budget=2000)
-    tr = cp.window_estimate(space, X_COORD, Y_COORD, 2.0, tol=1e-15, n_min=400)
+    def space(budget):
+        return cp.Sampler("gaussian-sum", {"var_x": 1.0, "var_noise": 1.0},
+                          seed=5, budget=budget)
+    tr = cp.window_estimate(space(1000), X_COORD, Y_COORD, 2.0, tol=1e-15)
     assert tr.verdict == STARVED
-    assert all(s.n >= 400 for s in tr.steps)
-    with pytest.raises(NonApproachablePoint):  # first window already starved
-        cp.window_estimate(space, X_COORD, Y_COORD, 2.0, n_min=1500)
+    assert all(s.n >= N_MIN for s in tr.steps)
+    with pytest.raises(NonApproachablePoint, match=f"below n_min={N_MIN}$"):
+        cp.window_estimate(space(200), X_COORD, Y_COORD, 2.0)  # first window already starved
 
 
 def test_sampler_trace_determinism(gaussian_sum_sampler):
