@@ -67,10 +67,6 @@ class FamilyNotShrinking(CondpointError):
     """An approximation family violated positivity or monotone shrinkage."""
 
 
-class OutsideHull(CondpointError):
-    """A query reaches rows that a hull-restricted sampler stream did not keep."""
-
-
 class GridMismatch(CondpointError):
     """Two traces do not share a comparison grid."""
 

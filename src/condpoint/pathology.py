@@ -14,7 +14,6 @@ Three demonstrations:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,7 +29,6 @@ from .spaces import (
     complement_within,
     cond_expectation_event,
     expectation,
-    interval_hull,
     is_null,
     probability,
     values_on,
@@ -41,9 +39,10 @@ from .window import CONVERGED, DEFAULT_TOL, Schedule, WindowTrace, shrink_trace
 # there, which is the point being demonstrated.
 ARBITRARY_NULL_VALUE = 17.0
 
-# Worker threads drawing the family streams of a paradox.  numpy releases
-# the GIL while it draws, and each draw in flight holds about one head column,
-# so this bounds memory whatever the core count.
+# Worker threads running the streamed passes of a paradox's substreams.
+# numpy releases the GIL while it draws, and each pass in flight holds a few
+# blocks of rows, not a column, so this bounds the CPU a paradox takes, not
+# its memory.
 DRAW_THREADS = 2
 
 
@@ -158,13 +157,6 @@ def _check_shrinking(name: str, trace: WindowTrace):
         raise FamilyNotShrinking(f"family {name!r} mass does not shrink along the schedule")
 
 
-def _kept_rows(stream) -> int:
-    """Rows a sampler stream holds; 0 on any other space."""
-    if not isinstance(stream, Sampler):
-        return 0
-    return len(next(iter(stream.columns().values()), ()))
-
-
 def _family_trace(fam: ApproximationFamily, stream, X: RandomVariable, pairs,
                   tol: float) -> WindowTrace:
     try:
@@ -201,19 +193,19 @@ def paradox_reports(space, X: RandomVariable, groups, schedule: Schedule,
 
     On a sampler, family ``i`` of a group runs on ``space.substream(i)``.
     A trace is keyed by (substream index, family): a key listed by several
-    groups is traced once and its trace shared.  A family whose events are
-    intervals of one variable keeps only the rows inside their hull, which
-    gives the numbers of the full stream.  Each substream is drawn once, by
-    ``Sampler.restricted_each`` on DRAW_THREADS worker threads, and that one
-    generator pass fills the hull of every family it feeds.
-    The traces then run on the calling thread, fewest kept rows first
-    (family order on ties), and each stream is dropped when its trace ends.
+    groups is traced once and its trace shared.  Each substream answers
+    every window of every family it feeds in one streamed pass
+    (``Sampler.cond_each``), which keeps no rows; the passes run on
+    DRAW_THREADS worker threads.  The traces then run on the calling thread,
+    in family order, from the stored answers, so no substream draws its
+    columns.
     """
     if schedule.eps0 is None:
         raise ValueError("paradox schedules need an explicit eps0")
     epsilons = schedule.epsilons(schedule.eps0)
     pairs = {key: key[1].pairs(epsilons) for key in dict.fromkeys(
         (i, fam) for families, _ in groups for i, fam in enumerate(families))}
+    streams = dict.fromkeys(pairs, space)
     if isinstance(space, Sampler):
         # imported here: it would add 2.5 ms to every `import condpoint`
         from concurrent.futures import ThreadPoolExecutor
@@ -221,19 +213,12 @@ def paradox_reports(space, X: RandomVariable, groups, schedule: Schedule,
         plan: dict = {}  # substream index -> the trace keys it feeds
         for key in pairs:
             plan.setdefault(key[0], []).append(key)
-        subs = [space.substream(i) for i in plan]
-        hulls = [tuple(interval_hull(event for _, event in pairs[key]) for key in keys)
-                 for keys in plan.values()]
+        subs = {i: space.substream(i) for i in plan}
+        streams = {key: subs[key[0]] for key in pairs}
         with ThreadPoolExecutor(DRAW_THREADS) as pool:
-            # one expression: no name is left holding a substream's streams
-            streams = dict(zip((key for keys in plan.values() for key in keys),
-                               itertools.chain.from_iterable(
-                                   pool.map(Sampler.restricted_each, subs, hulls))))
-    else:
-        streams = dict.fromkeys(pairs, space)
-    traces = {}
-    for key in sorted(pairs, key=lambda key: _kept_rows(streams[key])):
-        traces[key] = _family_trace(key[1], streams.pop(key), X, pairs[key], tol)
+            list(pool.map(lambda i: subs[i].cond_each(
+                X, [[event for _, event in pairs[key]] for key in plan[i]]), plan))
+    traces = {key: _family_trace(key[1], streams[key], X, pairs[key], tol) for key in pairs}
     return [_report(description, {fam.name: traces[i, fam] for i, fam in enumerate(families)})
             for families, description in groups]
 

@@ -23,6 +23,7 @@ variable, or complements of those.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import mmap
@@ -36,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature as quad
-from .errors import EmptyRange, NonIntegrable, OutsideHull, UndefinedPredicate
+from .errors import EmptyRange, NonIntegrable, UndefinedPredicate
 
 # Below this mass, grid and sampler events are treated as null: floating
 # point cannot witness exact nullity off the discrete variant.
@@ -242,24 +243,10 @@ def union_events(events, name: str | None = None) -> Event:
         np.logical_or, (e._eval(arg) for e in events)))
 
 
-def interval_hull(events) -> Event | None:
-    """The smallest interval event covering every event in ``events``.
-
-    None unless every event is an interval event of one variable and at
-    least one of them has a piece.
-    """
-    events = list(events)
-    pieces = [p for e in events for p in e.pieces]
-    if not pieces or any(e.kind != "intervals" or not _same_variable(e.rv, events[0].rv)
-                         for e in events):
-        return None
-    return Event.interval(events[0].rv, min(lo for lo, _ in pieces),
-                          max(hi for _, hi in pieces))
-
-
 def _inside(event: Event, hull: Event) -> bool:
-    """Whether ``event`` is an interval event of the hull's variable within ``hull``."""
-    return (event.kind == "intervals" and _same_variable(event.rv, hull.rv)
+    """Whether ``event`` and ``hull`` are interval events of one variable,
+    each piece of ``event`` within a piece of ``hull``."""
+    return (event.kind == hull.kind == "intervals" and _same_variable(event.rv, hull.rv)
             and all(any(a <= lo and hi <= b for a, b in hull.pieces)
                     for lo, hi in event.pieces))
 
@@ -626,7 +613,9 @@ class DensityGrid:
             raise ValueError("grid needs at least 2 nodes and hi > lo")
         self.grid = tuple(np.linspace(lo, hi, n)
                           for (lo, hi), n in zip(self.ranges, self.values.shape))
-        self.pitches = tuple(float(nodes[1] - nodes[0]) for nodes in self.grid)
+        # from the range, as linspace's step: two node values carry their roundoff
+        self.pitches = tuple(float(hi - lo) / (n - 1)
+                             for (lo, hi), n in zip(self.ranges, self.values.shape))
         if not self.values.min() >= 0:  # NaN fails this test too
             raise ValueError("density values must be non-negative numbers")
         # the mass moment(None, None) reads; an inf node fails the check, not as a warning
@@ -677,23 +666,21 @@ DRAW_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class DrawFamily:
-    """A sample family: head columns drawn whole, then, in a built-in
-    family, a last column drawn block by block.
+    """A built-in sample family: a head column, then a last column.
 
-    ``head(rng, n, params)`` draws all ``n`` rows of the head columns, each
-    into a column of its own, and returns them by name: the protocol of a
-    custom ``draw`` callable, which is ``DrawFamily(draw)``, a family with
-    no last column.  ``last(rng, rows, out, params)`` draws one block of
-    the last column into ``out`` and returns it with any column derived
-    from it; ``rows`` holds the head columns of that block.  Calling the
-    family draws all ``n`` rows.
+    ``head(rng, out, params)`` draws the head column into ``out``, of any
+    length, and returns it by name.  ``last(rng, rows, out, params)`` draws
+    one block of the last column into ``out`` and returns it with any column
+    derived from it; ``rows`` holds the head columns of that block.  Calling
+    the family draws all ``n`` rows, as a custom ``draw(rng, n, params)``
+    callable does.
     """
 
     head: Callable
-    last: Callable | None = None
+    last: Callable
 
     def __call__(self, rng, n, params) -> dict:
-        return _stream(self, rng, int(n), params, (None,))[0]
+        return _columns(int(n), *_stream(self, rng, int(n), params))
 
 
 # Anonymous maps private to this process (Windows maps take no flags and are).
@@ -711,20 +698,8 @@ def _mapped(n: int, dtype=float) -> np.ndarray:
     return np.frombuffer(region, dtype=dtype, count=n)
 
 
-def _release(col: np.ndarray, lo: int, hi: int) -> None:
-    """Give the whole pages inside rows ``[lo, hi)`` of a mapped column back
-    to the system; they read as zeros until written again."""
-    region = getattr(col.base, "obj", None)
-    if not isinstance(region, mmap.mmap) or not hasattr(region, "madvise"):
-        return
-    first = -(-lo * col.itemsize // mmap.PAGESIZE) * mmap.PAGESIZE
-    end = hi * col.itemsize // mmap.PAGESIZE * mmap.PAGESIZE
-    if first < end:
-        region.madvise(mmap.MADV_DONTNEED, first, end - first)
-
-
-def _normal_z(rng, n, params):
-    return {"z": rng.standard_normal(out=_mapped(n))}
+def _normal_z(rng, out, params):
+    return {"z": rng.standard_normal(out=out)}
 
 
 def _bivariate_last(rng, rows, out, params):
@@ -736,8 +711,8 @@ def _bivariate_last(rng, rows, out, params):
     return {"y": y}
 
 
-def _gaussian_sum_head(rng, n, params):
-    x = rng.standard_normal(out=_mapped(n))
+def _gaussian_sum_head(rng, out, params):
+    x = rng.standard_normal(out=out)
     x *= math.sqrt(float(params["var_x"]))
     return {"x": x}
 
@@ -790,59 +765,63 @@ DRAW_FAMILIES = {
         _normal_z, lambda rng, rows, out, params: {"y": rng.standard_normal(out=out)}),
     "bivariate-normal": DrawFamily(_normal_z, _bivariate_last),
     "gaussian-sum": _draw_gaussian_sum,
-    "uniform-square": DrawFamily(lambda rng, n, params: {"z": rng.random(out=_mapped(n))},
+    "uniform-square": DrawFamily(lambda rng, out, params: {"z": rng.random(out=out)},
                                  lambda rng, rows, out, params: {"y": rng.random(out=out)}),
 }
 
 
-def _stream(family: DrawFamily, rng, n: int, params, hulls: tuple) -> list:
-    """The columns of the ``n`` rows of ``family`` once per hull in
-    ``hulls``: every row where the hull is None, else only the rows inside
-    that interval event.
+def _stream(family, rng, n: int, params, replay: bool = False) -> tuple:
+    """(whole columns, frames): the ``n`` rows of ``family``, a DrawFamily
+    or a custom draw, from one pass of ``rng``, as a lazy sequence of
+    frames of ``DRAW_BLOCK`` rows each, in order.
 
-    The head columns are drawn whole; the rows then go by in blocks of
-    ``DRAW_BLOCK``, a last column drawn block by block into one reused,
-    cache-warm buffer.  Blocks come in order from one generator, so their
-    numbers equal one whole-array draw, and that one pass fills every hull.
-    A full stream keeps the head columns themselves; every stream copies its
-    rows of each block, in order, into mapped columns of its own, so no
-    drawn column is written and a custom draw may return read-only arrays.
-    When no stream is full, a built-in head's rows go back to the system as
-    each block is copied, so a draw holds about one head column plus the
-    kept rows; a custom draw's arrays stay as it returned them.
+    A custom ``draw(rng, n, params)`` draws its columns whole; its frames
+    slice them.  A DrawFamily draws its head column whole into a mapped
+    column, or with ``replay`` holds no head column: the live generator is
+    first advanced past the head draws in blocks, into one reused buffer,
+    and each frame's head block is then drawn again from a copy of the
+    generator taken before them.  Its last column is drawn block by block
+    into one reused, cache-warm buffer.  Blocks come in order from one
+    generator, so the rows equal one whole-array draw bit for bit.  A frame
+    is read-only to its reader and valid until the next one is drawn.
     """
-    cols = family.head(rng, n, params)
+    spans = [(a, min(a + DRAW_BLOCK, n)) for a in range(0, max(n, 1), DRAW_BLOCK)]
+    if not isinstance(family, DrawFamily):
+        cols = family(rng, n, params)
+        return cols, ({name: col[a:b] for name, col in cols.items()} for a, b in spans)
     buf = np.empty(min(DRAW_BLOCK, n))
-    release = family.last is not None and all(hull is not None for hull in hulls)
-    outs = [dict(cols) if hull is None else {} for hull in hulls]
-    kept = [0] * len(hulls)
-    for start in range(0, max(n, 1), DRAW_BLOCK):
-        stop = min(start + DRAW_BLOCK, n)
-        frame = {name: col[start:stop] for name, col in cols.items()}
-        if family.last is not None:
-            frame |= family.last(rng, frame, buf[:stop - start], params)
-        for j, (out, hull) in enumerate(zip(outs, hulls)):
-            out |= {name: _mapped(n, col.dtype) for name, col in frame.items()
-                    if name not in out}
-            keep = slice(None) if hull is None else np.flatnonzero(_interval_mask(_evaluate(
-                f"variable {hull.rv.name!r}", hull.rv.fn, frame, (stop - start,)), hull.pieces))
-            count = stop - start if hull is None else keep.size
-            for name, col in out.items():
-                if col is not cols.get(name):
-                    col[kept[j]:kept[j] + count] = frame[name][keep]
-            kept[j] += count
-        if release:
-            for col in cols.values():
-                _release(col, start, stop)
-    return [out if hull is None else {name: col[:k] for name, col in out.items()}
-            for out, hull, k in zip(outs, hulls, kept)]
+    if replay:
+        cols, head_rng, head_buf = {}, copy.deepcopy(rng), np.empty_like(buf)
+        for a, b in spans:
+            family.head(rng, buf[:b - a], params)
+        heads = (family.head(head_rng, head_buf[:b - a], params) for a, b in spans)
+    else:
+        cols = family.head(rng, _mapped(n), params)
+        heads = ({name: col[a:b] for name, col in cols.items()} for a, b in spans)
+    return cols, (head | family.last(rng, head, buf[:b - a], params)
+                  for head, (a, b) in zip(heads, spans))
 
 
-def _draw(sampler: "Sampler", hulls: tuple) -> list:
-    """The sampler's columns once per hull, from one pass of its generator."""
+def _columns(n: int, cols: dict, frames) -> dict:
+    """All ``n`` rows by column name from ``_stream``'s answer: its whole
+    columns themselves, and a mapped copy of each column its frames add."""
+    out, start = dict(cols), 0
+    for frame in frames:
+        stop = start + _frame_shape(frame)[0]
+        for name, col in frame.items():
+            if name not in cols:
+                if name not in out:
+                    out[name] = _mapped(n, col.dtype)
+                out[name][start:stop] = col
+        start = stop
+    return out
+
+
+def _draw(sampler: "Sampler", replay: bool = False) -> tuple:
+    """``_stream`` of the sampler's rows, from a fresh generator of its seed."""
     rng = np.random.default_rng(np.random.SeedSequence(sampler.seed, spawn_key=sampler.spawn))
-    family = DRAW_FAMILIES[sampler.family] if sampler.draw is None else DrawFamily(sampler.draw)
-    return _stream(family, rng, int(sampler.budget), sampler.params, hulls)
+    family = DRAW_FAMILIES[sampler.family] if sampler.draw is None else sampler.draw
+    return _stream(family, rng, int(sampler.budget), sampler.params, replay)
 
 
 class _RowFrame(Mapping):
@@ -874,6 +853,56 @@ class _RowFrame(Mapping):
         return len(self._columns)
 
 
+def _row_values(rv: RandomVariable, columns, rows: np.ndarray) -> np.ndarray:
+    """``rv`` on the rows ``rows`` of ``columns``: a full stream or one frame."""
+    return _evaluate(f"variable {rv.name!r}", rv.fn, _RowFrame(columns, rows), rows.shape)
+
+
+class _Block:
+    """One frame of a streamed pass read as a space: ``values_of`` and
+    ``indicator`` as on the full stream, memoised for the block only."""
+
+    def __init__(self, frame: dict):
+        self._frame, self._cache = frame, {}
+
+    def frame(self) -> dict:
+        return self._frame
+
+    _apply = _frame_apply
+    values_of = _values_of
+    indicator = _indicator
+
+
+def _merge(acc: tuple, x: np.ndarray) -> tuple:
+    """``acc`` = (count, mean, M2, the sum of squared deviations) with the
+    values ``x`` folded in, by the pairwise update of Chan, Golub & LeVeque.
+    Into (0, 0.0, 0.0), ``x`` folds as numpy's ``x.mean()`` and ``x.std()``
+    sum it, so one block gives their numbers bit for bit."""
+    k_b = x.size
+    if k_b == 0:
+        return acc
+    mean_b = float(x.mean())
+    d = x - mean_b
+    m2_b = float(np.square(d, out=d).sum())
+    k_a, mean_a, m2_a = acc
+    if k_a == 0:
+        return k_b, mean_b, m2_b
+    k = k_a + k_b
+    delta = mean_b - mean_a
+    return k, mean_a + delta * k_b / k, m2_a + m2_b + delta * delta * k_a * k_b / k
+
+
+def _conditional(space, k: int, mean: float, m2: float) -> ConditionalEstimate:
+    """E[X | A] on a sampler from X's count, mean and M2 on the rows of A
+    (``_merge``); the degenerate branch when ``is_null`` holds for k / budget."""
+    n = int(space.budget)
+    p = k / n
+    if is_null(space, p):
+        return ConditionalEstimate(0.0, n=k, prob=p, degenerate=True)
+    se = math.sqrt(m2 / (k - 1)) / math.sqrt(k) if k > 1 else math.inf
+    return ConditionalEstimate(mean, se=se, n=k, prob=p)
+
+
 @dataclass(eq=False)
 class Sampler:
     """Seeded Monte Carlo space over named sample columns.
@@ -883,9 +912,8 @@ class Sampler:
     the identical sample, and ``substream(i)`` derives an independent child
     stream for parallel use.  A built-in family's parameters missing from
     ``params`` take their FAMILY_PARAMS defaults, and one outside its range
-    is a ValueError; other keys pass through.  ``restricted(hull)``
-    keeps only the rows inside an interval event; ``hull`` is None on a full
-    stream.
+    is a ValueError; other keys pass through.  ``cond_each`` answers lists
+    of events from one streamed pass that keeps no rows.
     """
 
     family: str
@@ -897,7 +925,6 @@ class Sampler:
     name: str = "sampler"
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
-    hull: Event | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.budget, numbers.Integral) or self.budget < 1:
@@ -909,99 +936,73 @@ class Sampler:
             self.params = self.params | family_params(self.family, self.params, "sampler params")
 
     def columns(self) -> dict:
-        """The drawn rows by column name: only the kept rows on a restricted stream."""
-        return _memo(self, "columns", None, lambda: (_draw(self, (self.hull,))[0],))[0]
+        """The drawn rows by column name."""
+        return _memo(self, "columns", None,
+                     lambda: (_columns(int(self.budget), *_draw(self)),))[0]
 
     def substream(self, index: int) -> "Sampler":
         return replace(self, spawn=self.spawn + (int(index),),
                        meta=dict(self.meta), _cache={})
 
-    def restricted(self, hull: Event | None) -> "Sampler":
-        """This stream keeping only its rows inside the interval event ``hull``.
+    def cond_each(self, rv: RandomVariable, families) -> list:
+        """E[rv | A] for each event A of each list in ``families``, from one
+        streamed pass of this stream's generator that keeps no rows; each
+        answer is also stored, while its event lives, for ``cond`` to return.
 
-        The rows are drawn now, so on any thread; they are the full stream's
-        rows inside the hull, in order, so every window inside the hull gives
-        the numbers of the full stream, and ``budget`` stays the row count
-        behind every probability.  ``columns()`` gives the kept rows.  Every
-        query that reads rows as the sample (``frame``, ``values_of``,
-        ``indicator``, an unconditional moment, ``pushforward``) raises
-        OutsideHull, and so does an event that is not an interval of the
-        hull's variable within it.  A None hull keeps every row.  This is
-        the one-hull case of ``restricted_each``.
+        Each block of rows (``_stream`` with its head replayed) is read
+        once.  In a list, an event inside the one before it (``_inside``)
+        is found among that event's rows, so a list of nested windows
+        evaluates its variable and ``rv`` once per block, on the rows of its
+        first window; any other event tests its own membership on the block.
+        Each event's (count, mean, squared deviations) merge block by block
+        (``_merge``), so counts and probabilities equal ``cond`` on the full
+        stream, and the mean and se equal it up to summation order.  No
+        public method of a space runs, so the pass may run on any thread.
         """
-        return self.restricted_each((hull,))[0]
-
-    def restricted_each(self, hulls) -> list:
-        """One ``restricted`` stream per hull in ``hulls``, all from one
-        pass of this stream's generator; ValueError before any row is drawn
-        when a hull is neither None nor an interval event."""
-        hulls = tuple(hulls)
-        if any(hull is not None and hull.kind != "intervals" for hull in hulls):
-            raise ValueError("a sampler stream restricts to an interval event")
-        streams = []
-        for hull, cols in zip(hulls, _draw(self, hulls)):
-            out = replace(self, meta=dict(self.meta), _cache={})
-            out.hull = hull
-            _memo(out, "columns", None, lambda: (cols,))
-            streams.append(out)
-        return streams
-
-    def _full_stream(self, query: str) -> None:
-        if self.hull is not None:
-            raise OutsideHull(f"{query} on {self.name!r} needs the full stream; "
-                              f"it keeps only the rows inside {self.hull.name!r}")
-
-    def _rows(self, event: Event) -> np.ndarray | None:
-        """Indices of the rows inside ``event``; None when that is every kept
-        row, because ``event`` covers the hull that kept them by the same
-        open-interval test."""
-        if self.hull is None:
-            return np.flatnonzero(self.indicator(event))
-        if not _inside(event, self.hull):
-            raise OutsideHull(f"event {event.name!r} is not an interval of "
-                              f"{self.hull.rv.name!r} within {self.hull.name!r}")
-        if _inside(self.hull, event):
-            return None
-        # the hull's variable on the kept rows, under a key values_of never reads
-        kept = self.columns()
-        key, owner = _cache_key(event.rv)
-        v, = _memo(self, ("kept", key), owner, lambda: (_evaluate(
-            f"variable {event.rv.name!r}", event.rv.fn, kept, _frame_shape(kept)),))
-        return np.flatnonzero(_interval_mask(v, event.pieces))
+        families = [list(events) for events in families]
+        stats = [[(0, 0.0, 0.0)] * len(events) for events in families]
+        for frame in _draw(self, replay=True)[1]:
+            block = _Block(frame)
+            for events, accs in zip(families, stats):
+                prev = None  # (event, its variable on its rows, rv on its rows)
+                for j, event in enumerate(events):
+                    if prev is not None and _inside(event, prev[0]):
+                        keep = np.flatnonzero(_interval_mask(prev[1], event.pieces))
+                        v, x = prev[1].take(keep), prev[2].take(keep)
+                    else:
+                        rows = np.flatnonzero(block.indicator(event))
+                        v = block.values_of(event.rv)[rows] if event.kind == "intervals" else None
+                        x = _row_values(rv, frame, rows) if rows.size else rows
+                    accs[j] = _merge(accs[j], x)
+                    prev = event, v, x
+        answers = [[_conditional(self, *acc) for acc in accs] for accs in stats]
+        for events, row in zip(families, answers):
+            for event, answer in zip(events, row):
+                _memo(self, ("cond", id(rv), id(event)), event, lambda: (rv, answer))
+        return answers
 
     def frame(self) -> dict:
-        self._full_stream("a frame")
         return self.columns()
 
     _apply = _frame_apply
     values_of = _values_of
     indicator = _indicator
 
-    def _count(self, rows: np.ndarray | None) -> int:
-        """Rows behind ``_rows``'s answer: every kept row for None."""
-        return _frame_shape(self.columns())[0] if rows is None else rows.size
-
-    def _masked_values(self, rv: RandomVariable, rows: np.ndarray | None) -> np.ndarray:
-        """``rv`` on the rows ``rows``, or on every kept row for None."""
-        frame = self.columns() if rows is None else _RowFrame(self.columns(), rows)
-        return _evaluate(f"variable {rv.name!r}", rv.fn, frame, (self._count(rows),))
-
     def moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
         n = int(self.budget)
         if event is None:
-            self._full_stream("an unconditional moment")
             if rv is None:
                 return Estimate(1.0, 0.0, n)
             x = self.values_of(rv)
             return Estimate(float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)), n)
-        rows = self._rows(event)
-        k = self._count(rows)
+        rows = np.flatnonzero(self.indicator(event))
+        k = rows.size
         if rv is None:
             p = k / n
             return Estimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / n), n)
         if k == 0:
             return Estimate(0.0, 0.0, n)
-        xs = self._masked_values(rv, rows)
+        xs = _row_values(rv, self.columns(), rows)
         m1 = float(xs.sum()) / n
         # the variance of 1_A X over all n rows, centred: the n - k rows off A are 0
         d = xs - m1
@@ -1009,16 +1010,14 @@ class Sampler:
         return Estimate(m1, math.sqrt(var / n), n)
 
     def cond(self, rv: RandomVariable, event: Event) -> ConditionalEstimate:
-        rows = self._rows(event)
-        k = self._count(rows)
-        n = int(self.budget)
-        p = k / n
-        if is_null(self, p):
-            return ConditionalEstimate(0.0, n=k, prob=p, degenerate=True)
-        xs = self._masked_values(rv, rows)
-        mean = float(xs.mean())
-        se = float(xs.std(ddof=1) / math.sqrt(k)) if k > 1 else float("inf")
-        return ConditionalEstimate(mean, se=se, n=k, prob=p)
+        """E[rv | A]: the answer ``cond_each`` stored for ``(rv, event)``,
+        read before any row, else from the rows of the full stream."""
+        hit = self._cache.get(("cond", id(rv), id(event)))
+        if hit is not None:
+            return hit[2]
+        rows = np.flatnonzero(self.indicator(event))
+        x = _row_values(rv, self.columns(), rows) if rows.size else rows
+        return _conditional(self, *_merge((0, 0.0, 0.0), x))
 
 
 ProbabilitySpace = DiscreteAtoms | DensityGrid | Sampler

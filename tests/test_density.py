@@ -112,8 +112,9 @@ def test_conditional_cdf_takes_arrays(bivariate):
     one_by_one = [cd.cdf(x) for x in xs]
     assert all(type(v) is float for v in one_by_one)
     assert [repr(v) for v in cd.cdf(xs).tolist()] == [repr(v) for v in one_by_one]
-    # the cumulative built once is the one a fresh prefix sum gives
-    fresh = quad.cumulative(cd.values, float(cd.nodes[1] - cd.nodes[0]))
+    # the cumulative built once is the one a fresh prefix sum gives, at the
+    # pitch of the node range
+    fresh = quad.cumulative(cd.values, float(cd.nodes[-1] - cd.nodes[0]) / (cd.nodes.size - 1))
     assert np.array_equal(cd.cum, fresh)
 
 

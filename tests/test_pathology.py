@@ -232,19 +232,23 @@ def test_paradox_plan_reproduces_one_call_per_report(seed, monkeypatch):
     assert reports[0].traces["via_y"] is reports[1].traces["via_y"]
 
 
-def test_paradox_plan_releases_each_stream_when_its_trace_ends(monkeypatch):
+def test_no_paradox_substream_ever_holds_columns(monkeypatch):
+    # one streamed pass per substream answers every window, and keeps no
+    # rows; the traces read those answers and draw nothing
     inst = ratio_normal_instance(seed=3, budget=400_000)
-    traced, kept = [], []
+    traced = []
     original = pathology.shrink_trace
 
     def watched(space, *args, **kwargs):
-        # every stream traced before this one is gone
-        assert [ref() for ref in traced] == [None] * len(traced)
         traced.append(weakref.ref(space))
-        kept.append(space.columns()["y"].size)
-        return original(space, *args, **kwargs)
+        trace = original(space, *args, **kwargs)
+        assert "columns" not in space._cache
+        return trace
 
     monkeypatch.setattr(pathology, "shrink_trace", watched)
+    columns = _count_calls(monkeypatch, cp.Sampler, "columns")
+    whole = _count_calls(monkeypatch, spaces, "_columns")
+    passes = _count_calls(monkeypatch, cp.Sampler, "cond_each")
     cp.paradox_reports(inst["space"], inst["X"], _main_and_control(inst), inst["schedule"])
-    assert len(traced) == 3 and all(ref() is None for ref in traced)
-    assert kept == sorted(kept)  # fewest kept rows first
+    assert len(traced) == 3 and (len(passes), columns, whole) == (2, [], [])
+    assert all(ref() is None for ref in traced)  # no substream outlives the call

@@ -1,8 +1,10 @@
-"""Hull-restricted sampler streams keep exactly the full stream's rows.
+"""Sampler draws give the rows of one whole-array draw, bit for bit.
 
-A built-in family draws its last column block by block, and a restricted
-stream keeps only the rows inside an interval event.  Both must give the
-rows of one whole-array draw, in the same order, bit for bit.
+A built-in family draws its last column block by block.  The full stream
+keeps every column; the streamed pass of ``Sampler.cond_each`` replays the
+head column block by block and keeps no rows.  Both must give the rows of
+one whole-array draw, in the same order, and the streamed pass the window
+counts of the full stream.
 """
 
 import math
@@ -13,7 +15,6 @@ import pytest
 
 import condpoint as cp
 from condpoint import spaces
-from condpoint.errors import CondpointError, OutsideHull
 from condpoint.pathology import ratio_normal_instance
 from condpoint.window import shrink_trace
 
@@ -45,15 +46,6 @@ def _custom_draw(rng, n, params):
 
 FAMILIES = [*spaces.DRAW_FAMILIES, "custom"]
 
-# (label, variable on the frame, hull pieces) per family: one column, and
-# the last column over a head column
-HULLS = {
-    "one-column": (lambda c: c["y"], lambda fam: (0.2, 0.55) if fam == "uniform-square"
-                   else (-0.3, 0.45)),
-    "two-column": (lambda c: c["y"] / c["x" if "x" in c else "z"], lambda fam: (-0.4, 0.4)),
-}
-
-
 def _sampler(family):
     if family == "custom":
         return cp.Sampler("custom", PARAMS, seed=SEED, budget=N, spawn=(3,), draw=_custom_draw)
@@ -81,107 +73,120 @@ def test_full_stream_equals_whole_array_draw(family, block):
         assert np.array_equal(cols[name], ref[name]), name
 
 
-@pytest.mark.parametrize("hull_kind", list(HULLS))
+def _head(family):
+    return "x" if family == "gaussian-sum" else "z"
+
+
 @pytest.mark.parametrize("family", FAMILIES)
-def test_restricted_rows_equal_masked_full_draw(family, hull_kind, block):
-    fn, pieces = HULLS[hull_kind]
-    lo, hi = pieces(family)
-    rv = cp.RandomVariable(hull_kind, fn)
-    sub = _sampler(family).restricted(cp.Event.interval(rv, lo, hi))
+def test_replayed_frames_equal_whole_array_draw(family, block):
+    # a built-in family holds no head column: the budget ends inside a block
+    assert N % block or block > N
+    cols, frames = spaces._draw(_sampler(family), replay=True)
+    assert (cols == {}) == (family != "custom")
+    got = {}
+    for frame in frames:
+        assert 0 < len(frame[_head(family)]) <= block
+        for name, col in frame.items():
+            got.setdefault(name, []).append(col.copy())
     ref = _reference_columns(family)
-    with np.errstate(divide="ignore"):
-        v = fn(ref)
-    mask = (lo < v) & (v < hi)
-    assert 0 < mask.sum() < N
-    cols = sub.columns()
-    assert list(cols) == list(ref)
+    assert list(got) == list(ref)
     for name in ref:
-        assert np.array_equal(cols[name], ref[name][mask]), name
-    assert sub.budget == N
+        assert np.array_equal(np.concatenate(got[name]), ref[name]), name
 
 
-# a coordinate window, a window of y over the other column, a hull that keeps
-# no row, and every row
-HULL_KINDS = {
-    "window": lambda y, ratio: cp.Event.window(y, 0.0, 0.4),
-    "ratio": lambda y, ratio: cp.Event.interval(ratio, -0.4, 0.4),
-    "empty": lambda y, ratio: cp.Event.interval(y, 50.0, 60.0),
-    "every": lambda y, ratio: None,
+# window lists per kind, for a family whose head column is ``h``, around
+# ``c``: nested windows of the last column or of its ratio to the head,
+# a predicate (not intervals), growing windows, and a mix of pieces, a
+# window inside one piece and a window that holds no row
+WINDOW_LISTS = {
+    "nested": lambda y, ratio, c: [cp.Event.window(y, c, e) for e in (0.4, 0.2, 0.1, 0.05)],
+    "ratio": lambda y, ratio, c: [cp.Event.window(ratio, 0.0, e) for e in (0.4, 0.2, 0.1)],
+    "predicate": lambda y, ratio, c: [
+        cp.Event.where(lambda f, e=e: np.abs(f["y"] - c) < e, f"|y-c|<{e}") for e in (0.4, 0.1)],
+    "growing": lambda y, ratio, c: [cp.Event.window(y, c, e) for e in (0.05, 0.1, 0.4)],
+    "pieces": lambda y, ratio, c: [
+        cp.Event.window(y, c, 0.4),
+        cp.union_events([cp.Event.interval(y, c - 0.4, c - 0.1),
+                         cp.Event.interval(y, c + 0.1, c + 0.4)]),
+        cp.Event.interval(y, c + 0.2, c + 0.3),
+        cp.Event.interval(y, c + 0.25, c + 0.25),
+        cp.Event.window(y, 50.0, 1.0)],
 }
 
+# block sums merge in another order than one sum over the window's rows
+ROUNDOFF = 1e-13
 
-@pytest.mark.parametrize("first", list(HULL_KINDS))
+
+@pytest.mark.parametrize("kind", list(WINDOW_LISTS))
 @pytest.mark.parametrize("family", FAMILIES)
-def test_one_pass_fills_every_hull_as_one_hull_draws_do(family, first, block):
-    # each hull in turn comes first, the one that compacts in place, and the
-    # budget ends inside a block
-    assert N % block
+def test_streamed_windows_equal_full_stream_cond(family, kind, block):
+    h = _head(family)
     y = cp.coordinate("y")
-    ratio = cp.RandomVariable("ratio", HULLS["two-column"][0])
-    kinds = list(HULL_KINDS)
-    kinds = kinds[kinds.index(first):] + kinds[:kinds.index(first)]
-    hulls = [HULL_KINDS[kind](y, ratio) for kind in kinds]
-    streams = _sampler(family).restricted_each(hulls)
-    assert len(streams) == len(hulls)
-    rows = {}
-    for kind, hull, stream in zip(kinds, hulls, streams):
-        alone = _sampler(family).restricted(hull)
-        assert stream.hull is hull and stream.budget == N
-        cols, want = stream.columns(), alone.columns()
-        assert list(cols) == list(want)
-        for name in want:
-            assert np.array_equal(cols[name], want[name]), (kind, name)
-        rows[kind] = cols["y"].size
-    assert rows["every"] == N and rows["empty"] == 0
-    assert 0 < rows["window"] < N and 0 < rows["ratio"] < N
+    ratio = cp.RandomVariable("ratio", lambda f: f["y"] / f[h])
+    X = cp.RandomVariable("head_squared", lambda f: f[h] ** 2)
+    c = 0.5 if family == "uniform-square" else 0.0
+    # the list twice: a pass answers several lists, and the same event twice
+    lists = [WINDOW_LISTS[kind](y, ratio, c)] * 2
+    stream, full = _sampler(family), _sampler(family)
+    answers = stream.cond_each(X, lists)
+    for events, row in zip(lists, answers):
+        assert len(row) == len(events)
+        for event, got in zip(events, row):
+            want = full.cond(X, event)
+            assert (got.n, got.prob, got.degenerate) == (want.n, want.prob, want.degenerate)
+            assert math.isclose(got.value, want.value, rel_tol=ROUNDOFF), event.name
+            assert math.isclose(got.se, want.se, rel_tol=ROUNDOFF), event.name
+            assert stream.cond(X, event) == got  # stored, read before any row
+    assert "columns" not in stream._cache
+    degenerate = [got.n for got in answers[0] if got.degenerate]
+    # the empty interval and the far window hold no row
+    assert degenerate == ([0, 0] if kind == "pieces" else [])
 
 
-@pytest.mark.parametrize("family", ["standard-normal-pair", "custom"])
-def test_a_non_interval_hull_fails_before_any_row_is_drawn(family, monkeypatch):
-    def no_draw(*args):
-        raise AssertionError("rows drawn")
-
-    monkeypatch.setattr(spaces, "_stream", no_draw)
+def test_a_stored_answer_belongs_to_its_variable_and_event():
     y = cp.coordinate("y")
-    with pytest.raises(ValueError, match="restricts to an interval event"):
-        _sampler(family).restricted_each((cp.Event.window(y, 0.0, 0.4),
-                                          cp.Event.where(lambda c: c["y"] > 0, "positive")))
+    z = cp.coordinate("z")
+    event = cp.Event.window(y, 0.0, 0.2)
+    stream = cp.Sampler("standard-normal-pair", seed=SEED, budget=20_000)
+    got, = stream.cond_each(z, [[event]])
+    assert stream.cond(z, event) is got[0]
+    # another variable, or an equal event that is another object, reads the rows
+    assert stream.cond(y, event) is not got[0] and "columns" in stream._cache
+    # the budget is one block, so the full stream sums in the same order
+    assert stream.cond(z, cp.Event.window(y, 0.0, 0.2)) == got[0]
+    del event, got
+    assert not [key for key in stream._cache if isinstance(key, tuple) and key[0] == "cond"]
 
 
 def _read_only_draw(rng, n, params):
-    # in anonymous maps, as a built-in family's columns are: a stream that
-    # gave their pages back would leave them reading zeros
-    cols = {}
-    for name, values in _custom_draw(rng, n, params).items():
-        col = cols[name] = spaces._mapped(n)
-        col[:] = values
+    cols = _custom_draw(rng, n, params)
+    for col in cols.values():
         col.flags.writeable = False
     return cols
 
 
-@pytest.mark.parametrize("kinds", [("every",), ("window",), ("window", "every", "ratio")],
-                         ids=["full", "restricted", "several-hulls"])
-def test_a_custom_draw_may_return_read_only_arrays(kinds, block):
-    # no stream writes into a drawn column, whichever hull comes first
+@pytest.mark.parametrize("streamed", [False, True], ids=["full-stream", "streamed-pass"])
+def test_a_custom_draw_may_return_read_only_arrays(streamed, block):
+    # neither consumer writes into a drawn column
     returned = []
 
     def draw(rng, n, params):
         returned.append(_read_only_draw(rng, n, params))
         return returned[-1]
 
-    y = cp.coordinate("y")
-    ratio = cp.RandomVariable("ratio", HULLS["two-column"][0])
-    hulls = [HULL_KINDS[kind](y, ratio) for kind in kinds]
-    streams = cp.Sampler("custom", seed=1, budget=N, draw=draw).restricted_each(hulls)
+    space = cp.Sampler("custom", seed=1, budget=N, draw=draw)
     ref = _custom_draw(np.random.default_rng(np.random.SeedSequence(1)), N, {})
-    for hull, stream in zip(hulls, streams):
-        v = ref["y"] if hull is None else hull.rv.fn(ref)
-        keep = slice(None) if hull is None else (hull.pieces[0][0] < v) & (v < hull.pieces[0][1])
-        cols = stream.columns()
+    y, z = cp.coordinate("y"), cp.coordinate("z")
+    if streamed:
+        (got,), = space.cond_each(z, [[cp.Event.window(y, 0.0, 0.4)]])
+        mask = np.abs(ref["y"]) < 0.4
+        assert got.n == mask.sum() and math.isclose(got.value, ref["z"][mask].mean(),
+                                                     rel_tol=ROUNDOFF)
+    else:
+        cols = space.columns()
         assert list(cols) == list(ref)
         for name in ref:
-            assert np.array_equal(cols[name], ref[name][keep]), name
-        assert 0 < cols["y"].size <= N
+            assert np.array_equal(cols[name], ref[name]), name
     drawn, = returned
     for name, col in drawn.items():
         assert not col.flags.writeable and np.array_equal(col, ref[name]), name
@@ -221,108 +226,6 @@ def test_a_sampler_checks_its_budget_at_construction(budget):
     assert str(info.value) == f"sampler budget must be an integer >= 1, got {budget!r}"
 
 
-def test_restricted_windows_equal_full_stream_windows():
-    y = cp.coordinate("y")
-    full = cp.Sampler("standard-normal-pair", seed=SEED, budget=N)
-    sub = full.restricted(cp.Event.window(y, 0.0, 0.4))
-    z_sq = cp.RandomVariable("z_squared", lambda c: c["z"] ** 2)
-    for eps in (0.4, 0.2, 0.1, 0.05):
-        event = cp.Event.window(y, 0.0, eps)
-        assert sub.cond(z_sq, event) == full.cond(z_sq, event)
-        assert sub.moment(z_sq, event) == full.moment(z_sq, event)
-        assert sub.moment(None, event) == full.moment(None, event)
-
-
-def test_a_window_covering_the_hull_reads_every_kept_row():
-    # the hull kept its rows by the same open-interval test, so a window
-    # equal to it holds all of them: no mask of the kept rows is built
-    y, z = cp.coordinate("y"), cp.coordinate("z")
-    full = cp.Sampler("standard-normal-pair", seed=SEED, budget=N)
-    sub = full.restricted(cp.Event.window(y, 0.0, 0.4))
-    kept = len(sub.columns()["y"])
-    event = cp.Event.window(y, 0.0, 0.4)
-    got = sub.cond(z, event)
-    assert got.n == kept and got == full.cond(z, event)
-    assert sub.moment(z, event) == full.moment(z, event)
-    assert not [key for key in sub._cache if isinstance(key, tuple) and key[0] == "kept"]
-
-
-def _restricted_pair():
-    y = cp.coordinate("y")
-    sub = cp.Sampler("standard-normal-pair", seed=SEED, budget=N).restricted(
-        cp.Event.window(y, 0.0, 0.4))
-    return sub, y
-
-
-@pytest.mark.parametrize("query", ["expectation", "moment-of-mass", "std", "pushforward"])
-def test_restricted_stream_refuses_unconditional_queries(query):
-    sub, y = _restricted_pair()
-    z = cp.coordinate("z")
-    calls = {
-        "expectation": lambda: cp.expectation(sub, z),
-        "moment-of-mass": lambda: sub.moment(None, None),
-        "std": lambda: spaces.std(sub, z),
-        "pushforward": lambda: cp.pushforward(sub, z, bins=(-4.0, 4.0, 16)),
-    }
-    with pytest.raises(OutsideHull) as info:
-        calls[query]()
-    assert isinstance(info.value, CondpointError)
-
-
-@pytest.mark.parametrize("query", ["frame", "values_of", "indicator", "factorize",
-                                   "too_fine_demo"])
-def test_restricted_stream_refuses_reads_of_its_rows_as_the_sample(query):
-    # the kept rows are not the sample: a reader of every row must not see
-    # only the hull's rows
-    sub, y = _restricted_pair()
-    z = cp.coordinate("z")
-    sub.cond(z, cp.Event.window(y, 0.0, 0.1))  # memoises y on the kept rows
-    calls = {
-        "frame": lambda: sub.frame(),
-        "values_of": lambda: sub.values_of(y),
-        "indicator": lambda: sub.indicator(cp.Event.window(y, 0.0, 0.1)),
-        "factorize": lambda: cp.factorize(sub, z, y, [1.0], band=0.01),
-        "too_fine_demo": lambda: cp.too_fine_demo(sub, z, cp.Event.window(y, 0.0, 1e-9),
-                                                  band=0.01),
-    }
-    with pytest.raises(OutsideHull):
-        calls[query]()
-
-
-@pytest.mark.parametrize("make_event", [
-    lambda y, z: cp.Event.window(y, 0.0, 0.5),
-    lambda y, z: cp.Event.window(y, 0.3, 0.2),
-    lambda y, z: cp.Event.window(z, 0.0, 0.1),
-    lambda y, z: cp.complement_within(None, cp.Event.window(y, 0.0, 0.1)),
-    lambda y, z: cp.Event.window(y, 0.0, 0.1).complement(),
-    lambda y, z: cp.Event.where(lambda c: np.abs(c["y"]) < 0.1, "pred"),
-], ids=["wider", "off-centre", "other-variable", "outer-pieces", "complement", "predicate"])
-def test_restricted_stream_refuses_events_outside_its_hull(make_event):
-    sub, y = _restricted_pair()
-    event = make_event(y, cp.coordinate("z"))
-    with pytest.raises(OutsideHull):
-        cp.cond_expectation_event(sub, cp.coordinate("z"), event)
-    with pytest.raises(OutsideHull):
-        cp.probability(sub, event)
-
-
-def test_restricted_stream_needs_an_interval_hull():
-    with pytest.raises(ValueError):
-        cp.Sampler("standard-normal-pair", seed=1, budget=100).restricted(
-            cp.Event.where(lambda c: c["y"] > 0, "positive"))
-
-
-def test_interval_hull_of_a_family():
-    y = cp.coordinate("y")
-    events = [cp.Event.window(y, 0.0, e) for e in (0.1, 0.4, 0.2)]
-    hull = spaces.interval_hull(events)
-    assert hull.rv is y and hull.pieces == ((-0.4, 0.4),)
-    ratio = cp.RandomVariable("ratio", lambda c: c["y"] / c["z"])
-    assert spaces.interval_hull([*events, cp.Event.window(ratio, 0.0, 1.0)]) is None
-    assert spaces.interval_hull([cp.Event.where(lambda c: c["y"] > 0, "p")]) is None
-    assert spaces.interval_hull([]) is None
-
-
 def _serial_reference(inst, families):
     """The paradox report from full substreams, one family after another."""
     epsilons = inst["schedule"].epsilons(inst["schedule"].eps0)
@@ -338,18 +241,41 @@ def _serial_reference(inst, families):
             "families": {name: t.to_json_dict() for name, t in traces.items()}}
 
 
+# float fields of a paradox report; every other field must be equal
+REPORT_FLOATS = {"estimate", "se", "value", "tol", "discrepancy", "combined_tol"}
+
+
+def _assert_equal_up_to_roundoff(got, want, key=None):
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for name in want:
+            _assert_equal_up_to_roundoff(got[name], want[name], name)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_equal_up_to_roundoff(g, w, key)
+    elif key in REPORT_FLOATS:
+        # values are O(1): a gap between two of them is bounded absolutely
+        assert math.isclose(got, want, rel_tol=ROUNDOFF, abs_tol=ROUNDOFF), (key, got, want)
+    else:
+        assert got == want, (key, got, want)
+
+
 @pytest.mark.parametrize("which", ["families", "control_families"])
 def test_paradox_reports_equal_serial_full_stream_reference(which, block):
+    # window counts, probabilities, verdicts, bounds and the pair are exact;
+    # the streamed pass sums each window block by block, so its float
+    # fields equal the full stream's up to summation order
     inst = ratio_normal_instance(seed=SEED, budget=500_000)
     rep = cp.borel_kolmogorov(inst["space"], inst["X"], inst[which], inst["schedule"])
-    assert rep.to_json_dict() == _serial_reference(inst, inst[which])
+    _assert_equal_up_to_roundoff(rep.to_json_dict(), _serial_reference(inst, inst[which]))
 
 
 def test_paradox_draws_streams_on_workers_off_the_public_methods(monkeypatch):
-    # each stream is drawn on a worker thread, restricted to its family's
-    # hull; every public sampler method runs on the calling thread
+    # each substream's streamed pass runs on a worker thread; every public
+    # sampler method runs on the calling thread
     main = threading.current_thread()
-    seen, drawers, hulls = [], [], []
+    seen, passes, lists = [], [], []
     for name in ("columns", "substream", "values_of", "indicator", "moment", "cond"):
         method = getattr(cp.Sampler, name)
 
@@ -358,16 +284,18 @@ def test_paradox_draws_streams_on_workers_off_the_public_methods(monkeypatch):
             return _method(self, *args, **kwargs)
 
         monkeypatch.setattr(cp.Sampler, name, spy)
-    restricted_each = cp.Sampler.restricted_each
+    cond_each = cp.Sampler.cond_each
 
-    def record(self, each):
-        drawers.append(threading.current_thread())
-        hulls.extend(hull.pieces for hull in each)
-        return restricted_each(self, each)
+    def record(self, rv, families):
+        passes.append(threading.current_thread())
+        lists.append([[event.name for event in events] for events in families])
+        return cond_each(self, rv, families)
 
-    monkeypatch.setattr(cp.Sampler, "restricted_each", record)
+    monkeypatch.setattr(cp.Sampler, "cond_each", record)
     inst = ratio_normal_instance(seed=SEED, budget=200_000)
     cp.borel_kolmogorov(inst["space"], inst["X"], inst["families"], inst["schedule"])
     assert seen and all(t is main for t in seen)
-    assert len(drawers) == 2 and main not in drawers
-    assert hulls == [((-0.4, 0.4),), ((-0.4, 0.4),)]
+    assert len(passes) == 2 and main not in passes
+    eps = (0.4, 0.2, 0.1, 0.05)
+    assert sorted(lists) == [[[f"{{|y-0.0|<{e!r}}}" for e in eps]],
+                             [[f"{{|y_over_z-0.0|<{e!r}}}" for e in eps]]]

@@ -253,6 +253,18 @@ def test_grid_quad_tol_must_be_finite_and_non_negative(quad_tol):
         cp.DensityGrid1D("y", 0.0, 1.0, np.full(11, 0.34), quad_tol=quad_tol)
 
 
+def test_a_grid_pitch_comes_from_its_range_at_any_offset():
+    # the same density over [-8, 8] and over [1e8 - 8, 1e8 + 8]: far from 0
+    # the gap of two node values carries their roundoff (0.01000000536 for
+    # the first two), the range does not
+    nodes = np.linspace(-8.0, 8.0, 1601)
+    f = np.exp(-0.5 * nodes * nodes) / math.sqrt(2.0 * math.pi)
+    near, far = (cp.DensityGrid1D("y", c - 8.0, c + 8.0, f) for c in (0.0, 1e8))
+    assert near.pitches == far.pitches == (0.01,)
+    assert near.meta["normalization_defect"] == far.meta["normalization_defect"]
+    assert abs(far.meta["normalization_defect"]) < 1e-13
+
+
 def test_grid_normalization_validation():
     with pytest.raises(ValueError):
         cp.DensityGrid1D("y", 0.0, 1.0, np.full(11, 2.0), quad_tol=1e-8)
@@ -515,7 +527,7 @@ def test_a_variable_reading_a_missing_name_is_undefined(space_name, request):
                lambda: space.moment(bad, window),
                lambda: cp.cond_expectation_event(space, bad, window)]
     if isinstance(space, cp.Sampler):
-        queries.append(lambda: cp.cond_expectation_event(space.restricted(window), bad, window))
+        queries.append(lambda: space.substream(0).cond_each(bad, [[window]]))
     for query in queries:
         with pytest.raises(UndefinedPredicate, match="'bad' failed: NameError"):
             query()
