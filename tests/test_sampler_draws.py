@@ -96,8 +96,9 @@ def test_replayed_frames_equal_whole_array_draw(family, block):
 
 # window lists per kind, for a family whose head column is ``h``, around
 # ``c``: nested windows of the last column or of its ratio to the head,
-# a predicate (not intervals), growing windows, and a mix of pieces, a
-# window inside one piece and a window that holds no row
+# a predicate (not intervals), growing windows, a mix of pieces, a window
+# inside one piece and a window that holds no row, nested windows that
+# hold every row, and nested windows inside one that holds no row
 WINDOW_LISTS = {
     "nested": lambda y, ratio, c: [cp.Event.window(y, c, e) for e in (0.4, 0.2, 0.1, 0.05)],
     "ratio": lambda y, ratio, c: [cp.Event.window(ratio, 0.0, e) for e in (0.4, 0.2, 0.1)],
@@ -111,6 +112,8 @@ WINDOW_LISTS = {
         cp.Event.interval(y, c + 0.2, c + 0.3),
         cp.Event.interval(y, c + 0.25, c + 0.25),
         cp.Event.window(y, 50.0, 1.0)],
+    "every": lambda y, ratio, c: [cp.Event.window(y, c, e) for e in (1e3, 1e2)],
+    "empty": lambda y, ratio, c: [cp.Event.window(y, 50.0, e) for e in (1.0, 0.5, 0.25)],
 }
 
 # block sums merge in another order than one sum over the window's rows
@@ -139,8 +142,10 @@ def test_streamed_windows_equal_full_stream_cond(family, kind, block):
             assert stream.cond(X, event) == got  # stored, read before any row
     assert "columns" not in stream._cache
     degenerate = [got.n for got in answers[0] if got.degenerate]
-    # the empty interval and the far window hold no row
-    assert degenerate == ([0, 0] if kind == "pieces" else [])
+    # the empty interval and the far windows hold no row
+    assert degenerate == {"pieces": [0, 0], "empty": [0, 0, 0]}.get(kind, [])
+    if kind == "every":
+        assert [got.n for got in answers[0]] == [N, N]
 
 
 def test_a_stored_answer_belongs_to_its_variable_and_event():
