@@ -117,13 +117,17 @@ def _normal_pdf(x, mean, var):
     return q
 
 
+def _known_keys(given: dict, allowed, what: str) -> None:
+    """ConfigError naming the first key of ``given`` not in ``allowed``."""
+    for key in given:
+        if key not in allowed:
+            raise ConfigError(f"unknown {what} key {key!r}; expected one of {sorted(allowed)}")
+
+
 def _family_params(family: str, given: dict, what: str, extra=()) -> dict:
     """``spaces.family_params`` of ``given``, each of whose keys must be one
     of those parameters or in ``extra``; ConfigError naming the field if not."""
-    allowed = sorted({*extra, *FAMILY_PARAMS.get(family, {})})
-    for key in given:
-        if key not in allowed:
-            raise ConfigError(f"unknown {what} key {key!r}; expected one of {allowed}")
+    _known_keys(given, {*extra, *FAMILY_PARAMS.get(family, {})}, what)
     try:
         return family_params(family, given, what)
     except ValueError as exc:
@@ -255,7 +259,7 @@ def build_space(cfg: dict):
         atoms = tuple(_coerce_atom(a) for a, _ in pairs)
         weights = np.array([_as_float(w, f"discrete atom {a!r} weight") for a, w in pairs])
         try:
-            return DiscreteAtoms(atoms, weights, name=cfg.get("name", "discrete"))
+            return DiscreteAtoms(atoms, weights)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if kind in ("grid1d", "grid2d"):
@@ -274,13 +278,10 @@ def build_space(cfg: dict):
                 nodes = _as_pair(cfg.get("nodes", [801, 801]), "grid2d nodes", _as_int)
                 axes = _as_pair(cfg.get("axes", ["z", "y"]), "grid2d axes", lambda v, _: v)
             ranges, values = _grid_density(density, f"{kind} density", ranges, nodes)
-            kw = {"quad_tol": quad_tol, "name": cfg.get("name", kind)}
-            space = (DensityGrid1D(axes[0], *ranges[0], values, **kw) if kind == "grid1d"
-                     else DensityGrid2D(axes, ranges, values, **kw))
+            return (DensityGrid1D(axes[0], *ranges[0], values, quad_tol) if kind == "grid1d"
+                    else DensityGrid2D(axes, ranges, values, quad_tol))
         except ValueError as exc:  # density parameters and the grid's own checks
             raise ConfigError(f"{kind} space: {exc}") from exc
-        space.meta["density"] = density
-        return space
     if kind == "sampler":
         if "seed" not in cfg:
             raise ConfigError("sampler spaces require an explicit seed")
@@ -289,8 +290,7 @@ def build_space(cfg: dict):
         try:
             return Sampler(family, params=_family_params(family, params, "sampler params"),
                            seed=_as_int(cfg["seed"], "sampler seed"),
-                           budget=_as_count(cfg.get("budget", 100_000), "sampler budget"),
-                           name=cfg.get("name", "sampler"))
+                           budget=_as_count(cfg.get("budget", 100_000), "sampler budget"))
         except ValueError as exc:  # an unknown family
             raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown space kind {kind!r}")
@@ -422,12 +422,13 @@ def _as_grid(value, what: str) -> list:
 
 
 def _as_schedule(value, what: str) -> Schedule:
-    """A Schedule from ``{"eps0", "factor", "depth"}``, each optional."""
+    """A Schedule from ``{"eps0", "depth"}``, each optional; ConfigError
+    naming any other key."""
     spec = _as_object(value, what)
+    _known_keys(spec, ("depth", "eps0"), what)
     eps0 = spec.get("eps0")
     try:
         return Schedule(eps0=None if eps0 is None else _as_float(eps0, f"{what} eps0"),
-                        factor=_as_float(spec.get("factor", 0.5), f"{what} factor"),
                         depth=_as_int(spec.get("depth", 20), f"{what} depth"))
     except ValueError as exc:  # the schedule's own checks
         raise ConfigError(f"{what}: {exc}") from exc

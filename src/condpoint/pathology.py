@@ -238,8 +238,7 @@ def ratio_normal_instance(seed: int = 20260811, budget: int = 20_000_000) -> dic
     the two limits apart.  The control pair approaches {Y=0} by two
     different window families of Y alone and must agree.
     """
-    space = Sampler("standard-normal-pair", seed=int(seed), budget=int(budget),
-                    name="ratio-normal")
+    space = Sampler("standard-normal-pair", seed=int(seed), budget=int(budget))
     z_sq = RandomVariable("z_squared", lambda cols: cols["z"] ** 2)
     y = RandomVariable("y", lambda cols: cols["y"], coord="y")
     ratio = RandomVariable("y_over_z", lambda cols: cols["y"] / cols["z"])
@@ -252,7 +251,7 @@ def ratio_normal_instance(seed: int = 20260811, budget: int = 20_000_000) -> dic
         "X": z_sq,
         "families": (via_y, via_ratio),
         "control_families": (via_y, via_y_narrow),
-        "schedule": Schedule(eps0=0.4, factor=0.5, depth=4),
+        "schedule": Schedule(eps0=0.4, depth=4),
         "description": "E[Z^2 | {Y=0}] via Y-windows vs via (Y/Z)-windows "
                        "on independent standard normal (Z, Y)",
         "control_description": "control: two window families of one variable",

@@ -393,7 +393,6 @@ class DiscreteAtoms:
 
     atoms: tuple
     weights: np.ndarray
-    name: str = "discrete"
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -409,9 +408,9 @@ class DiscreteAtoms:
             raise ValueError(f"atom weights sum to {total!r}, not 1")
 
     @classmethod
-    def uniform(cls, atoms, name="discrete"):
+    def uniform(cls, atoms):
         n = len(atoms)
-        return cls(tuple(atoms), np.full(n, 1.0 / n), name=name)
+        return cls(tuple(atoms), np.full(n, 1.0 / n))
 
     def _apply(self, what: str, fn: Callable, dtype=float) -> np.ndarray:
         """``fn`` at every atom, each value converted as ``float()`` or ``bool()`` would."""
@@ -598,7 +597,6 @@ class DensityGrid:
     ranges: tuple
     values: np.ndarray
     quad_tol: float = 1e-8
-    name: str = "grid"
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -639,20 +637,16 @@ class DensityGrid1D(DensityGrid):
     """Density values on a uniform 1D node grid over [lo, hi]: the one-axis
     ``DensityGrid``."""
 
-    def __init__(self, axis, lo, hi, values, quad_tol=1e-8, name="grid1d", meta=None):
-        super().__init__((axis,), ((lo, hi),), values, quad_tol, name,
-                         {} if meta is None else meta)
+    def __init__(self, axis, lo, hi, values, quad_tol=1e-8):
+        super().__init__((axis,), ((lo, hi),), values, quad_tol)
 
     # bound again: the tracer patches each class's own attribute
     values_of, indicator, moment, cond = _values_of, _indicator, _grid_moment, _ratio_cond
 
 
-@dataclass(eq=False)
 class DensityGrid2D(DensityGrid):
     """Joint density values on a uniform rectangle grid: the two-axis
     ``DensityGrid``."""
-
-    name: str = "grid2d"
 
     # bound again: the tracer patches each class's own attribute
     values_of, indicator, moment, cond = _values_of, _indicator, _grid_moment, _ratio_cond
@@ -671,16 +665,11 @@ class DrawFamily:
     ``head(rng, out, params)`` draws the head column into ``out``, of any
     length, and returns it by name.  ``last(rng, rows, out, params)`` draws
     one block of the last column into ``out`` and returns it with any column
-    derived from it; ``rows`` holds the head columns of that block.  Calling
-    the family draws all ``n`` rows, as a custom ``draw(rng, n, params)``
-    callable does.
+    derived from it; ``rows`` holds the head columns of that block.
     """
 
     head: Callable
     last: Callable
-
-    def __call__(self, rng, n, params) -> dict:
-        return _columns(int(n), *_stream(self, rng, int(n), params))
 
 
 # Anonymous maps private to this process (Windows maps take no flags and are).
@@ -723,8 +712,6 @@ def _gaussian_sum_last(rng, rows, out, params):
     return {"eps": eps, "y": rows["x"] + eps}
 
 
-_draw_gaussian_sum = DrawFamily(_gaussian_sum_head, _gaussian_sum_last)
-
 # The parameters of each named density family, on grids and in draws alike:
 # name -> (default, lowest, highest admissible value), None where unbounded.
 # A grid ``normal`` also gives each ``mixture`` component's mean and var.
@@ -764,7 +751,7 @@ DRAW_FAMILIES = {
     "standard-normal-pair": DrawFamily(
         _normal_z, lambda rng, rows, out, params: {"y": rng.standard_normal(out=out)}),
     "bivariate-normal": DrawFamily(_normal_z, _bivariate_last),
-    "gaussian-sum": _draw_gaussian_sum,
+    "gaussian-sum": DrawFamily(_gaussian_sum_head, _gaussian_sum_last),
     "uniform-square": DrawFamily(lambda rng, out, params: {"z": rng.random(out=out)},
                                  lambda rng, rows, out, params: {"y": rng.random(out=out)}),
 }
@@ -922,8 +909,6 @@ class Sampler:
     budget: int = 100_000
     spawn: tuple = ()
     draw: Callable | None = None
-    name: str = "sampler"
-    meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -941,8 +926,7 @@ class Sampler:
                      lambda: (_columns(int(self.budget), *_draw(self)),))[0]
 
     def substream(self, index: int) -> "Sampler":
-        return replace(self, spawn=self.spawn + (int(index),),
-                       meta=dict(self.meta), _cache={})
+        return replace(self, spawn=self.spawn + (int(index),), _cache={})
 
     def cond_each(self, rv: RandomVariable, families) -> list:
         """E[rv | A] for each event A of each list in ``families``, from one
@@ -1085,15 +1069,14 @@ def pushforward(space: ProbabilitySpace, rv: RandomVariable,
         vals = space.values_of(rv)
         levels = np.unique(vals)
         weights = np.array([_fsum(space.weights[vals == lv]) for lv in levels])
-        return DiscreteAtoms(tuple(float(lv) for lv in levels), weights,
-                             name=f"law({rv.name})")
+        return DiscreteAtoms(tuple(float(lv) for lv in levels), weights)
     if isinstance(space, DensityGrid) and rv.coord in space.axes:
         if len(space.axes) == 1:
             return space
         k = space.axes.index(rv.coord)
         lo, hi = space.ranges[k]
         return DensityGrid1D(rv.coord, lo, hi, _grid_marginal(space, None, k)[0],
-                             quad_tol=space.quad_tol, name=f"law({rv.name})")
+                             quad_tol=space.quad_tol)
     if bins is None:
         raise ValueError("pushforward of a non-coordinate variable needs bins=(lo, hi, count)")
     lo, hi, count = float(bins[0]), float(bins[1]), int(bins[2])
@@ -1107,7 +1090,6 @@ def pushforward(space: ProbabilitySpace, rv: RandomVariable,
     if is_null(space, total):
         raise EmptyRange(f"no mass of {rv.name} falls inside [{lo}, {hi}]")
     centers = 0.5 * (edges[:-1] + edges[1:])
-    out = DiscreteAtoms(tuple(float(c) for c in centers), hist / total,
-                        name=f"law({rv.name})")
+    out = DiscreteAtoms(tuple(float(c) for c in centers), hist / total)
     out.meta["mass_defect"] = 1.0 - total
     return out

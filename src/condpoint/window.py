@@ -44,19 +44,16 @@ ORDER_RANGE = (0.2, 8.0)
 
 @dataclass(frozen=True)
 class Schedule:
-    """Geometric shrink schedule eps_k = eps0 * factor^k, k < depth.
+    """Halving shrink schedule eps_k = eps0 * 2^-k, k < depth.
 
     With eps0 unset, one standard deviation of the conditioning variable is
     used.  Geometric shrinkage keeps the Richardson step well-posed.
     """
 
     eps0: float | None = None
-    factor: float = 0.5
     depth: int = 20
 
     def __post_init__(self):
-        if not (0.0 < self.factor < 1.0):
-            raise ValueError("factor must lie in (0, 1)")
         if self.depth < 2:
             raise ValueError("depth must be at least 2")
         if self.eps0 is not None and not 0.0 < self.eps0 < math.inf:  # NaN fails too
@@ -64,7 +61,7 @@ class Schedule:
 
     def epsilons(self, default_eps0: float | None) -> list[float]:
         e0 = self.eps0 if self.eps0 is not None else default_eps0
-        return [e0 * self.factor**k for k in range(self.depth)]
+        return [e0 * 0.5**k for k in range(self.depth)]
 
 
 @dataclass(frozen=True)
@@ -219,11 +216,13 @@ def shrink_trace(space, X: RandomVariable, pairs, tol: float = DEFAULT_TOL,
                  one_sided: str | None = None, stop_early: bool = True) -> WindowTrace:
     """Drive a shrinking sequence of positive-probability events.
 
-    ``pairs`` yields (eps, event) in strictly decreasing eps.  Raises
-    NonApproachablePoint when an event's probability is floored before any
-    adequate step exists; otherwise sampler windows below ``N_MIN`` rows end
-    the trace with the Starved verdict instead of a noise-dominated value.
-    With ``stop_early`` unset the full schedule runs and convergence is
+    ``pairs`` yields (eps, event) in strictly decreasing eps.  On a grid or
+    atom space, any event whose mass is null (``is_null``) raises
+    NonApproachablePoint, at whatever step it comes, after adequate steps
+    too.  On a sampler, a null event or one below ``N_MIN`` rows raises
+    NonApproachablePoint only as the first step; after adequate steps it
+    ends the trace with the Starved verdict instead of a noise-dominated
+    value.  With ``stop_early`` unset the full schedule runs and convergence is
     judged on the final pair of steps, which keeps multi-family comparisons
     on one shared eps grid.
     """

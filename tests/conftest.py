@@ -13,7 +13,7 @@ FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 
 @pytest.fixture(scope="session")
 def dice():
-    return cp.DiscreteAtoms(tuple(range(1, 7)), np.full(6, 1.0 / 6.0), name="dice")
+    return cp.DiscreteAtoms(tuple(range(1, 7)), np.full(6, 1.0 / 6.0))
 
 
 @pytest.fixture(scope="session")
@@ -30,15 +30,14 @@ def dice_halves(dice):
 @pytest.fixture(scope="session")
 def coin_pair():
     atoms = ((0, 0), (0, 1), (1, 0), (1, 1))
-    return cp.DiscreteAtoms(atoms, np.full(4, 0.25), name="coin-pair")
+    return cp.DiscreteAtoms(atoms, np.full(4, 0.25))
 
 
 @pytest.fixture(scope="session")
 def d8_null():
     """Fair 8-sided die plus one zero-mass atom; dyadic weights keep every
     moment exact in binary floating point."""
-    space = cp.DiscreteAtoms(tuple(range(0, 9)), np.array([0.0] + [0.125] * 8),
-                             name="d8-null")
+    space = cp.DiscreteAtoms(tuple(range(0, 9)), np.array([0.0] + [0.125] * 8))
     X = cp.RandomVariable("X", lambda w: w)
     A = cp.Event.from_atoms({0}, name="A")
     return space, X, A

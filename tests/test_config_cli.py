@@ -835,3 +835,41 @@ def test_bivariate_normal_fill_is_the_closed_form_bit_for_bit(rho):
 def test_gaussian_sum_fill_is_the_closed_form_bit_for_bit():
     values, u, v = _grid2d({"family": "gaussian-sum", "var_x": 2.0, "var_noise": 0.5})
     assert np.array_equal(values, _pdf(u, 2.0) * _pdf(v - u, 0.5))
+
+
+@pytest.mark.parametrize("key", ["depht", "factr", "factor"])
+def test_schedule_rejects_an_unknown_key(key):
+    scn = load_scenario({"schema_version": 1, "task": "window",
+                         "space": str(SCENARIO_DIR / "spaces" / "bivariate-05.json"),
+                         "params": {"x": "Z", "y": "Y", "at": 0, "schedule": {key: 3}}})
+    with pytest.raises(ConfigError) as exc:
+        scn.param("schedule")
+    assert str(exc.value) == (f"unknown window schedule key {key!r}; "
+                              "expected one of ['depth', 'eps0']")
+
+
+@pytest.mark.parametrize("load, doc, message", [
+    (build_space, {"kind": "grid3d"}, "unknown space kind 'grid3d'"),
+    (build_space, {"kind": "discrete"},
+     "discrete space needs an 'atoms' list of [atom, weight]"),
+    (load_space, {"schema_version": 1, "kind": "discrete", "atoms": [[1, 1.0]],
+                  "variables": {"V": {"coords": "y"}}},
+     "variable 'V' needs one of coord/identity/table/expr"),
+    (lambda doc: load_space(doc).partition("p"),
+     {"schema_version": 1, "kind": "discrete", "atoms": [[1, 1.0]],
+      "partitions": {"p": [{"name": "A", "atom": [1]}]}},
+     "partition cell needs 'atoms', 'interval', or 'expr': {'name': 'A', 'atom': [1]}"),
+    (load_scenario, {"schema_version": 1, "task": "window"},
+     "scenario needs a 'space' (path or inline config)"),
+    (build_space, {"kind": "grid2d", "density": {"family": "normal"}},
+     "unknown 2D density family 'normal'"),
+    (build_space, {"kind": "grid1d", "density": {"family": "uniform"}},
+     "density family 'uniform' needs an explicit range"),
+    (build_space, {"kind": "grid2d", "density": {"family": "uniform"}},
+     "density family 'uniform' needs explicit ranges"),
+], ids=["space-kind", "no-atoms", "variable", "partition-cell", "no-space",
+        "2d-family", "uniform-1d", "uniform-2d"])
+def test_config_errors_name_what_is_missing(load, doc, message):
+    with pytest.raises(ConfigError) as exc:
+        load(doc)
+    assert str(exc.value) == message

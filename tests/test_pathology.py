@@ -149,9 +149,9 @@ def test_paradox_stable_under_schedule_refinement():
     # one level deeper in eps moves the gap by less than the tolerances
     inst = ratio_normal_instance(seed=123, budget=2_000_000)
     coarse = cp.borel_kolmogorov(inst["space"], inst["X"], inst["families"],
-                                 Schedule(eps0=0.4, factor=0.5, depth=4))
+                                 Schedule(eps0=0.4, depth=4))
     fine = cp.borel_kolmogorov(inst["space"], inst["X"], inst["families"],
-                               Schedule(eps0=0.4, factor=0.5, depth=5))
+                               Schedule(eps0=0.4, depth=5))
     assert abs(coarse.discrepancy - fine.discrepancy) <= \
         coarse.combined_tol + fine.combined_tol
     assert fine.discrepancy > 10.0 * fine.combined_tol
@@ -174,7 +174,7 @@ def test_family_not_shrinking_detected():
                                      lambda e: cp.Event.window(y, 0.0, 0.4 / e))
     with pytest.raises(FamilyNotShrinking):
         cp.borel_kolmogorov(inst["space"], inst["X"],
-                            (growing,), Schedule(eps0=0.4, factor=0.5, depth=3))
+                            (growing,), Schedule(eps0=0.4, depth=3))
 
 
 def test_family_losing_positivity_detected(uniform_square):
@@ -184,7 +184,7 @@ def test_family_losing_positivity_detected(uniform_square):
                                  lambda e: cp.Event.window(y, 5.0, e))
     with pytest.raises(FamilyNotShrinking):
         cp.borel_kolmogorov(uniform_square, cp.coordinate("z"), (off,),
-                            Schedule(eps0=0.5, factor=0.5, depth=4))
+                            Schedule(eps0=0.5, depth=4))
 
 
 def test_paradox_report_json():

@@ -12,7 +12,6 @@ import pytest
 
 import condpoint as cp
 from condpoint.config import expression_variable
-from condpoint.spaces import _draw_gaussian_sum
 
 N = 4000
 PARAMS = {"var_x": 1.0, "var_noise": 1.0}
@@ -34,8 +33,11 @@ def _spy_sampler():
     taken = []
 
     def draw(rng, n, params):
+        # the gaussian-sum family's rows: x whole, then its noise whole
+        x = rng.standard_normal(n) * math.sqrt(params["var_x"])
+        eps = rng.standard_normal(n) * math.sqrt(params["var_noise"])
         cols = {}
-        for name, arr in _draw_gaussian_sum(rng, n, params).items():
+        for name, arr in {"x": x, "eps": eps, "y": x + eps}.items():
             col = arr.view(_Column)
             col.label, col.log = name, taken
             cols[name] = col
@@ -169,8 +171,10 @@ def test_variable_reading_the_whole_frame_gets_every_column_masked():
     assert seen == [{"x": k, "eps": k, "y": k}]
     assert sorted(taken) == ["eps", "x", "y"]
     assert (got.value, got.se) == (float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(k)))
-    m1, m2 = float(xs.sum()) / N, float((xs * xs).sum()) / N
-    assert space.moment(rv, event) == cp.Estimate(m1, math.sqrt(max(m2 - m1 * m1, 0.0) / N), N)
+    m1 = float(xs.sum()) / N
+    d = xs - m1
+    var = (float((d * d).sum()) + (N - k) * m1 * m1) / N
+    assert space.moment(rv, event) == cp.Estimate(m1, math.sqrt(var / N), N)
 
 
 def test_window_gathers_add_no_cache_entries():

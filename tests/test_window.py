@@ -34,7 +34,7 @@ def test_gaussian_posterior_window_grid(gaussian_sum_grid):
 
 
 def test_gaussian_window_steps_match_finite_eps_oracle(gaussian_sum_grid):
-    sch = cp.Schedule(eps0=0.5, factor=0.5, depth=3)
+    sch = cp.Schedule(eps0=0.5, depth=3)
     tr = cp.window_estimate(gaussian_sum_grid, X_COORD, Y_COORD, 2.0,
                             schedule=sch, tol=1e-12, stop_early=False)
     for step in tr.steps:
@@ -160,6 +160,20 @@ def test_non_approachable_point(normal_grid):
         cp.window_estimate(normal_grid, Y_COORD * Y_COORD, Y_COORD, 25.0)
 
 
+def test_grid_window_null_after_adequate_steps_raises(gaussian_sum_grid):
+    # on a grid a null window raises wherever it comes, not only first: at
+    # y = 10 the windows of half-width 1 down to 0.125 hold mass, 0.0625 not
+    sch = cp.Schedule(eps0=1.0, depth=4)
+    tr = cp.window_estimate(gaussian_sum_grid, X_COORD, Y_COORD, 10.0,
+                            schedule=sch, tol=1e-12, stop_early=False)
+    assert [s.eps for s in tr.steps] == [1.0, 0.5, 0.25, 0.125]
+    assert all(s.prob >= cp.spaces.PROB_FLOOR for s in tr.steps)
+    with pytest.raises(NonApproachablePoint,
+                       match=re.escape("window '{|y-10.0|<0.0625}' at target 10.0 has mass 4.9")):
+        cp.window_estimate(gaussian_sum_grid, X_COORD, Y_COORD, 10.0,
+                           schedule=cp.Schedule(eps0=1.0), tol=1e-12)
+
+
 def test_outside_support_mixture():
     from condpoint.config import build_space
     space = build_space({
@@ -258,7 +272,7 @@ def test_convergence_order_needs_three_steps(dice):
 
 
 def test_richardson_extrapolation_improves_limit(gaussian_sum_grid):
-    sch = cp.Schedule(eps0=0.8, factor=0.5, depth=7)
+    sch = cp.Schedule(eps0=0.8, depth=7)
     tr = cp.window_estimate(gaussian_sum_grid, X_COORD, Y_COORD, 2.0,
                             schedule=sch, tol=1e-12, stop_early=False)
     assert tr.extrapolated
