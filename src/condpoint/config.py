@@ -249,8 +249,25 @@ def _as_pair(value, what: str, convert) -> tuple:
     return tuple(convert(v, what) for v in value)
 
 
+# The keys each space kind reads, beside the keys any space document may
+# carry (``_DOCUMENT_KEYS``: its kind, label, schema and the entries
+# ``load_space`` reads)
+_SPACE_KEYS = {
+    "discrete": ("atoms",),
+    "grid1d": ("axis", "density", "nodes", "quad_tol", "range"),
+    "grid2d": ("axes", "density", "nodes", "quad_tol", "ranges"),
+    "sampler": ("budget", "family", "params", "seed"),
+}
+_DOCUMENT_KEYS = ("kind", "name", "partitions", "schema_version", "variables")
+
+
 def build_space(cfg: dict):
+    """The space a config describes; ConfigError naming an unknown kind, an
+    unknown key of its kind, or a field that does not convert."""
     kind = cfg.get("kind")
+    if not isinstance(kind, str) or kind not in _SPACE_KEYS:
+        raise ConfigError(f"unknown space kind {kind!r}")
+    _known_keys(cfg, {*_DOCUMENT_KEYS, *_SPACE_KEYS[kind]}, f"{kind} space")
     if kind == "discrete":
         pairs = cfg.get("atoms")
         if not pairs:
@@ -293,7 +310,6 @@ def build_space(cfg: dict):
                            budget=_as_count(cfg.get("budget", 100_000), "sampler budget"))
         except ValueError as exc:  # an unknown family
             raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown space kind {kind!r}")
 
 
 def build_variable(name: str, spec: dict, discrete: bool) -> RandomVariable:

@@ -22,6 +22,7 @@ from .errors import DegenerateA, FamilyNotShrinking, NonApproachablePoint, NotNu
 from .factorization import BAND_WITNESS_TOL, DISCRETE_WITNESS_TOL, distinct_values, level_band
 from .partition import _piecewise_rv
 from .spaces import (
+    DRAW_THREADS,
     DiscreteAtoms,
     Event,
     RandomVariable,
@@ -38,12 +39,6 @@ from .window import CONVERGED, DEFAULT_TOL, Schedule, WindowTrace, shrink_trace
 # Value planted on the null set by the second candidate; any number works
 # there, which is the point being demonstrated.
 ARBITRARY_NULL_VALUE = 17.0
-
-# Worker threads running the streamed passes of a paradox's substreams.
-# numpy releases the GIL while it draws, and each pass in flight holds a few
-# blocks of rows, not a column, so this bounds the CPU a paradox takes, not
-# its memory.
-DRAW_THREADS = 2
 
 
 def _require_null(space, A: Event) -> float:

@@ -29,6 +29,7 @@ import math
 import mmap
 import numbers
 import operator
+import threading
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -657,6 +658,12 @@ class DensityGrid2D(DensityGrid):
 # blocks the shipped scenarios peaked at 121-132 MiB against 89-91 MiB.
 DRAW_BLOCK = 1 << 16
 
+# Worker threads of a streamed pass: the blocks of one sampler's pass from its
+# recorded states, or the substreams of a paradox, one pass each.  numpy
+# releases the GIL while it draws, and each pass in flight holds a few blocks
+# of rows, not a column, so this bounds the CPU a pass takes, not its memory.
+DRAW_THREADS = 2
+
 
 @dataclass(frozen=True)
 class DrawFamily:
@@ -757,36 +764,44 @@ DRAW_FAMILIES = {
 }
 
 
-def _stream(family, rng, n: int, params, replay: bool = False) -> tuple:
+def _stream(family, rng, n: int, params, states: list | None = None) -> tuple:
     """(whole columns, frames): the ``n`` rows of ``family``, a DrawFamily
     or a custom draw, from one pass of ``rng``, as a lazy sequence of
     frames of ``DRAW_BLOCK`` rows each, in order.
 
     A custom ``draw(rng, n, params)`` draws its columns whole; its frames
     slice them.  A DrawFamily draws its head column whole into a mapped
-    column, or with ``replay`` holds no head column: the live generator is
-    first advanced past the head draws in blocks, into one reused buffer,
-    and each frame's head block is then drawn again from a copy of the
-    generator taken before them.  Its last column is drawn block by block
-    into one reused, cache-warm buffer.  Blocks come in order from one
-    generator, so the rows equal one whole-array draw bit for bit.  A frame
-    is read-only to its reader and valid until the next one is drawn.
+    column, or, given a ``states`` list, replays it and holds no head
+    column: the live generator is first advanced past the head draws in
+    blocks, into one reused buffer, and each frame's head block is then drawn
+    again from a copy of the generator taken before them; each frame appends
+    to ``states`` the state of the copy before its head block and of the live
+    generator before its last block (``_state``).  Its last column is drawn
+    block by block into one reused, cache-warm buffer.  Blocks come in order
+    from one generator, so the rows equal one whole-array draw bit for bit.
+    A frame is read-only to its reader and valid until the next one is drawn.
     """
     spans = [(a, min(a + DRAW_BLOCK, n)) for a in range(0, max(n, 1), DRAW_BLOCK)]
     if not isinstance(family, DrawFamily):
         cols = family(rng, n, params)
         return cols, ({name: col[a:b] for name, col in cols.items()} for a, b in spans)
     buf = np.empty(min(DRAW_BLOCK, n))
-    if replay:
-        cols, head_rng, head_buf = {}, copy.deepcopy(rng), np.empty_like(buf)
-        for a, b in spans:
-            family.head(rng, buf[:b - a], params)
-        heads = (family.head(head_rng, head_buf[:b - a], params) for a, b in spans)
-    else:
+    if states is None:
         cols = family.head(rng, _mapped(n), params)
         heads = ({name: col[a:b] for name, col in cols.items()} for a, b in spans)
-    return cols, (head | family.last(rng, head, buf[:b - a], params)
-                  for head, (a, b) in zip(heads, spans))
+        return cols, (head | family.last(rng, head, buf[:b - a], params)
+                      for head, (a, b) in zip(heads, spans))
+    head_rng, head_buf = copy.deepcopy(rng), np.empty_like(buf)
+    for a, b in spans:
+        family.head(rng, buf[:b - a], params)
+
+    def frames():
+        for a, b in spans:
+            states.append((_state(head_rng), _state(rng)))
+            head = family.head(head_rng, head_buf[:b - a], params)
+            yield head | family.last(rng, head, buf[:b - a], params)
+
+    return {}, frames()
 
 
 def _columns(n: int, cols: dict, frames) -> dict:
@@ -804,11 +819,77 @@ def _columns(n: int, cols: dict, frames) -> dict:
     return out
 
 
+def _state(rng) -> tuple:
+    """The PCG64 state of ``rng`` as a tuple of its four fields (a 128-bit
+    state and increment, and the buffered 32-bit draw), for ``_at``."""
+    s = rng.bit_generator.state
+    return s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"]
+
+
+def _at(rng, state: tuple):
+    """``rng`` set to ``state``, one of ``_state``."""
+    s, inc, has_uint32, uinteger = state
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
+                               "has_uint32": has_uint32, "uinteger": uinteger}
+    return rng
+
+
 def _draw(sampler: "Sampler", replay: bool = False) -> tuple:
-    """``_stream`` of the sampler's rows, from a fresh generator of its seed."""
+    """``_stream`` of the sampler's rows, from a fresh generator of its seed.
+    A replayed built-in family records its generator states on the sampler,
+    once its last frame is drawn, for ``_pass``."""
     rng = np.random.default_rng(np.random.SeedSequence(sampler.seed, spawn_key=sampler.spawn))
     family = DRAW_FAMILIES[sampler.family] if sampler.draw is None else sampler.draw
-    return _stream(family, rng, int(sampler.budget), sampler.params, replay)
+    n = int(sampler.budget)
+    if not replay or not isinstance(family, DrawFamily):
+        return _stream(family, rng, n, sampler.params)
+    states: list = []
+    cols, frames = _stream(family, rng, n, sampler.params, states)
+
+    def recorded():
+        yield from frames
+        _memo(sampler, "states", None, lambda: (DRAW_BLOCK, tuple(states)))
+
+    return cols, recorded()
+
+
+def _pass(sampler: "Sampler", read: Callable):
+    """``read(frame)`` for each frame of the sampler's rows, lazily and in
+    row order, from one streamed pass that keeps no rows.
+
+    The first pass replays the head column (``_draw``), which records the
+    generator's state before each head block and before each last block, a
+    few hundred bytes a block.  A later pass draws each block from its two
+    states, with no head advance, on DRAW_THREADS worker threads; the
+    answers still come in block order, so a fold of them is the sequential
+    pass's, bit for bit.  A custom draw records no states: each pass draws
+    it whole.
+    """
+    hit = sampler._cache.get("states")
+    if hit is None:
+        yield from map(read, _draw(sampler, replay=True)[1])
+        return
+    _, block, states = hit
+    family, n, params = DRAW_FAMILIES[sampler.family], int(sampler.budget), sampler.params
+
+    # each worker's generator and two block buffers, reused from block to
+    # block: fresh buffers made the pass about a fifth slower
+    worker = threading.local()
+
+    def drawn(i: int):
+        if not hasattr(worker, "rng"):
+            worker.rng = np.random.Generator(np.random.PCG64(0))
+            worker.bufs = np.empty((2, min(block, n)))
+        rows = min(block, n - i * block)
+        head = family.head(_at(worker.rng, states[i][0]), worker.bufs[0, :rows], params)
+        return read(head | family.last(_at(worker.rng, states[i][1]), head, worker.bufs[1, :rows],
+                                       params))
+
+    # imported here: it would add 2.5 ms to every `import condpoint`
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(DRAW_THREADS) as pool:
+        yield from pool.map(drawn, range(len(states)))
 
 
 class _RowFrame(Mapping):
@@ -860,20 +941,26 @@ class _Block:
     indicator = _indicator
 
 
-def _merge(acc: tuple, x: np.ndarray) -> tuple:
-    """``acc`` = (count, mean, M2, the sum of squared deviations) with the
-    values ``x`` folded in, by the pairwise update of Chan, Golub & LeVeque.
-    Into (0, 0.0, 0.0), ``x`` folds as numpy's ``x.mean()`` and ``x.std()``
-    sum it, so one block gives their numbers bit for bit."""
-    k_b = x.size
+def _stats(x: np.ndarray) -> tuple:
+    """(count, mean, M2, the sum of squared deviations) of the values ``x``,
+    summed as numpy's ``x.mean()`` and ``x.std()`` sum them; (0, 0.0, 0.0)
+    for no values."""
+    if x.size == 0:
+        return 0, 0.0, 0.0
+    mean = float(x.mean())
+    d = x - mean
+    return x.size, mean, float(np.square(d, out=d).sum())
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The ``_stats`` of two sets of values from theirs, by the pairwise
+    update of Chan, Golub & LeVeque; an empty set leaves the other as it is."""
+    k_b, mean_b, m2_b = b
     if k_b == 0:
-        return acc
-    mean_b = float(x.mean())
-    d = x - mean_b
-    m2_b = float(np.square(d, out=d).sum())
-    k_a, mean_a, m2_a = acc
+        return a
+    k_a, mean_a, m2_a = a
     if k_a == 0:
-        return k_b, mean_b, m2_b
+        return b
     k = k_a + k_b
     delta = mean_b - mean_a
     return k, mean_a + delta * k_b / k, m2_a + m2_b + delta * delta * k_a * k_b / k
@@ -881,7 +968,7 @@ def _merge(acc: tuple, x: np.ndarray) -> tuple:
 
 def _conditional(space, k: int, mean: float, m2: float) -> ConditionalEstimate:
     """E[X | A] on a sampler from X's count, mean and M2 on the rows of A
-    (``_merge``); the degenerate branch when ``is_null`` holds for k / budget."""
+    (``_stats``); the degenerate branch when ``is_null`` holds for k / budget."""
     n = int(space.budget)
     p = k / n
     if is_null(space, p):
@@ -900,7 +987,9 @@ class Sampler:
     stream for parallel use.  A built-in family's parameters missing from
     ``params`` take their FAMILY_PARAMS defaults, and one outside its range
     is a ValueError; other keys pass through.  ``cond_each`` answers lists
-    of events from one streamed pass that keeps no rows.
+    of events, and ``variance`` a variable's spread, from one streamed pass
+    that keeps no rows (``_pass``); every other query reads the full stream
+    (``columns``).
     """
 
     family: str
@@ -930,26 +1019,28 @@ class Sampler:
 
     def cond_each(self, rv: RandomVariable, families) -> list:
         """E[rv | A] for each event A of each list in ``families``, from one
-        streamed pass of this stream's generator that keeps no rows; each
-        answer is also stored, while its event lives, for ``cond`` to return.
+        streamed pass of this stream's generator that keeps no rows
+        (``_pass``); each answer is also stored, while its event lives, for
+        ``cond`` to return.
 
-        Each block of rows (``_stream`` with its head replayed) is read
-        once.  In a list, an event inside the one before it (``_inside``)
-        is found among that event's rows, so a list of nested windows
-        evaluates its variable and ``rv`` once per block, on the rows of its
-        first window; any other event tests its own membership on the block.
-        Each event's (count, mean, squared deviations) merge block by block
+        Each block of rows is read once.  In a list, an event inside the one
+        before it (``_inside``) is found among that event's rows, so a list
+        of nested windows evaluates its variable and ``rv`` once per block,
+        on the rows of its first window; any other event tests its own
+        membership on the block.  Each event's (count, mean, squared
+        deviations) of a block (``_stats``) merge in block order
         (``_merge``), so counts and probabilities equal ``cond`` on the full
-        stream, and the mean and se equal it up to summation order.  No
+        stream, and the mean and se equal it up to summation order, whether
+        the blocks were drawn on this thread or split over workers.  No
         public method of a space runs, so the pass may run on any thread.
         """
         families = [list(events) for events in families]
-        stats = [[(0, 0.0, 0.0)] * len(events) for events in families]
-        for frame in _draw(self, replay=True)[1]:
-            block = _Block(frame)
-            for events, accs in zip(families, stats):
-                prev = None  # (event, its variable on its rows, rv on its rows)
-                for j, event in enumerate(events):
+
+        def read(frame) -> list:
+            block, out = _Block(frame), []
+            for events in families:
+                prev, stats = None, []  # prev: (event, its variable on its rows, rv on its rows)
+                for event in events:
                     if prev is not None and _inside(event, prev[0]):
                         keep = np.flatnonzero(_interval_mask(prev[1], event.pieces))
                         v, x = prev[1].take(keep), prev[2].take(keep)
@@ -957,9 +1048,15 @@ class Sampler:
                         rows = np.flatnonzero(block.indicator(event))
                         v = block.values_of(event.rv)[rows] if event.kind == "intervals" else None
                         x = _row_values(rv, frame, rows) if rows.size else rows
-                    accs[j] = _merge(accs[j], x)
+                    stats.append(_stats(x))
                     prev = event, v, x
-        answers = [[_conditional(self, *acc) for acc in accs] for accs in stats]
+                out.append(stats)
+            return out
+
+        acc = [[(0, 0.0, 0.0)] * len(events) for events in families]
+        for got in _pass(self, read):
+            acc = [list(map(_merge, accs, stats)) for accs, stats in zip(acc, got)]
+        answers = [[_conditional(self, *a) for a in accs] for accs in acc]
         for events, row in zip(families, answers):
             for event, answer in zip(events, row):
                 _memo(self, ("cond", id(rv), id(event)), event, lambda: (rv, answer))
@@ -1001,7 +1098,7 @@ class Sampler:
             return hit[2]
         rows = np.flatnonzero(self.indicator(event))
         x = _row_values(rv, self.columns(), rows) if rows.size else rows
-        return _conditional(self, *_merge((0, 0.0, 0.0), x))
+        return _conditional(self, *_stats(x))
 
 
 ProbabilitySpace = DiscreteAtoms | DensityGrid | Sampler
@@ -1041,8 +1138,14 @@ def values_on(space: ProbabilitySpace, rv: RandomVariable, event: Event) -> np.n
 
 def variance(space: ProbabilitySpace, rv: RandomVariable) -> float:
     """Variance of ``rv``, centred as E[(X - E[X])^2], memoised on the
-    space per variable."""
+    space per variable.  On a sampler it is M2 / count from one streamed
+    pass (``_pass``) that keeps no rows, each block's ``_stats`` merged in
+    block order."""
     def build():
+        if isinstance(space, Sampler):
+            k, _, m2 = functools.reduce(
+                _merge, _pass(space, lambda frame: _stats(_Block(frame).values_of(rv))))
+            return (m2 / k,)
         m = expectation(space, rv).value
         # squared in place: one array the size of rv's values, as rv * rv made
         sq = _combination(f"({rv.name}-E)^2", lambda x: np.square(d := x - m, out=d), rv)

@@ -286,6 +286,13 @@ def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
     grid support, noted on the trace), or "upper"/"lower" to force windows
     opening to one side of y.  ``stop_early=False`` runs the whole schedule
     even after the tolerance is met, e.g. for plotting or order measurement.
+
+    On a sampler the trace keeps no rows and streams twice: once for the
+    default ``eps0`` (``std``, skipped when ``Schedule.eps0`` is set), and
+    once for every window of the schedule (``Sampler.cond_each``), whose
+    stored answers the trace then reads.  The second pass starts from the
+    generator states the first recorded and splits its blocks over worker
+    threads.
     """
     if family not in WINDOW_FAMILIES:
         raise ValueError(f"unknown window family {family!r}")
@@ -309,7 +316,11 @@ def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
             elif hi - y < pitch:
                 family = "lower"
     y = float(y)
-    return shrink_trace(space, X, _Windows(Y, y, family, epsilons), tol=tol,
+    windows = _Windows(Y, y, family, epsilons)
+    if isinstance(space, Sampler):
+        windows = list(windows)
+        space.cond_each(X, [[event for _, event in windows]])
+    return shrink_trace(space, X, windows, tol=tol,
                         target=y, resolution=pitch,
                         one_sided=None if family == "symmetric" else family,
                         stop_early=stop_early)
@@ -357,7 +368,9 @@ def evaluate_on_grid(space, X: RandomVariable, Y: RandomVariable, y_grid,
 
     Sampler evaluations draw an independent child stream per node, derived
     from (space seed, node index), so grid evaluation parallelizes without
-    sharing sample noise between nodes.
+    sharing sample noise between nodes.  Each sampler node streams twice, as
+    ``window_estimate`` does (once with ``Schedule.eps0`` set), and keeps
+    no rows.
     """
     y_grid = np.asarray(y_grid, dtype=float)
     traces = []

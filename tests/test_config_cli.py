@@ -370,9 +370,9 @@ def test_bad_grid_field_is_a_config_error(kind, field, value, match):
     ("sampler", "budget", 100.5, "sampler budget must be an integer"),
 ])
 def test_fractional_config_integer_is_a_config_error(kind, field, value, match):
-    cfg = {"schema_version": 1, "kind": kind, "seed": 1,
-           "nodes": 101 if kind == "grid1d" else [101, 101],
-           "density": {"family": "normal" if kind == "grid1d" else "bivariate-normal"}}
+    cfg = ({"schema_version": 1, "kind": kind, "seed": 1} if kind == "sampler" else
+           {"schema_version": 1, "kind": kind, "nodes": 101 if kind == "grid1d" else [101, 101],
+            "density": {"family": "normal" if kind == "grid1d" else "bivariate-normal"}})
     cfg[field] = value
     with pytest.raises(ConfigError, match=match):
         load_space(cfg)
@@ -846,6 +846,37 @@ def test_schedule_rejects_an_unknown_key(key):
         scn.param("schedule")
     assert str(exc.value) == (f"unknown window schedule key {key!r}; "
                               "expected one of ['depth', 'eps0']")
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"kind": "grid1d", "density": {"family": "normal"}, "node": 11, "quadtol": 1e-3},
+     "unknown grid1d space key 'node'; expected one of ['axis', 'density', 'kind', 'name', "
+     "'nodes', 'partitions', 'quad_tol', 'range', 'schema_version', 'variables']"),
+    ({"kind": "sampler", "seed": 1, "budjet": 10},
+     "unknown sampler space key 'budjet'; expected one of ['budget', 'family', 'kind', "
+     "'name', 'params', 'partitions', 'schema_version', 'seed', 'variables']"),
+    ({"kind": "grid2d", "axis": "y"}, "unknown grid2d space key 'axis'; expected one of "
+     "['axes', 'density', 'kind', 'name', 'nodes', 'partitions', 'quad_tol', 'ranges', "
+     "'schema_version', 'variables']"),
+    ({"kind": "discrete", "atoms": [[1, 1.0]], "weights": [1.0]},
+     "unknown discrete space key 'weights'; expected one of ['atoms', 'kind', 'name', "
+     "'partitions', 'schema_version', 'variables']"),
+])
+def test_space_rejects_an_unknown_key(cfg, message):
+    # a misspelt key ran on its default: 1601 nodes, or 100,000 rows
+    with pytest.raises(ConfigError) as exc:
+        build_space(cfg)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("path", sorted((SCENARIO_DIR / "spaces").glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_every_shipped_space_config_loads(path):
+    bundle = load_space(path)
+    assert bundle.variables
+    # a label is accepted, as the benchmark's configs carry one
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    assert type(build_space(dict(cfg, name="label"))) is type(bundle.space)
 
 
 @pytest.mark.parametrize("load, doc, message", [

@@ -304,3 +304,76 @@ def test_paradox_draws_streams_on_workers_off_the_public_methods(monkeypatch):
     eps = (0.4, 0.2, 0.1, 0.05)
     assert sorted(lists) == [[[f"{{|y-0.0|<{e!r}}}" for e in eps]],
                              [[f"{{|y_over_z-0.0|<{e!r}}}" for e in eps]]]
+
+
+# (rows per block, budget): a budget that ends inside the last of many small
+# blocks, an odd count of small and of default blocks, and one block
+SPLITS = {"4096-row-blocks": (1 << 12, N), "odd-4096-row-blocks": (1 << 12, 6 * 4096 + 100),
+          "odd-65536-row-blocks": (1 << 16, N), "one-block": (1 << 16, 50_000)}
+
+
+def _split_lists(family):
+    # nested windows ending in an empty one, and windows of the ratio to the head
+    h = _head(family)
+    y = cp.coordinate("y")
+    ratio = cp.RandomVariable("ratio", lambda f: f["y"] / f[h])
+    c = 0.5 if family == "uniform-square" else 0.0
+    return [[cp.Event.window(y, c, e) for e in (0.4, 0.2, 0.1, 0.0)],
+            [cp.Event.window(ratio, 0.0, e) for e in (0.4, 0.1)]]
+
+
+@pytest.mark.parametrize("split", list(SPLITS))
+@pytest.mark.parametrize("family", list(spaces.DRAW_FAMILIES))
+def test_a_split_pass_equals_a_sequential_pass(family, split, monkeypatch):
+    block, budget = SPLITS[split]
+    monkeypatch.setattr(spaces, "DRAW_BLOCK", block)
+    X = cp.RandomVariable("head_squared", lambda f: f[_head(family)] ** 2)
+    lists = _split_lists(family)
+    recorded = cp.Sampler(family, PARAMS, seed=SEED, budget=budget, spawn=(3,))
+    spaces.std(recorded, cp.coordinate("y"))  # the first pass records the states
+    assert "states" in recorded._cache
+    main, drawn_on = threading.current_thread(), []
+    at = spaces._at
+    monkeypatch.setattr(spaces, "_at", lambda rng, state: drawn_on.append(
+        threading.current_thread()) or at(rng, state))
+    split_answers = recorded.cond_each(X, lists)
+    blocks = -(-budget // block)
+    assert len(drawn_on) == 2 * blocks and main not in drawn_on
+    fresh = cp.Sampler(family, PARAMS, seed=SEED, budget=budget, spawn=(3,))
+    sequential = fresh.cond_each(X, lists)
+    assert len(drawn_on) == 2 * blocks  # the fresh sampler's pass replays its head
+    for got_row, want_row in zip(split_answers, sequential):
+        for got, want in zip(got_row, want_row):
+            assert (got.n, got.prob, got.value, got.se, got.degenerate) == \
+                   (want.n, want.prob, want.value, want.se, want.degenerate)
+    assert split_answers[0][-1].degenerate and split_answers[0][-1].n == 0
+    assert "columns" not in recorded._cache and "columns" not in fresh._cache
+
+
+def test_a_custom_draw_records_no_states_and_still_answers():
+    space = _sampler("custom")
+    y, z = cp.coordinate("y"), cp.coordinate("z")
+    lists = [[cp.Event.window(y, 0.0, e) for e in (0.4, 0.1)]]
+    first = space.cond_each(z, lists)
+    assert "states" not in space._cache
+    assert space.cond_each(z, lists) == first
+    ref = _custom_draw(np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(3,))), N, {})
+    for event, got in zip(lists[0], first[0]):
+        mask = np.abs(ref["y"]) < event.pieces[0][1]
+        assert got.n == mask.sum()
+        assert math.isclose(got.value, ref["z"][mask].mean(), rel_tol=ROUNDOFF)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_streamed_std_equals_numpy_on_the_columns(family, block):
+    y = cp.coordinate("y")
+    shifted = cp.coordinate(_head(family)) * y + 1e3
+    streamed, fresh, full = _sampler(family), _sampler(family), _sampler(family)
+    # the second pass starts from the states the first recorded, and splits
+    got = [spaces.std(streamed, rv) for rv in (y, shifted)]
+    assert "columns" not in streamed._cache
+    assert ("states" in streamed._cache) == (family != "custom")
+    assert spaces.std(fresh, shifted) == got[1]
+    for rv, value in zip((y, shifted), got):
+        want = float(np.std(full.values_of(rv)))
+        assert math.isclose(value, want, rel_tol=ROUNDOFF), (rv.name, value, want)

@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import weakref
 from dataclasses import astuple
 
@@ -228,6 +229,61 @@ def test_sampler_trace_determinism(gaussian_sum_sampler):
                        seed=20260811, budget=10**6)
     c = cp.window_estimate(fresh, X_COORD, Y_COORD, 1.0)
     assert c.value == a.value
+
+
+def test_sampler_window_traces_stream_and_read_no_columns(monkeypatch):
+    # std and every window come from streamed passes: neither the full
+    # stream nor a whole column is drawn, and no stored answer stays behind
+    def full_stream(*args, **kwargs):
+        raise AssertionError("a sampler window trace read the full stream")
+
+    monkeypatch.setattr(cp.Sampler, "columns", full_stream)
+    monkeypatch.setattr(cp.spaces, "_columns", full_stream)
+    space = cp.Sampler("gaussian-sum", seed=20260811, budget=200_000)
+    traces = [cp.window_estimate(space, X_COORD, Y_COORD, 1.0),
+              cp.window_estimate(space, X_COORD, Y_COORD, -0.5, stop_early=False,
+                                 schedule=cp.Schedule(eps0=0.5, depth=6)),
+              cp.window_estimate(space, X_COORD, Y_COORD, 0.5, family="upper")]
+    table = cp.evaluate_on_grid(space, X_COORD, Y_COORD, [-1.0, 0.0, 1.0])
+    assert table.verdicts == [CONVERGED] * 3
+    assert "columns" not in space._cache
+    assert not [key for key in space._cache if isinstance(key, tuple) and key[0] == "cond"]
+    monkeypatch.undo()
+    # each step is the full stream's answer for its window, up to summation order
+    full = cp.Sampler("gaussian-sum", seed=20260811, budget=200_000)
+    events = {"symmetric": cp.Event.window,
+              "upper": lambda rv, y, eps: cp.Event.interval(rv, y, y + eps)}
+    for tr, family in zip(traces, ("symmetric", "symmetric", "upper")):
+        for step in tr.steps:
+            want = full.cond(X_COORD, events[family](Y_COORD, tr.target, step.eps))
+            assert (step.n, step.prob) == (want.n, want.prob)
+            assert math.isclose(step.estimate, want.value, rel_tol=1e-13)
+            assert math.isclose(step.se, want.se, rel_tol=1e-13)
+
+
+def test_sampler_window_passes_call_no_public_function_off_the_calling_thread(monkeypatch):
+    # the window pass splits its blocks over worker threads, which call no
+    # public method or function, so a tracer that wraps them sees one thread
+    main, seen, split = threading.current_thread(), [], []
+    public = [(cp.Sampler, ("columns", "substream", "values_of", "indicator", "moment", "cond",
+                            "cond_each")),
+              (cp.spaces, ("probability", "expectation", "cond_expectation_event", "variance",
+                           "std")),
+              (cp.window, ("std", "cond_expectation_event", "shrink_trace"))]
+    for owner, names in public:
+        for name in names:
+            def spy(*args, _real=getattr(owner, name), **kwargs):
+                seen.append(threading.current_thread())
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+    at = cp.spaces._at
+    monkeypatch.setattr(cp.spaces, "_at", lambda rng, state: split.append(
+        threading.current_thread()) or at(rng, state))
+    space = cp.Sampler("gaussian-sum", seed=20260811, budget=300_000)
+    assert cp.window_estimate(space, X_COORD, Y_COORD, 0.5).verdict == CONVERGED
+    assert seen and all(thread is main for thread in seen)
+    assert split and main not in split
 
 
 def test_convergence_order_smooth(gaussian_sum_grid):
