@@ -23,7 +23,6 @@ variable, or complements of those.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import mmap
@@ -764,44 +763,34 @@ DRAW_FAMILIES = {
 }
 
 
-def _stream(family, rng, n: int, params, states: list | None = None) -> tuple:
-    """(whole columns, frames): the ``n`` rows of ``family``, a DrawFamily
-    or a custom draw, from one pass of ``rng``, as a lazy sequence of
-    frames of ``DRAW_BLOCK`` rows each, in order.
+def _stream(sampler: "Sampler") -> tuple:
+    """(whole columns, frames): the sampler's rows from one pass of a fresh
+    generator of its seed (``_generator``), as a lazy sequence of frames of
+    ``DRAW_BLOCK`` rows each, in order.
 
     A custom ``draw(rng, n, params)`` draws its columns whole; its frames
     slice them.  A DrawFamily draws its head column whole into a mapped
-    column, or, given a ``states`` list, replays it and holds no head
-    column: the live generator is first advanced past the head draws in
-    blocks, into one reused buffer, and each frame's head block is then drawn
-    again from a copy of the generator taken before them; each frame appends
-    to ``states`` the state of the copy before its head block and of the live
-    generator before its last block (``_state``).  Its last column is drawn
-    block by block into one reused, cache-warm buffer.  Blocks come in order
-    from one generator, so the rows equal one whole-array draw bit for bit.
-    A frame is read-only to its reader and valid until the next one is drawn.
+    column, and its last column block by block into one reused, cache-warm
+    buffer.  Blocks come in order from one generator, so the rows equal one
+    whole-array draw bit for bit.  A frame is read-only to its reader and
+    valid until the next one is drawn.
     """
+    family = DRAW_FAMILIES[sampler.family] if sampler.draw is None else sampler.draw
+    rng, n, params = _generator(sampler), int(sampler.budget), sampler.params
     spans = [(a, min(a + DRAW_BLOCK, n)) for a in range(0, max(n, 1), DRAW_BLOCK)]
     if not isinstance(family, DrawFamily):
         cols = family(rng, n, params)
         return cols, ({name: col[a:b] for name, col in cols.items()} for a, b in spans)
     buf = np.empty(min(DRAW_BLOCK, n))
-    if states is None:
-        cols = family.head(rng, _mapped(n), params)
-        heads = ({name: col[a:b] for name, col in cols.items()} for a, b in spans)
-        return cols, (head | family.last(rng, head, buf[:b - a], params)
-                      for head, (a, b) in zip(heads, spans))
-    head_rng, head_buf = copy.deepcopy(rng), np.empty_like(buf)
-    for a, b in spans:
-        family.head(rng, buf[:b - a], params)
+    cols = family.head(rng, _mapped(n), params)
+    heads = ({name: col[a:b] for name, col in cols.items()} for a, b in spans)
+    return cols, (head | family.last(rng, head, buf[:b - a], params)
+                  for head, (a, b) in zip(heads, spans))
 
-    def frames():
-        for a, b in spans:
-            states.append((_state(head_rng), _state(rng)))
-            head = family.head(head_rng, head_buf[:b - a], params)
-            yield head | family.last(rng, head, buf[:b - a], params)
 
-    return {}, frames()
+def _generator(sampler: "Sampler") -> np.random.Generator:
+    """A fresh PCG64 generator of the sampler's seed and spawn key."""
+    return np.random.default_rng(np.random.SeedSequence(sampler.seed, spawn_key=sampler.spawn))
 
 
 def _columns(n: int, cols: dict, frames) -> dict:
@@ -834,62 +823,59 @@ def _at(rng, state: tuple):
     return rng
 
 
-def _draw(sampler: "Sampler", replay: bool = False) -> tuple:
-    """``_stream`` of the sampler's rows, from a fresh generator of its seed.
-    A replayed built-in family records its generator states on the sampler,
-    once its last frame is drawn, for ``_pass``."""
-    rng = np.random.default_rng(np.random.SeedSequence(sampler.seed, spawn_key=sampler.spawn))
-    family = DRAW_FAMILIES[sampler.family] if sampler.draw is None else sampler.draw
-    n = int(sampler.budget)
-    if not replay or not isinstance(family, DrawFamily):
-        return _stream(family, rng, n, sampler.params)
-    states: list = []
-    cols, frames = _stream(family, rng, n, sampler.params, states)
-
-    def recorded():
-        yield from frames
-        _memo(sampler, "states", None, lambda: (DRAW_BLOCK, tuple(states)))
-
-    return cols, recorded()
-
-
 def _pass(sampler: "Sampler", read: Callable):
     """``read(frame)`` for each frame of the sampler's rows, lazily and in
     row order, from one streamed pass that keeps no rows.
 
-    The first pass replays the head column (``_draw``), which records the
-    generator's state before each head block and before each last block, a
-    few hundred bytes a block.  A later pass draws each block from its two
-    states, with no head advance, on DRAW_THREADS worker threads; the
-    answers still come in block order, so a fold of them is the sequential
-    pass's, bit for bit.  A custom draw records no states: each pass draws
-    it whole.
+    A built-in family's block is drawn (``drawn``) from two generator states
+    (``_state``), one before its head block and one before its last block.
+    The first pass records them, a few hundred bytes a block: it advances a
+    fresh generator past the head draws, then draws each block on the
+    calling thread, the last from where the generator stands.  A later pass
+    draws its blocks on DRAW_THREADS worker threads; the answers still come
+    in block order, so a fold of them is the sequential pass's, bit for bit.
+    A two-column family's first pass draws 3 values a row (head advance,
+    head redraw, last), a later pass 2.  A custom draw records no states:
+    each pass draws it whole.
     """
-    hit = sampler._cache.get("states")
-    if hit is None:
-        yield from map(read, _draw(sampler, replay=True)[1])
+    if sampler.draw is not None:
+        yield from map(read, _stream(sampler)[1])
         return
-    _, block, states = hit
     family, n, params = DRAW_FAMILIES[sampler.family], int(sampler.budget), sampler.params
+    hit = sampler._cache.get("states")
+    block, heads, lasts = (DRAW_BLOCK, [], []) if hit is None else hit[1:]
+
+    def drawn(i: int, rng, bufs):
+        rows = min(block, n - i * block)
+        head = family.head(_at(rng, heads[i]), bufs[0, :rows], params)
+        return read(head | family.last(_at(rng, lasts[i]), head, bufs[1, :rows], params))
+
+    if hit is None:
+        rng, bufs = _generator(sampler), np.empty((2, min(block, n)))
+        for a in range(0, n, block):
+            heads.append(_state(rng))
+            family.head(rng, bufs[0, :min(block, n - a)], params)
+        for i in range(len(heads)):
+            lasts.append(_state(rng))
+            yield drawn(i, rng, bufs)
+        _memo(sampler, "states", None, lambda: (block, tuple(heads), tuple(lasts)))
+        return
 
     # each worker's generator and two block buffers, reused from block to
     # block: fresh buffers made the pass about a fifth slower
     worker = threading.local()
 
-    def drawn(i: int):
+    def split(i: int):
         if not hasattr(worker, "rng"):
             worker.rng = np.random.Generator(np.random.PCG64(0))
             worker.bufs = np.empty((2, min(block, n)))
-        rows = min(block, n - i * block)
-        head = family.head(_at(worker.rng, states[i][0]), worker.bufs[0, :rows], params)
-        return read(head | family.last(_at(worker.rng, states[i][1]), head, worker.bufs[1, :rows],
-                                       params))
+        return drawn(i, worker.rng, worker.bufs)
 
     # imported here: it would add 2.5 ms to every `import condpoint`
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(DRAW_THREADS) as pool:
-        yield from pool.map(drawn, range(len(states)))
+        yield from pool.map(split, range(len(heads)))
 
 
 class _RowFrame(Mapping):
@@ -1012,7 +998,7 @@ class Sampler:
     def columns(self) -> dict:
         """The drawn rows by column name."""
         return _memo(self, "columns", None,
-                     lambda: (_columns(int(self.budget), *_draw(self)),))[0]
+                     lambda: (_columns(int(self.budget), *_stream(self)),))[0]
 
     def substream(self, index: int) -> "Sampler":
         return replace(self, spawn=self.spawn + (int(index),), _cache={})

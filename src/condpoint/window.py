@@ -367,10 +367,10 @@ def evaluate_on_grid(space, X: RandomVariable, Y: RandomVariable, y_grid,
     """Tabulate window traces over y_grid.
 
     Sampler evaluations draw an independent child stream per node, derived
-    from (space seed, node index), so grid evaluation parallelizes without
-    sharing sample noise between nodes.  Each sampler node streams twice, as
-    ``window_estimate`` does (once with ``Schedule.eps0`` set), and keeps
-    no rows.
+    from (space seed, node index), so nodes share no sample noise.  Nodes
+    run one after another; each sampler node streams twice, as
+    ``window_estimate`` does (once with ``Schedule.eps0`` set), keeps no
+    rows, and splits its second pass's blocks over worker threads.
     """
     y_grid = np.asarray(y_grid, dtype=float)
     traces = []

@@ -1,10 +1,10 @@
 """Sampler draws give the rows of one whole-array draw, bit for bit.
 
 A built-in family draws its last column block by block.  The full stream
-keeps every column; the streamed pass of ``Sampler.cond_each`` replays the
-head column block by block and keeps no rows.  Both must give the rows of
-one whole-array draw, in the same order, and the streamed pass the window
-counts of the full stream.
+keeps every column; the streamed pass of ``Sampler.cond_each`` draws the
+head column again, block by block, and keeps no rows.  Both must give the
+rows of one whole-array draw, in the same order, and the streamed pass the
+window counts of the full stream.
 """
 
 import math
@@ -79,19 +79,21 @@ def _head(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_replayed_frames_equal_whole_array_draw(family, block):
-    # a built-in family holds no head column: the budget ends inside a block
+    # a built-in family holds no head column: the budget ends inside a block;
+    # the first pass and a later one from its recorded states give one draw
     assert N % block or block > N
-    cols, frames = spaces._draw(_sampler(family), replay=True)
-    assert (cols == {}) == (family != "custom")
-    got = {}
-    for frame in frames:
-        assert 0 < len(frame[_head(family)]) <= block
-        for name, col in frame.items():
-            got.setdefault(name, []).append(col.copy())
-    ref = _reference_columns(family)
-    assert list(got) == list(ref)
-    for name in ref:
-        assert np.array_equal(np.concatenate(got[name]), ref[name]), name
+    space, ref = _sampler(family), _reference_columns(family)
+    for _ in range(2):
+        got = {}
+        for frame in spaces._pass(space, lambda frame: {k: v.copy() for k, v in frame.items()}):
+            assert 0 < len(frame[_head(family)]) <= block
+            for name, col in frame.items():
+                got.setdefault(name, []).append(col)
+        assert list(got) == list(ref)
+        for name in ref:
+            assert np.array_equal(np.concatenate(got[name]), ref[name]), name
+    assert "columns" not in space._cache
+    assert ("states" in space._cache) == (family != "custom")
 
 
 # window lists per kind, for a family whose head column is ``h``, around
@@ -341,13 +343,35 @@ def test_a_split_pass_equals_a_sequential_pass(family, split, monkeypatch):
     assert len(drawn_on) == 2 * blocks and main not in drawn_on
     fresh = cp.Sampler(family, PARAMS, seed=SEED, budget=budget, spawn=(3,))
     sequential = fresh.cond_each(X, lists)
-    assert len(drawn_on) == 2 * blocks  # the fresh sampler's pass replays its head
+    # the fresh sampler's pass draws every block on the calling thread
+    assert drawn_on[2 * blocks:] == [main] * (2 * blocks)
     for got_row, want_row in zip(split_answers, sequential):
         for got, want in zip(got_row, want_row):
             assert (got.n, got.prob, got.value, got.se, got.degenerate) == \
                    (want.n, want.prob, want.value, want.se, want.degenerate)
     assert split_answers[0][-1].degenerate and split_answers[0][-1].n == 0
     assert "columns" not in recorded._cache and "columns" not in fresh._cache
+
+
+@pytest.mark.parametrize("family", list(spaces.DRAW_FAMILIES))
+def test_a_pass_after_the_full_stream_equals_a_fresh_first_pass(family):
+    # drawn columns change nothing a pass draws or records: the budget ends
+    # inside a block, and std, the windows and the recorded states equal a
+    # fresh sampler's first pass, bit for bit
+    assert N % spaces.DRAW_BLOCK
+    y = cp.coordinate("y")
+    X = cp.RandomVariable("head_squared", lambda f: f[_head(family)] ** 2)
+    lists = _split_lists(family)
+    full, fresh_std, fresh = _sampler(family), _sampler(family), _sampler(family)
+    full.columns()
+    got_std, got = spaces.std(full, y), full.cond_each(X, lists)
+    assert spaces.std(fresh_std, y) == got_std
+    want = fresh.cond_each(X, lists)
+    assert fresh_std._cache["states"] == fresh._cache["states"] == full._cache["states"]
+    for got_row, want_row in zip(got, want):
+        for g, w in zip(got_row, want_row):
+            assert (g.n, g.prob, g.value, g.se, g.degenerate) == \
+                   (w.n, w.prob, w.value, w.se, w.degenerate)
 
 
 def test_a_custom_draw_records_no_states_and_still_answers():

@@ -283,7 +283,11 @@ def test_sampler_window_passes_call_no_public_function_off_the_calling_thread(mo
     space = cp.Sampler("gaussian-sum", seed=20260811, budget=300_000)
     assert cp.window_estimate(space, X_COORD, Y_COORD, 0.5).verdict == CONVERGED
     assert seen and all(thread is main for thread in seen)
-    assert split and main not in split
+    # the std pass draws its blocks on the calling thread, the window pass
+    # from its recorded states on workers
+    per_pass = 2 * -(-300_000 // cp.spaces.DRAW_BLOCK)  # two states a block
+    assert split[:per_pass] == [main] * per_pass
+    assert len(split) == 2 * per_pass and main not in split[per_pass:]
 
 
 def test_convergence_order_smooth(gaussian_sum_grid):
