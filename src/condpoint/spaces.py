@@ -310,10 +310,6 @@ def _memo(space, key, owner, build: Callable) -> tuple:
     return hit[1:]
 
 
-def _frame_shape(frame) -> tuple:
-    return next(iter(frame.values())).shape
-
-
 def _evaluate(what: str, fn: Callable, frame, shape: tuple, dtype=float) -> np.ndarray:
     """``fn(frame)`` as an array broadcast to ``shape``; x/0 and 0/0 stay silent.
     A predicate (``dtype`` bool) must return booleans.  This is the one place
@@ -332,7 +328,7 @@ def _evaluate(what: str, fn: Callable, frame, shape: tuple, dtype=float) -> np.n
 def _frame_apply(self, what: str, fn: Callable, dtype=float) -> np.ndarray:
     """``fn`` at every point of a grid or sampler: once, on the whole frame."""
     frame = self.frame()
-    return _evaluate(what, fn, frame, _frame_shape(frame), dtype)
+    return _evaluate(what, fn, frame, next(iter(frame.values())).shape, dtype)
 
 
 def _values_of(self, rv: RandomVariable) -> np.ndarray:
@@ -666,7 +662,7 @@ DRAW_THREADS = 2
 
 @dataclass(frozen=True)
 class DrawFamily:
-    """A built-in sample family: a head column, then a last column.
+    """A sample family: a head column, then a last column.
 
     ``head(rng, out, params)`` draws the head column into ``out``, of any
     length, and returns it by name.  ``last(rng, rows, out, params)`` draws
@@ -763,49 +759,9 @@ DRAW_FAMILIES = {
 }
 
 
-def _stream(sampler: "Sampler") -> tuple:
-    """(whole columns, frames): the sampler's rows from one pass of a fresh
-    generator of its seed (``_generator``), as a lazy sequence of frames of
-    ``DRAW_BLOCK`` rows each, in order.
-
-    A custom ``draw(rng, n, params)`` draws its columns whole; its frames
-    slice them.  A DrawFamily draws its head column whole into a mapped
-    column, and its last column block by block into one reused, cache-warm
-    buffer.  Blocks come in order from one generator, so the rows equal one
-    whole-array draw bit for bit.  A frame is read-only to its reader and
-    valid until the next one is drawn.
-    """
-    family = DRAW_FAMILIES[sampler.family] if sampler.draw is None else sampler.draw
-    rng, n, params = _generator(sampler), int(sampler.budget), sampler.params
-    spans = [(a, min(a + DRAW_BLOCK, n)) for a in range(0, max(n, 1), DRAW_BLOCK)]
-    if not isinstance(family, DrawFamily):
-        cols = family(rng, n, params)
-        return cols, ({name: col[a:b] for name, col in cols.items()} for a, b in spans)
-    buf = np.empty(min(DRAW_BLOCK, n))
-    cols = family.head(rng, _mapped(n), params)
-    heads = ({name: col[a:b] for name, col in cols.items()} for a, b in spans)
-    return cols, (head | family.last(rng, head, buf[:b - a], params)
-                  for head, (a, b) in zip(heads, spans))
-
-
 def _generator(sampler: "Sampler") -> np.random.Generator:
     """A fresh PCG64 generator of the sampler's seed and spawn key."""
     return np.random.default_rng(np.random.SeedSequence(sampler.seed, spawn_key=sampler.spawn))
-
-
-def _columns(n: int, cols: dict, frames) -> dict:
-    """All ``n`` rows by column name from ``_stream``'s answer: its whole
-    columns themselves, and a mapped copy of each column its frames add."""
-    out, start = dict(cols), 0
-    for frame in frames:
-        stop = start + _frame_shape(frame)[0]
-        for name, col in frame.items():
-            if name not in cols:
-                if name not in out:
-                    out[name] = _mapped(n, col.dtype)
-                out[name][start:stop] = col
-        start = stop
-    return out
 
 
 def _state(rng) -> tuple:
@@ -827,20 +783,16 @@ def _pass(sampler: "Sampler", read: Callable):
     """``read(frame)`` for each frame of the sampler's rows, lazily and in
     row order, from one streamed pass that keeps no rows.
 
-    A built-in family's block is drawn (``drawn``) from two generator states
-    (``_state``), one before its head block and one before its last block.
-    The first pass records them, a few hundred bytes a block: it advances a
-    fresh generator past the head draws, then draws each block on the
-    calling thread, the last from where the generator stands.  A later pass
-    draws its blocks on DRAW_THREADS worker threads; the answers still come
-    in block order, so a fold of them is the sequential pass's, bit for bit.
+    A block is drawn (``drawn``) from two generator states (``_state``),
+    one before its head block and one before its last block.  The first
+    pass records them, a few hundred bytes a block: it advances a fresh
+    generator past the head draws, then draws each block on the calling
+    thread, the last from where the generator stands.  A later pass draws
+    its blocks on DRAW_THREADS worker threads; the answers still come in
+    block order, so a fold of them is the sequential pass's, bit for bit.
     A two-column family's first pass draws 3 values a row (head advance,
-    head redraw, last), a later pass 2.  A custom draw records no states:
-    each pass draws it whole.
+    head redraw, last), a later pass 2; ``columns`` draws 2.
     """
-    if sampler.draw is not None:
-        yield from map(read, _stream(sampler)[1])
-        return
     family, n, params = DRAW_FAMILIES[sampler.family], int(sampler.budget), sampler.params
     hit = sampler._cache.get("states")
     block, heads, lasts = (DRAW_BLOCK, [], []) if hit is None else hit[1:]
@@ -967,15 +919,14 @@ def _conditional(space, k: int, mean: float, m2: float) -> ConditionalEstimate:
 class Sampler:
     """Seeded Monte Carlo space over named sample columns.
 
-    Rows are drawn once, lazily, from ``DRAW_FAMILIES[family]`` (or a custom
-    ``draw`` callable) with a PCG64 generator; the same seed always yields
-    the identical sample, and ``substream(i)`` derives an independent child
-    stream for parallel use.  A built-in family's parameters missing from
-    ``params`` take their FAMILY_PARAMS defaults, and one outside its range
-    is a ValueError; other keys pass through.  ``cond_each`` answers lists
-    of events, and ``variance`` a variable's spread, from one streamed pass
-    that keeps no rows (``_pass``); every other query reads the full stream
-    (``columns``).
+    Rows come from ``DRAW_FAMILIES[family]`` and a PCG64 generator; the same
+    seed always yields the identical sample, and ``substream(i)`` derives an
+    independent child stream.  To add a model, register a DrawFamily there.
+    A family's parameters missing from ``params`` take their FAMILY_PARAMS
+    defaults, and one outside its range is a ValueError; other keys pass
+    through.  ``cond_each`` answers lists of events, and ``variance`` a
+    variable's spread, from one streamed pass that keeps no rows
+    (``_pass``); every other query reads the full stream (``columns``).
     """
 
     family: str
@@ -983,22 +934,38 @@ class Sampler:
     seed: int = 0
     budget: int = 100_000
     spawn: tuple = ()
-    draw: Callable | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.budget, numbers.Integral) or self.budget < 1:
             raise ValueError(f"sampler budget must be an integer >= 1, got {self.budget!r}")
-        if self.draw is None:
-            if self.family not in DRAW_FAMILIES:
-                raise ValueError(f"unknown sampler family {self.family!r}; "
-                                 f"expected one of {sorted(DRAW_FAMILIES)}")
-            self.params = self.params | family_params(self.family, self.params, "sampler params")
+        if self.family not in DRAW_FAMILIES:
+            raise ValueError(f"unknown sampler family {self.family!r}; "
+                             f"expected one of {sorted(DRAW_FAMILIES)}")
+        self.params = self.params | family_params(self.family, self.params, "sampler params")
 
     def columns(self) -> dict:
-        """The drawn rows by column name."""
-        return _memo(self, "columns", None,
-                     lambda: (_columns(int(self.budget), *_stream(self)),))[0]
+        """The full stream: every row by column name, read-only, drawn once
+        from a fresh generator of the seed (``_generator``) and kept.  The
+        head column is drawn whole into a mapped column, then each block of
+        the last column into one reused, cache-warm buffer, and each column
+        the block adds is copied into a mapped column; so the rows equal one
+        whole-array draw bit for bit."""
+        hit = self._cache.get("columns")
+        if hit is None:
+            family, n, params = DRAW_FAMILIES[self.family], int(self.budget), self.params
+            rng, buf = _generator(self), np.empty(min(DRAW_BLOCK, n))
+            heads = family.head(rng, _mapped(n), params)
+            cols = dict(heads)
+            for a in range(0, n, DRAW_BLOCK):
+                b = min(a + DRAW_BLOCK, n)
+                head = {name: col[a:b] for name, col in heads.items()}
+                for name, col in family.last(rng, head, buf[:b - a], params).items():
+                    if name not in cols:
+                        cols[name] = _mapped(n, col.dtype)
+                    cols[name][a:b] = col
+            hit = self._cache["columns"] = (None, {k: _frozen(v) for k, v in cols.items()})
+        return hit[1]
 
     def substream(self, index: int) -> "Sampler":
         return replace(self, spawn=self.spawn + (int(index),), _cache={})
@@ -1061,7 +1028,8 @@ class Sampler:
             if rv is None:
                 return Estimate(1.0, 0.0, n)
             x = self.values_of(rv)
-            return Estimate(float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)), n)
+            se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+            return Estimate(float(x.mean()), se, n)
         rows = np.flatnonzero(self.indicator(event))
         k = rows.size
         if rv is None:

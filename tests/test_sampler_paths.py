@@ -31,19 +31,13 @@ class _Column(np.ndarray):
 def _spy_sampler():
     """A three-column gaussian-sum sampler plus the log of gathered columns."""
     taken = []
-
-    def draw(rng, n, params):
-        # the gaussian-sum family's rows: x whole, then its noise whole
-        x = rng.standard_normal(n) * math.sqrt(params["var_x"])
-        eps = rng.standard_normal(n) * math.sqrt(params["var_noise"])
-        cols = {}
-        for name, arr in {"x": x, "eps": eps, "y": x + eps}.items():
-            col = arr.view(_Column)
-            col.label, col.log = name, taken
-            cols[name] = col
-        return cols
-
-    return cp.Sampler("gaussian-sum", PARAMS, seed=20260811, budget=N, draw=draw), taken
+    space = cp.Sampler("gaussian-sum", PARAMS, seed=20260811, budget=N)
+    # the columns() dict is memoised: its entries become logging views
+    cols = space.columns()
+    for name, col in cols.items():
+        col = cols[name] = col.view(_Column)
+        col.label, col.log = name, taken
+    return space, taken
 
 
 def _plain(cols):

@@ -159,6 +159,16 @@ def test_sampler_estimates_carry_se(gaussian_sum_sampler):
     assert est.se > 0.0 and est.n == gaussian_sum_sampler.budget
 
 
+def test_a_one_row_sampler_mean_has_infinite_se():
+    # one row shows no spread: se is inf, as on a one-row window, and no
+    # RuntimeWarning (degrees of freedom <= 0) on the way
+    space = cp.Sampler("standard-normal-pair", seed=1, budget=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = cp.expectation(space, cp.coordinate("y"))
+    assert (est.value, est.se, est.n) == (space.columns()["y"][0], math.inf, 1)
+
+
 def test_event_complement_and_intersection(dice, dice_X):
     A = cp.Event.from_atoms({1, 2})
     comp = cp.complement_within(dice, A)

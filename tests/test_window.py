@@ -238,7 +238,6 @@ def test_sampler_window_traces_stream_and_read_no_columns(monkeypatch):
         raise AssertionError("a sampler window trace read the full stream")
 
     monkeypatch.setattr(cp.Sampler, "columns", full_stream)
-    monkeypatch.setattr(cp.spaces, "_columns", full_stream)
     space = cp.Sampler("gaussian-sum", seed=20260811, budget=200_000)
     traces = [cp.window_estimate(space, X_COORD, Y_COORD, 1.0),
               cp.window_estimate(space, X_COORD, Y_COORD, -0.5, stop_early=False,
