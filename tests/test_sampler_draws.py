@@ -182,6 +182,40 @@ def test_the_full_stream_is_read_only(family):
             col[:] = 100.0
 
 
+@pytest.mark.parametrize("streamed", [False, True], ids=["full-stream", "streamed-pass"])
+def test_a_custom_draw_may_return_read_only_arrays(streamed, block, monkeypatch):
+    # neither consumer writes into a column a family returns
+    returned = []
+
+    def read_only(cols):
+        for name, col in cols.items():
+            cols[name] = col.view()
+            cols[name].flags.writeable = False
+        returned.append(cols)
+        return cols
+
+    monkeypatch.setitem(spaces.DRAW_FAMILIES, "read-only", spaces.DrawFamily(
+        lambda rng, out, params: read_only(CUSTOM.head(rng, out, params)),
+        lambda rng, rows, out, params: read_only(CUSTOM.last(rng, rows, out, params))))
+    space = cp.Sampler("read-only", seed=1, budget=N)
+    ref = _custom_draw(np.random.default_rng(np.random.SeedSequence(1)), N, {})
+    y, z = cp.coordinate("y"), cp.coordinate("z")
+    if streamed:
+        (got,), = space.cond_each(z, [[cp.Event.window(y, 0.0, 0.4)]])
+        mask = np.abs(ref["y"]) < 0.4
+        assert got.n == mask.sum() and math.isclose(got.value, ref["z"][mask].mean(),
+                                                     rel_tol=ROUNDOFF)
+    else:
+        cols = space.columns()
+        assert list(cols) == list(ref)
+        for name in ref:
+            assert np.array_equal(cols[name], ref[name]), name
+    assert returned
+    for cols in returned:
+        for name, col in cols.items():
+            assert not col.flags.writeable, name
+
+
 def test_a_missing_sampler_rho_is_zero():
     default = cp.Sampler("bivariate-normal", seed=SEED, budget=1000).columns()
     explicit = cp.Sampler("bivariate-normal", {"rho": 0.0}, seed=SEED, budget=1000).columns()
@@ -354,6 +388,22 @@ def test_a_pass_after_the_full_stream_equals_a_fresh_first_pass(family):
         for g, w in zip(got_row, want_row):
             assert (g.n, g.prob, g.value, g.se, g.degenerate) == \
                    (w.n, w.prob, w.value, w.se, w.degenerate)
+
+
+def test_a_custom_draw_records_states_and_still_answers():
+    # a registered family records its states on the first pass, as a shipped
+    # one does, and a later pass drawn from them gives the same answers
+    space = _sampler("custom")
+    y, z = cp.coordinate("y"), cp.coordinate("z")
+    lists = [[cp.Event.window(y, 0.0, e) for e in (0.4, 0.1)]]
+    first = space.cond_each(z, lists)
+    assert "states" in space._cache
+    assert space.cond_each(z, lists) == first
+    ref = _reference_columns("custom")
+    for event, got in zip(lists[0], first[0]):
+        mask = np.abs(ref["y"]) < event.pieces[0][1]
+        assert got.n == mask.sum()
+        assert math.isclose(got.value, ref["z"][mask].mean(), rel_tol=ROUNDOFF)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
