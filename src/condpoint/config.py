@@ -234,11 +234,11 @@ def _as_finite(value, what: str, low: float | None = None, strict: bool = False,
         raise ConfigError(str(exc)) from exc
 
 
-def _as_count(value, what: str) -> int:
-    """An integer >= 1, through ``_as_int``."""
+def _as_count(value, what: str, low: int = 1) -> int:
+    """An integer >= ``low``, through ``_as_int``."""
     n = _as_int(value, what)
-    if n < 1:
-        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
+    if n < low:
+        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
     return n
 
 
@@ -306,7 +306,7 @@ def build_space(cfg: dict):
         params = _as_object(cfg.get("params") or {}, "sampler params")
         try:
             return Sampler(family, params=_family_params(family, params, "sampler params"),
-                           seed=_as_int(cfg["seed"], "sampler seed"),
+                           seed=_as_count(cfg["seed"], "sampler seed", 0),
                            budget=_as_count(cfg.get("budget", 100_000), "sampler budget"))
         except ValueError as exc:  # an unknown family
             raise ConfigError(str(exc)) from exc
@@ -504,7 +504,7 @@ def load_scenario(source) -> Scenario:
         raise ConfigError("scenario needs a 'space' (path or inline config)")
     seed = cfg.get("seed")
     if seed is not None:
-        seed = _as_int(seed, "scenario seed")
+        seed = _as_count(seed, "scenario seed", 0)
     tol = cfg.get("tol")
     tol = DEFAULT_TOL if tol is None else _as_finite(tol, "scenario tol", 0.0)
     bundle = None

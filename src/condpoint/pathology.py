@@ -22,7 +22,6 @@ from .errors import DegenerateA, FamilyNotShrinking, NonApproachablePoint, NotNu
 from .factorization import BAND_WITNESS_TOL, DISCRETE_WITNESS_TOL, distinct_values, level_band
 from .partition import _piecewise_rv
 from .spaces import (
-    DRAW_THREADS,
     DiscreteAtoms,
     Event,
     RandomVariable,
@@ -190,10 +189,10 @@ def paradox_reports(space, X: RandomVariable, groups, schedule: Schedule,
     A trace is keyed by (substream index, family): a key listed by several
     groups is traced once and its trace shared.  Each substream answers
     every window of every family it feeds in one streamed pass
-    (``Sampler.cond_each``), which keeps no rows; the passes run on
-    DRAW_THREADS worker threads.  The traces then run on the calling thread,
-    in family order, from the stored answers, so no substream draws its
-    columns.
+    (``Sampler.cond_each``), which keeps no rows and splits its own blocks
+    over worker threads; the substreams pass one after another.  The traces
+    then run in family order from the stored answers, so no substream draws
+    its columns.
     """
     if schedule.eps0 is None:
         raise ValueError("paradox schedules need an explicit eps0")
@@ -202,17 +201,13 @@ def paradox_reports(space, X: RandomVariable, groups, schedule: Schedule,
         (i, fam) for families, _ in groups for i, fam in enumerate(families))}
     streams = dict.fromkeys(pairs, space)
     if isinstance(space, Sampler):
-        # imported here: it would add 2.5 ms to every `import condpoint`
-        from concurrent.futures import ThreadPoolExecutor
-
         plan: dict = {}  # substream index -> the trace keys it feeds
         for key in pairs:
             plan.setdefault(key[0], []).append(key)
         subs = {i: space.substream(i) for i in plan}
         streams = {key: subs[key[0]] for key in pairs}
-        with ThreadPoolExecutor(DRAW_THREADS) as pool:
-            list(pool.map(lambda i: subs[i].cond_each(
-                X, [[event for _, event in pairs[key]] for key in plan[i]]), plan))
+        for i, keys in plan.items():
+            subs[i].cond_each(X, [[event for _, event in pairs[key]] for key in keys])
     traces = {key: _family_trace(key[1], streams[key], X, pairs[key], tol) for key in pairs}
     return [_report(description, {fam.name: traces[i, fam] for i, fam in enumerate(families)})
             for families, description in groups]

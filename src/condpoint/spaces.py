@@ -648,16 +648,25 @@ class DensityGrid2D(DensityGrid):
     values_of, indicator, moment, cond = _values_of, _indicator, _grid_moment, _ratio_cond
 
 
-# Rows per block of a draw stream.  Small blocks keep the per-block
-# temporaries, which stay in malloc's per-thread pools, small: with 2^20-row
-# blocks the shipped scenarios peaked at 121-132 MiB against 89-91 MiB.
+# Rows per block of a draw stream.  Block i of a sampler is drawn from its
+# own generator, keyed by i (``_pass``), so this size is part of the
+# stream's definition: changing it changes every sampler number.  Small
+# blocks keep the per-block temporaries, which stay in malloc's per-thread
+# pools, small: with 2^20-row blocks the shipped scenarios peaked at 121-132
+# MiB against 89-91 MiB.
 DRAW_BLOCK = 1 << 16
 
-# Worker threads of a streamed pass: the blocks of one sampler's pass from its
-# recorded states, or the substreams of a paradox, one pass each.  numpy
-# releases the GIL while it draws, and each pass in flight holds a few blocks
-# of rows, not a column, so this bounds the CPU a pass takes, not its memory.
+# Worker threads of a streamed pass, which draws a sampler's blocks on them.
+# numpy releases the GIL while it draws, and a pass holds one block of rows
+# per worker, not a column, so this bounds the CPU a pass takes, not its
+# memory.
 DRAW_THREADS = 2
+
+# The spawn-key entry that marks a block's generator: block i of a sampler
+# with spawn key ``spawn`` is drawn from ``spawn + (_BLOCK_KEY, i)``.
+# numpy spells a key entry in 32-bit words; a substream index is one word,
+# below this marker, so no substream's key is a block's key.
+_BLOCK_KEY = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -759,75 +768,40 @@ DRAW_FAMILIES = {
 }
 
 
-def _generator(sampler: "Sampler") -> np.random.Generator:
-    """A fresh PCG64 generator of the sampler's seed and spawn key."""
-    return np.random.default_rng(np.random.SeedSequence(sampler.seed, spawn_key=sampler.spawn))
-
-
-def _state(rng) -> tuple:
-    """The PCG64 state of ``rng`` as a tuple of its four fields (a 128-bit
-    state and increment, and the buffered 32-bit draw), for ``_at``."""
-    s = rng.bit_generator.state
-    return s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"]
-
-
-def _at(rng, state: tuple):
-    """``rng`` set to ``state``, one of ``_state``."""
-    s, inc, has_uint32, uinteger = state
-    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
-                               "has_uint32": has_uint32, "uinteger": uinteger}
-    return rng
-
-
 def _pass(sampler: "Sampler", read: Callable):
-    """``read(frame)`` for each frame of the sampler's rows, lazily and in
-    row order, from one streamed pass that keeps no rows.
+    """``read(rows, frame)`` for each block of the sampler's rows, ``rows``
+    the block's slice of the stream and ``frame`` its columns, yielded
+    lazily and in block order from one streamed pass that keeps no rows.
 
-    A block is drawn (``drawn``) from two generator states (``_state``),
-    one before its head block and one before its last block.  The first
-    pass records them, a few hundred bytes a block: it advances a fresh
-    generator past the head draws, then draws each block on the calling
-    thread, the last from where the generator stands.  A later pass draws
-    its blocks on DRAW_THREADS worker threads; the answers still come in
-    block order, so a fold of them is the sequential pass's, bit for bit.
-    A two-column family's first pass draws 3 values a row (head advance,
-    head redraw, last), a later pass 2; ``columns`` draws 2.
+    Block i (DRAW_BLOCK rows, the last one shorter) is drawn whole, head
+    then last, from its own PCG64 generator of the seed and the spawn key
+    ``spawn + (_BLOCK_KEY, i)``; so no block depends on another, each row
+    takes one draw per column, and the pass splits its blocks over
+    DRAW_THREADS worker threads.  ``read`` runs on the worker, into whose
+    reused buffers the frame is drawn, and must copy what it keeps.  The
+    answers still come in block order, so a fold of them is a one-thread
+    pass's, bit for bit.
     """
     family, n, params = DRAW_FAMILIES[sampler.family], int(sampler.budget), sampler.params
-    hit = sampler._cache.get("states")
-    block, heads, lasts = (DRAW_BLOCK, [], []) if hit is None else hit[1:]
-
-    def drawn(i: int, rng, bufs):
-        rows = min(block, n - i * block)
-        head = family.head(_at(rng, heads[i]), bufs[0, :rows], params)
-        return read(head | family.last(_at(rng, lasts[i]), head, bufs[1, :rows], params))
-
-    if hit is None:
-        rng, bufs = _generator(sampler), np.empty((2, min(block, n)))
-        for a in range(0, n, block):
-            heads.append(_state(rng))
-            family.head(rng, bufs[0, :min(block, n - a)], params)
-        for i in range(len(heads)):
-            lasts.append(_state(rng))
-            yield drawn(i, rng, bufs)
-        _memo(sampler, "states", None, lambda: (block, tuple(heads), tuple(lasts)))
-        return
-
-    # each worker's generator and two block buffers, reused from block to
-    # block: fresh buffers made the pass about a fifth slower
+    block = DRAW_BLOCK
+    # each worker's two block buffers, reused from block to block: fresh
+    # buffers made the pass about a fifth slower
     worker = threading.local()
 
-    def split(i: int):
-        if not hasattr(worker, "rng"):
-            worker.rng = np.random.Generator(np.random.PCG64(0))
+    def drawn(i: int):
+        if not hasattr(worker, "bufs"):
             worker.bufs = np.empty((2, min(block, n)))
-        return drawn(i, worker.rng, worker.bufs)
+        rng = np.random.default_rng(np.random.SeedSequence(
+            sampler.seed, spawn_key=sampler.spawn + (_BLOCK_KEY, i)))
+        a, b = i * block, min((i + 1) * block, n)
+        head = family.head(rng, worker.bufs[0, :b - a], params)
+        return read(slice(a, b), head | family.last(rng, head, worker.bufs[1, :b - a], params))
 
     # imported here: it would add 2.5 ms to every `import condpoint`
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(DRAW_THREADS) as pool:
-        yield from pool.map(split, range(len(heads)))
+        yield from pool.map(drawn, range(-(-n // block)))
 
 
 class _RowFrame(Mapping):
@@ -904,6 +878,16 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return k, mean_a + delta * k_b / k, m2_a + m2_b + delta * delta * k_a * k_b / k
 
 
+def _natural(value, what: str, end: int | None = None) -> int:
+    """``value`` when it is an integer >= 0, below ``end`` if given, and not
+    a bool; ValueError naming ``what`` otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0
+            or end is not None and value >= end):
+        bound = ">= 0" if end is None else f"in [0, {end})"
+        raise ValueError(f"{what} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
 def _conditional(space, k: int, mean: float, m2: float) -> ConditionalEstimate:
     """E[X | A] on a sampler from X's count, mean and M2 on the rows of A
     (``_stats``); the degenerate branch when ``is_null`` holds for k / budget."""
@@ -919,14 +903,16 @@ def _conditional(space, k: int, mean: float, m2: float) -> ConditionalEstimate:
 class Sampler:
     """Seeded Monte Carlo space over named sample columns.
 
-    Rows come from ``DRAW_FAMILIES[family]`` and a PCG64 generator; the same
-    seed always yields the identical sample, and ``substream(i)`` derives an
-    independent child stream.  To add a model, register a DrawFamily there.
-    A family's parameters missing from ``params`` take their FAMILY_PARAMS
-    defaults, and one outside its range is a ValueError; other keys pass
-    through.  ``cond_each`` answers lists of events, and ``variance`` a
-    variable's spread, from one streamed pass that keeps no rows
-    (``_pass``); every other query reads the full stream (``columns``).
+    Rows come from ``DRAW_FAMILIES[family]``, block by block, each block
+    from its own PCG64 generator keyed by the seed, the spawn key and the
+    block's index (``_pass``); the same seed always yields the identical
+    sample, and ``substream(i)`` derives an independent child stream.  To add
+    a model, register a DrawFamily there.  A family's parameters missing
+    from ``params`` take their FAMILY_PARAMS defaults, and one outside its
+    range is a ValueError; other keys pass through.  ``cond_each`` answers
+    lists of events, and ``variance`` a variable's spread, from one streamed
+    pass that keeps no rows; every other query reads the full stream
+    (``columns``), which one such pass fills.
     """
 
     family: str
@@ -939,6 +925,7 @@ class Sampler:
     def __post_init__(self):
         if not isinstance(self.budget, numbers.Integral) or self.budget < 1:
             raise ValueError(f"sampler budget must be an integer >= 1, got {self.budget!r}")
+        _natural(self.seed, "sampler seed")
         if self.family not in DRAW_FAMILIES:
             raise ValueError(f"unknown sampler family {self.family!r}; "
                              f"expected one of {sorted(DRAW_FAMILIES)}")
@@ -946,35 +933,38 @@ class Sampler:
 
     def columns(self) -> dict:
         """The full stream: every row by column name, read-only, drawn once
-        from a fresh generator of the seed (``_generator``) and kept.  The
-        head column is drawn whole into a mapped column, then each block of
-        the last column into one reused, cache-warm buffer, and each column
-        the block adds is copied into a mapped column; so the rows equal one
-        whole-array draw bit for bit."""
+        by a streamed pass (``_pass``) and kept.  Each worker copies its
+        blocks' columns into mapped columns, each made by the first block
+        that returns its name; so the rows equal every pass's frames, bit
+        for bit."""
         hit = self._cache.get("columns")
         if hit is None:
-            family, n, params = DRAW_FAMILIES[self.family], int(self.budget), self.params
-            rng, buf = _generator(self), np.empty(min(DRAW_BLOCK, n))
-            heads = family.head(rng, _mapped(n), params)
-            cols = dict(heads)
-            for a in range(0, n, DRAW_BLOCK):
-                b = min(a + DRAW_BLOCK, n)
-                head = {name: col[a:b] for name, col in heads.items()}
-                for name, col in family.last(rng, head, buf[:b - a], params).items():
-                    if name not in cols:
-                        cols[name] = _mapped(n, col.dtype)
-                    cols[name][a:b] = col
+            n, cols, making = int(self.budget), {}, threading.Lock()
+
+            def fill(rows: slice, frame: dict):
+                with making:
+                    for name, col in frame.items():
+                        if name not in cols:
+                            cols[name] = _mapped(n, col.dtype)
+                for name, col in frame.items():
+                    cols[name][rows] = col
+
+            for _ in _pass(self, fill):
+                pass
             hit = self._cache["columns"] = (None, {k: _frozen(v) for k, v in cols.items()})
         return hit[1]
 
     def substream(self, index: int) -> "Sampler":
-        return replace(self, spawn=self.spawn + (int(index),), _cache={})
+        """The independent child stream ``index``, an integer in [0,
+        _BLOCK_KEY): one spawn-key word, so no path of indices spells
+        another's key, nor a block's."""
+        index = _natural(index, "substream index", _BLOCK_KEY)
+        return replace(self, spawn=self.spawn + (index,), _cache={})
 
     def cond_each(self, rv: RandomVariable, families) -> list:
         """E[rv | A] for each event A of each list in ``families``, from one
-        streamed pass of this stream's generator that keeps no rows
-        (``_pass``); each answer is also stored, while its event lives, for
-        ``cond`` to return.
+        streamed pass that keeps no rows (``_pass``); each answer is also
+        stored, while its event lives, for ``cond`` to return.
 
         Each block of rows is read once.  In a list, an event inside the one
         before it (``_inside``) is found among that event's rows, so a list
@@ -983,13 +973,13 @@ class Sampler:
         membership on the block.  Each event's (count, mean, squared
         deviations) of a block (``_stats``) merge in block order
         (``_merge``), so counts and probabilities equal ``cond`` on the full
-        stream, and the mean and se equal it up to summation order, whether
-        the blocks were drawn on this thread or split over workers.  No
-        public method of a space runs, so the pass may run on any thread.
+        stream, and the mean and se equal it up to summation order.  The
+        blocks are read on the pass's worker threads, where no public method
+        of a space runs.
         """
         families = [list(events) for events in families]
 
-        def read(frame) -> list:
+        def read(_, frame) -> list:
             block, out = _Block(frame), []
             for events in families:
                 prev, stats = None, []  # prev: (event, its variable on its rows, rv on its rows)
@@ -1098,7 +1088,7 @@ def variance(space: ProbabilitySpace, rv: RandomVariable) -> float:
     def build():
         if isinstance(space, Sampler):
             k, _, m2 = functools.reduce(
-                _merge, _pass(space, lambda frame: _stats(_Block(frame).values_of(rv))))
+                _merge, _pass(space, lambda _, frame: _stats(_Block(frame).values_of(rv))))
             return (m2 / k,)
         m = expectation(space, rv).value
         # squared in place: one array the size of rv's values, as rv * rv made

@@ -290,9 +290,8 @@ def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
     On a sampler the trace keeps no rows and streams twice: once for the
     default ``eps0`` (``std``, skipped when ``Schedule.eps0`` is set), and
     once for every window of the schedule (``Sampler.cond_each``), whose
-    stored answers the trace then reads.  The second pass starts from the
-    generator states the first recorded and splits its blocks over worker
-    threads.
+    stored answers the trace then reads.  Each pass splits its blocks over
+    worker threads.
     """
     if family not in WINDOW_FAMILIES:
         raise ValueError(f"unknown window family {family!r}")
@@ -370,7 +369,7 @@ def evaluate_on_grid(space, X: RandomVariable, Y: RandomVariable, y_grid,
     from (space seed, node index), so nodes share no sample noise.  Nodes
     run one after another; each sampler node streams twice, as
     ``window_estimate`` does (once with ``Schedule.eps0`` set), keeps no
-    rows, and splits its second pass's blocks over worker threads.
+    rows, and splits each pass's blocks over worker threads.
     """
     y_grid = np.asarray(y_grid, dtype=float)
     traces = []

@@ -378,6 +378,32 @@ def test_fractional_config_integer_is_a_config_error(kind, field, value, match):
         load_space(cfg)
 
 
+# a seed keys every block's generator, so a negative one fails where it enters
+
+
+def test_a_negative_sampler_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="sampler seed must be an integer >= 0, got -5"):
+        load_space({"schema_version": 1, "kind": "sampler", "seed": -5, "budget": 100})
+
+
+def test_a_negative_scenario_seed_is_a_config_error(tmp_path):
+    entry = _run_beside_dice(tmp_path, {
+        "schema_version": 1, "name": "bad", "task": "window",
+        "space": str(SCENARIO_DIR / "spaces" / "gaussian-sum-sampler.json"),
+        "params": {"x": "X", "y": "Y", "at": 2.0}, "seed": -5})
+    assert entry["error"] == "ConfigError: scenario seed must be an integer >= 0, got -5"
+
+
+def test_a_negative_inline_seed_exits_2(capsys):
+    rc = cli.main(["window", "--space", str(SCENARIO_DIR / "spaces" / "gaussian-sum-sampler.json"),
+                   "--x", "X", "--y", "Y", "--at", "2", "--seed", "-5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ConfigError", "message": "scenario seed must be an integer >= 0, got -5"}
+
+
 def test_config_integers_pass_through_exactly():
     seed = 2**60 + 1  # not a float
     bundle = load_space({"schema_version": 1, "kind": "sampler", "seed": seed, "budget": 100.0})

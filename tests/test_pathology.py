@@ -217,8 +217,8 @@ def _count_calls(monkeypatch, owner, attr):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_paradox_plan_reproduces_one_call_per_report(seed, monkeypatch):
     inst = ratio_normal_instance(seed=seed, budget=400_000)
-    # a fresh generator per first pass
-    draws = _count_calls(monkeypatch, spaces, "_generator")
+    # one streamed pass per substream
+    draws = _count_calls(monkeypatch, cp.Sampler, "cond_each")
     traces = _count_calls(monkeypatch, pathology, "shrink_trace")
     reports = cp.paradox_reports(inst["space"], inst["X"], _main_and_control(inst),
                                  inst["schedule"])

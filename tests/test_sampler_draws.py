@@ -1,13 +1,15 @@
-"""Sampler draws give the rows of one whole-array draw, bit for bit.
+"""Sampler draws give the rows of their block-keyed definition, bit for bit.
 
-A built-in family draws its last column block by block.  The full stream
-keeps every column; the streamed pass of ``Sampler.cond_each`` draws the
-head column again, block by block, and keeps no rows.  Both must give the
-rows of one whole-array draw, in the same order, and the streamed pass the
+Block i of a sampler (DRAW_BLOCK rows, the last one shorter) is drawn
+whole, head then last, from its own generator, keyed by the seed and the
+spawn key plus (_BLOCK_KEY, i).  The full stream keeps every column; the
+streamed pass of ``Sampler.cond_each`` keeps no rows.  Both must give the
+rows of that definition, in the same order, and the streamed pass the
 window counts of the full stream.
 """
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -61,9 +63,30 @@ def _sampler(family):
     return cp.Sampler(family, PARAMS, seed=SEED, budget=N, spawn=(3,))
 
 
+def _block_rng(seed, spawn, i):
+    return np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=spawn + (spaces._BLOCK_KEY, i)))
+
+
+def _keyed(draw, seed=SEED, spawn=(3,), n=N):
+    """The rows of ``draw(rng, rows)`` of each block from its keyed
+    generator, joined in block order."""
+    block, cols = spaces.DRAW_BLOCK, {}
+    for i, a in enumerate(range(0, n, block)):
+        for name, col in draw(_block_rng(seed, spawn, i), min(block, n - a)).items():
+            cols.setdefault(name, []).append(col)
+    return {name: np.concatenate(parts) for name, parts in cols.items()}
+
+
 def _reference_columns(family):
-    rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(3,)))
-    return _reference(family, rng, N, PARAMS)
+    """Each block drawn by the registered family, head then last."""
+    fam = spaces.DRAW_FAMILIES[family]
+
+    def draw(rng, rows):
+        head = fam.head(rng, np.empty(rows), PARAMS)
+        return head | fam.last(rng, head, np.empty(rows), PARAMS)
+
+    return _keyed(draw)
 
 
 @pytest.fixture(params=[spaces.DRAW_BLOCK, 1 << 12, 1 << 20],
@@ -74,7 +97,19 @@ def block(request, monkeypatch):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_full_stream_equals_whole_array_draw(family, block):
+def test_a_family_draws_what_plain_numpy_draws(family):
+    # a registered family's head then last equal one whole-array draw
+    fam, rng = spaces.DRAW_FAMILIES[family], np.random.default_rng(SEED)
+    head = fam.head(rng, np.empty(N), PARAMS)
+    got = head | fam.last(rng, head, np.empty(N), PARAMS)
+    ref = _reference(family, np.random.default_rng(SEED), N, PARAMS)
+    assert list(got) == list(ref)
+    for name in ref:
+        assert np.array_equal(got[name], ref[name]), name
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_full_stream_equals_keyed_block_draws(family, block):
     cols = _sampler(family).columns()
     ref = _reference_columns(family)
     assert list(cols) == list(ref)
@@ -87,22 +122,24 @@ def _head(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_replayed_frames_equal_whole_array_draw(family, block):
-    # a built-in family holds no head column: the budget ends inside a block;
-    # the first pass and a later one from its recorded states give one draw
+def test_pass_frames_equal_keyed_block_draws(family, block):
+    # the budget ends inside a block; every pass gives the same rows, each
+    # frame with its own slice of the stream, and keeps none of them
     assert N % block or block > N
     space, ref = _sampler(family), _reference_columns(family)
     for _ in range(2):
-        got = {}
-        for frame in spaces._pass(space, lambda frame: {k: v.copy() for k, v in frame.items()}):
-            assert 0 < len(frame[_head(family)]) <= block
+        got, starts = {}, []
+        for rows, frame in spaces._pass(
+                space, lambda rows, frame: (rows, {k: v.copy() for k, v in frame.items()})):
+            starts.append(rows.start)
+            assert rows.stop - rows.start == len(frame[_head(family)]) <= block
             for name, col in frame.items():
                 got.setdefault(name, []).append(col)
+        assert starts == list(range(0, N, block))
         assert list(got) == list(ref)
         for name in ref:
             assert np.array_equal(np.concatenate(got[name]), ref[name]), name
-    assert "columns" not in space._cache
-    assert "states" in space._cache
+    assert space._cache == {}
 
 
 # window lists per kind, for a family whose head column is ``h``, around
@@ -174,6 +211,28 @@ def test_a_stored_answer_belongs_to_its_variable_and_event():
     assert not [key for key in stream._cache if isinstance(key, tuple) and key[0] == "cond"]
 
 
+@pytest.mark.parametrize("family", ["gaussian-sum", "custom"])
+def test_many_workers_fill_the_full_stream_without_a_lost_column(family, monkeypatch):
+    # the workers share the dict of kept columns: with more workers than
+    # cores, tiny blocks and frequent switches, a column made twice would
+    # lose the rows written into the first one; the workers' first blocks
+    # race, so the fill runs on ten fresh samplers
+    monkeypatch.setattr(spaces, "DRAW_BLOCK", 64)
+    monkeypatch.setattr(spaces, "DRAW_THREADS", 8)
+    ref = _keyed(lambda rng, rows: _reference(family, rng, rows, PARAMS), n=5_000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fills = [cp.Sampler(family, PARAMS, seed=SEED, budget=5_000, spawn=(3,)).columns()
+                 for _ in range(10)]
+    finally:
+        sys.setswitchinterval(interval)
+    for cols in fills:
+        assert list(cols) == list(ref)
+        for name in ref:
+            assert np.array_equal(cols[name], ref[name]), name
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_full_stream_is_read_only(family):
     # a write into a kept column would leave every memoised answer stale
@@ -198,7 +257,7 @@ def test_a_custom_draw_may_return_read_only_arrays(streamed, block, monkeypatch)
         lambda rng, out, params: read_only(CUSTOM.head(rng, out, params)),
         lambda rng, rows, out, params: read_only(CUSTOM.last(rng, rows, out, params))))
     space = cp.Sampler("read-only", seed=1, budget=N)
-    ref = _custom_draw(np.random.default_rng(np.random.SeedSequence(1)), N, {})
+    ref = _keyed(lambda rng, rows: _custom_draw(rng, rows, {}), seed=1, spawn=())
     y, z = cp.coordinate("y"), cp.coordinate("z")
     if streamed:
         (got,), = space.cond_each(z, [[cp.Event.window(y, 0.0, 0.4)]])
@@ -249,6 +308,23 @@ def test_a_sampler_checks_its_budget_at_construction(budget):
     assert str(info.value) == f"sampler budget must be an integer >= 1, got {budget!r}"
 
 
+@pytest.mark.parametrize("seed", [-5, 1.5, True, "7"])
+def test_a_sampler_checks_its_seed_at_construction(seed):
+    # the seed keys every block's generator: a bad one fails here, not at a draw
+    with pytest.raises(ValueError) as info:
+        cp.Sampler("standard-normal-pair", seed=seed, budget=10)
+    assert str(info.value) == f"sampler seed must be an integer >= 0, got {seed!r}"
+
+
+@pytest.mark.parametrize("index", [1.7, True, -1, "1", 1 << 32])
+def test_a_substream_index_must_be_one_spawn_key_word(index):
+    space = cp.Sampler("standard-normal-pair", seed=1, budget=10)
+    with pytest.raises(ValueError) as info:
+        space.substream(index)
+    assert str(info.value) == f"substream index must be an integer in [0, {1 << 32}), got {index!r}"
+    assert space.substream(np.int64(1)).spawn == (1,)
+
+
 def _serial_reference(inst, families):
     """The paradox report from full substreams, one family after another."""
     epsilons = inst["schedule"].epsilons(inst["schedule"].eps0)
@@ -294,11 +370,22 @@ def test_paradox_reports_equal_serial_full_stream_reference(which, block):
     _assert_equal_up_to_roundoff(rep.to_json_dict(), _serial_reference(inst, inst[which]))
 
 
+def _watched(family, log):
+    """The registered ``family`` with the thread of each block's draw
+    appended to ``log``."""
+    fam = spaces.DRAW_FAMILIES[family]
+    return spaces.DrawFamily(
+        lambda rng, out, params: log.append(threading.current_thread()) or fam.head(
+            rng, out, params), fam.last)
+
+
 def test_paradox_draws_streams_on_workers_off_the_public_methods(monkeypatch):
-    # each substream's streamed pass runs on a worker thread; every public
-    # sampler method runs on the calling thread
+    # each substream's streamed pass draws its blocks on worker threads; the
+    # passes, and every public sampler method, run on the calling thread
     main = threading.current_thread()
-    seen, passes, lists = [], [], []
+    seen, passes, lists, drawn_on = [], [], [], []
+    monkeypatch.setitem(spaces.DRAW_FAMILIES, "standard-normal-pair",
+                        _watched("standard-normal-pair", drawn_on))
     for name in ("columns", "substream", "values_of", "indicator", "moment", "cond"):
         method = getattr(cp.Sampler, name)
 
@@ -318,7 +405,8 @@ def test_paradox_draws_streams_on_workers_off_the_public_methods(monkeypatch):
     inst = ratio_normal_instance(seed=SEED, budget=200_000)
     cp.borel_kolmogorov(inst["space"], inst["X"], inst["families"], inst["schedule"])
     assert seen and all(t is main for t in seen)
-    assert len(passes) == 2 and main not in passes
+    assert passes == [main, main]
+    assert len(drawn_on) == 2 * -(-200_000 // spaces.DRAW_BLOCK) and main not in drawn_on
     eps = (0.4, 0.2, 0.1, 0.05)
     assert sorted(lists) == [[[f"{{|y-0.0|<{e!r}}}" for e in eps]],
                              [[f"{{|y_over_z-0.0|<{e!r}}}" for e in eps]]]
@@ -347,33 +435,29 @@ def test_a_split_pass_equals_a_sequential_pass(family, split, monkeypatch):
     monkeypatch.setattr(spaces, "DRAW_BLOCK", block)
     X = cp.RandomVariable("head_squared", lambda f: f[_head(family)] ** 2)
     lists = _split_lists(family)
-    recorded = cp.Sampler(family, PARAMS, seed=SEED, budget=budget, spawn=(3,))
-    spaces.std(recorded, cp.coordinate("y"))  # the first pass records the states
-    assert "states" in recorded._cache
     main, drawn_on = threading.current_thread(), []
-    at = spaces._at
-    monkeypatch.setattr(spaces, "_at", lambda rng, state: drawn_on.append(
-        threading.current_thread()) or at(rng, state))
-    split_answers = recorded.cond_each(X, lists)
+    monkeypatch.setitem(spaces.DRAW_FAMILIES, family, _watched(family, drawn_on))
+    split = cp.Sampler(family, PARAMS, seed=SEED, budget=budget, spawn=(3,))
+    split_answers = split.cond_each(X, lists)
     blocks = -(-budget // block)
-    assert len(drawn_on) == 2 * blocks and main not in drawn_on
+    # even a fresh sampler's first pass draws every block once, on workers
+    assert len(drawn_on) == blocks and main not in drawn_on
+    monkeypatch.setattr(spaces, "DRAW_THREADS", 1)
     fresh = cp.Sampler(family, PARAMS, seed=SEED, budget=budget, spawn=(3,))
     sequential = fresh.cond_each(X, lists)
-    # the fresh sampler's pass draws every block on the calling thread
-    assert drawn_on[2 * blocks:] == [main] * (2 * blocks)
+    assert len(drawn_on) == 2 * blocks and len(set(drawn_on[blocks:])) == 1
     for got_row, want_row in zip(split_answers, sequential):
         for got, want in zip(got_row, want_row):
             assert (got.n, got.prob, got.value, got.se, got.degenerate) == \
                    (want.n, want.prob, want.value, want.se, want.degenerate)
     assert split_answers[0][-1].degenerate and split_answers[0][-1].n == 0
-    assert "columns" not in recorded._cache and "columns" not in fresh._cache
+    assert "columns" not in split._cache and "columns" not in fresh._cache
 
 
 @pytest.mark.parametrize("family", list(spaces.DRAW_FAMILIES))
 def test_a_pass_after_the_full_stream_equals_a_fresh_first_pass(family):
-    # drawn columns change nothing a pass draws or records: the budget ends
-    # inside a block, and std, the windows and the recorded states equal a
-    # fresh sampler's first pass, bit for bit
+    # drawn columns change nothing a pass draws: the budget ends inside a
+    # block, and std and the windows equal a fresh sampler's, bit for bit
     assert N % spaces.DRAW_BLOCK
     y = cp.coordinate("y")
     X = cp.RandomVariable("head_squared", lambda f: f[_head(family)] ** 2)
@@ -383,21 +467,19 @@ def test_a_pass_after_the_full_stream_equals_a_fresh_first_pass(family):
     got_std, got = spaces.std(full, y), full.cond_each(X, lists)
     assert spaces.std(fresh_std, y) == got_std
     want = fresh.cond_each(X, lists)
-    assert fresh_std._cache["states"] == fresh._cache["states"] == full._cache["states"]
     for got_row, want_row in zip(got, want):
         for g, w in zip(got_row, want_row):
             assert (g.n, g.prob, g.value, g.se, g.degenerate) == \
                    (w.n, w.prob, w.value, w.se, w.degenerate)
 
 
-def test_a_custom_draw_records_states_and_still_answers():
-    # a registered family records its states on the first pass, as a shipped
-    # one does, and a later pass drawn from them gives the same answers
+def test_a_custom_draw_answers_alike_on_every_pass():
+    # a registered family is drawn as a shipped one is: a second pass gives
+    # the first pass's answers
     space = _sampler("custom")
     y, z = cp.coordinate("y"), cp.coordinate("z")
     lists = [[cp.Event.window(y, 0.0, e) for e in (0.4, 0.1)]]
     first = space.cond_each(z, lists)
-    assert "states" in space._cache
     assert space.cond_each(z, lists) == first
     ref = _reference_columns("custom")
     for event, got in zip(lists[0], first[0]):
@@ -406,15 +488,55 @@ def test_a_custom_draw_records_states_and_still_answers():
         assert math.isclose(got.value, ref["z"][mask].mean(), rel_tol=ROUNDOFF)
 
 
+def test_a_fresh_sampler_pass_draws_2_values_a_row(monkeypatch):
+    # no pass draws a head column twice: std on a fresh sampler draws each
+    # row's head and last once
+    sizes = []
+
+    def counted(draw):
+        return lambda rng, *args: sizes.append(args[-2].size) or draw(rng, *args)
+
+    monkeypatch.setitem(spaces.DRAW_FAMILIES, "counting", spaces.DrawFamily(
+        counted(CUSTOM.head), counted(CUSTOM.last)))
+    space = cp.Sampler("counting", seed=SEED, budget=N)
+    spaces.std(space, cp.coordinate("y"))
+    assert sum(sizes) == 2 * N and len(sizes) == 2 * -(-N // spaces.DRAW_BLOCK)
+
+
+def test_a_samplers_block_keys_are_none_of_its_substreams(monkeypatch):
+    # block i is keyed by the spawn key plus (_BLOCK_KEY, i); a substream
+    # puts its index, one 32-bit word, first, so no two blocks of a sampler
+    # and its substreams at any depth share a generator
+    monkeypatch.setattr(spaces, "DRAW_BLOCK", 1 << 12)
+    keys, seed_sequence = [], np.random.SeedSequence
+
+    def recorded(seed, spawn_key):
+        keys.append((seed, spawn_key))
+        return seed_sequence(seed, spawn_key=spawn_key)
+
+    monkeypatch.setattr(np.random, "SeedSequence", recorded)
+    space = cp.Sampler("standard-normal-pair", seed=SEED, budget=5 * 4096 + 1)
+    subs = [space.substream(i) for i in (0, 1, 5, 6, spaces._BLOCK_KEY - 1)]
+    subs += [subs[0].substream(1), subs[1].substream(0), subs[4].substream(0)]
+    y = cp.coordinate("y")
+    by_space = []
+    for s in [space, *subs]:
+        keys.clear()
+        spaces.std(s, y)
+        assert len(keys) == 6
+        by_space.append({(seed, key) for seed, key in keys})
+    states = [tuple(seed_sequence(seed, spawn_key=key).generate_state(8))
+              for got in by_space for seed, key in got]
+    assert len(set().union(*by_space)) == len(set(states)) == 6 * len(by_space)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_streamed_std_equals_numpy_on_the_columns(family, block):
     y = cp.coordinate("y")
     shifted = cp.coordinate(_head(family)) * y + 1e3
     streamed, fresh, full = _sampler(family), _sampler(family), _sampler(family)
-    # the second pass starts from the states the first recorded, and splits
     got = [spaces.std(streamed, rv) for rv in (y, shifted)]
     assert "columns" not in streamed._cache
-    assert "states" in streamed._cache
     assert spaces.std(fresh, shifted) == got[1]
     for rv, value in zip((y, shifted), got):
         want = float(np.std(full.values_of(rv)))

@@ -261,7 +261,7 @@ def test_sampler_window_traces_stream_and_read_no_columns(monkeypatch):
 
 
 def test_sampler_window_passes_call_no_public_function_off_the_calling_thread(monkeypatch):
-    # the window pass splits its blocks over worker threads, which call no
+    # both passes split their blocks over worker threads, which call no
     # public method or function, so a tracer that wraps them sees one thread
     main, seen, split = threading.current_thread(), [], []
     public = [(cp.Sampler, ("columns", "substream", "values_of", "indicator", "moment", "cond",
@@ -276,17 +276,16 @@ def test_sampler_window_passes_call_no_public_function_off_the_calling_thread(mo
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, spy)
-    at = cp.spaces._at
-    monkeypatch.setattr(cp.spaces, "_at", lambda rng, state: split.append(
-        threading.current_thread()) or at(rng, state))
+    family = cp.spaces.DRAW_FAMILIES["gaussian-sum"]
+    monkeypatch.setitem(cp.spaces.DRAW_FAMILIES, "gaussian-sum", cp.spaces.DrawFamily(
+        lambda rng, out, params: split.append(threading.current_thread()) or family.head(
+            rng, out, params), family.last))
     space = cp.Sampler("gaussian-sum", seed=20260811, budget=300_000)
     assert cp.window_estimate(space, X_COORD, Y_COORD, 0.5).verdict == CONVERGED
     assert seen and all(thread is main for thread in seen)
-    # the std pass draws its blocks on the calling thread, the window pass
-    # from its recorded states on workers
-    per_pass = 2 * -(-300_000 // cp.spaces.DRAW_BLOCK)  # two states a block
-    assert split[:per_pass] == [main] * per_pass
-    assert len(split) == 2 * per_pass and main not in split[per_pass:]
+    # the std pass and the window pass each draw every block once, on workers
+    per_pass = -(-300_000 // cp.spaces.DRAW_BLOCK)
+    assert len(split) == 2 * per_pass and main not in split
 
 
 def test_convergence_order_smooth(gaussian_sum_grid):
@@ -381,7 +380,11 @@ def test_sampler_starves_on_an_empty_window_after_some_steps():
     space = cp.Sampler("uniform-square", seed=1, budget=10000)
     tr = cp.window_estimate(space, Y_COORD, Y_COORD, -0.25, schedule=cp.Schedule(eps0=1.0))
     assert tr.verdict == STARVED and tr.bound is None and tr.tol == 1e-6
-    assert [s.n for s in tr.steps] == [7499, 2555]
+    # the first two windows, (-1.25, 0.75) and (-0.75, 0.25), hold the rows
+    # below their upper ends
+    y = cp.Sampler("uniform-square", seed=1, budget=10000).columns()["y"]
+    assert [s.n for s in tr.steps] == [(y < 0.75).sum(), (y < 0.25).sum()]
+    assert 0 < tr.steps[-1].n < tr.steps[0].n < 10000
 
 
 # The window of each family around y at radius eps, built one event at a time.
