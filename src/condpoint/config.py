@@ -32,6 +32,7 @@ from .spaces import (
     coordinate,
     family_params,
     finite_number,
+    whole_number,
 )
 from .window import DEFAULT_TOL, Schedule
 
@@ -235,11 +236,12 @@ def _as_finite(value, what: str, low: float | None = None, strict: bool = False,
 
 
 def _as_count(value, what: str, low: int = 1) -> int:
-    """An integer >= ``low``, through ``_as_int``."""
-    n = _as_int(value, what)
-    if n < low:
-        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
-    return n
+    """``spaces.whole_number`` >= ``low`` of ``_as_int``, raising ConfigError
+    that names the field."""
+    try:
+        return whole_number(_as_int(value, what), what, low)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _as_pair(value, what: str, convert) -> tuple:

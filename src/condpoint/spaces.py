@@ -750,6 +750,16 @@ def finite_number(value, what: str, low: float | None = None, strict: bool = Fal
     return x
 
 
+def whole_number(value, what: str, low: int = 0, end: int | None = None) -> int:
+    """``int(value)`` when it is an integer, not a bool, >= ``low`` and, with
+    ``end``, below ``end``; ValueError naming ``what`` and the range otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low
+            or end is not None and value >= end):
+        bound = f">= {low}" if end is None else f"in [{low}, {end})"
+        raise ValueError(f"{what} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
 def family_params(family: str, given: dict, what: str) -> dict:
     """``family``'s parameters in FAMILY_PARAMS: each one in ``given`` a
     finite number in its range (``finite_number``, named "``what`` key"),
@@ -878,16 +888,6 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return k, mean_a + delta * k_b / k, m2_a + m2_b + delta * delta * k_a * k_b / k
 
 
-def _natural(value, what: str, end: int | None = None) -> int:
-    """``value`` when it is an integer >= 0, below ``end`` if given, and not
-    a bool; ValueError naming ``what`` otherwise."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0
-            or end is not None and value >= end):
-        bound = ">= 0" if end is None else f"in [0, {end})"
-        raise ValueError(f"{what} must be an integer {bound}, got {value!r}")
-    return int(value)
-
-
 def _conditional(space, k: int, mean: float, m2: float) -> ConditionalEstimate:
     """E[X | A] on a sampler from X's count, mean and M2 on the rows of A
     (``_stats``); the degenerate branch when ``is_null`` holds for k / budget."""
@@ -923,9 +923,8 @@ class Sampler:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.budget, numbers.Integral) or self.budget < 1:
-            raise ValueError(f"sampler budget must be an integer >= 1, got {self.budget!r}")
-        _natural(self.seed, "sampler seed")
+        whole_number(self.budget, "sampler budget", 1)
+        whole_number(self.seed, "sampler seed")
         if self.family not in DRAW_FAMILIES:
             raise ValueError(f"unknown sampler family {self.family!r}; "
                              f"expected one of {sorted(DRAW_FAMILIES)}")
@@ -958,7 +957,7 @@ class Sampler:
         """The independent child stream ``index``, an integer in [0,
         _BLOCK_KEY): one spawn-key word, so no path of indices spells
         another's key, nor a block's."""
-        index = _natural(index, "substream index", _BLOCK_KEY)
+        index = whole_number(index, "substream index", end=_BLOCK_KEY)
         return replace(self, spawn=self.spawn + (index,), _cache={})
 
     def cond_each(self, rv: RandomVariable, families) -> list:
