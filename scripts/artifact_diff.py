@@ -61,7 +61,7 @@ INLINE = [
                          "--g", "sum_given_first", "--y", "first", "--levels", "0,1"]),
     ("factorize-band", ["factorize", "--space", SPACES + "bivariate-05.json", "--g", "Z",
                         "--y", "Y", "--levels", "0,0.5", "--band", "0.05"]),
-    # reads a sampler's full stream (`Sampler.columns()`): X's witnesses at 17 digits
+    # a sampler's streamed `values_on`, joined in row order: X's witnesses at 17 digits
     ("factorize-sampler", ["factorize", "--space", SPACES + "gaussian-sum-sampler.json",
                            "--g", "X", "--y", "Y", "--levels", "0,2", "--band", "1e-4"]),
     ("verify", ["verify", "--space", SPACES + "d8-null.json", "--x", "X",

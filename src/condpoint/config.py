@@ -206,7 +206,9 @@ def _coerce_atom(a):
 def _as_int(value, what: str) -> int:
     """An integer, raising ConfigError that names the field.  A Python int
     passes through exactly (seeds can exceed 2**53); a number with a
-    fraction is not one."""
+    fraction is not one, nor is a JSON ``true`` or ``false``."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
     if isinstance(value, int):
         return int(value)
     try:

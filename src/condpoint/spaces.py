@@ -7,8 +7,9 @@ Three space variants share one estimator API:
   trapezoid quadrature, window events integrated exactly against the
   piecewise-linear interpolant along their axis; ``DensityGrid1D`` and
   ``DensityGrid2D`` are its constructors for one axis and for a rectangle;
-* ``Sampler``         -- a seeded Monte Carlo column store; every estimate
-  carries a standard error and an effective sample count.
+* ``Sampler``         -- a seeded Monte Carlo stream of named columns, read
+  block by block and never kept by a query; every estimate carries a
+  standard error and an effective sample count.
 
 Every space reads variables and events through one ``values_of`` and one
 ``indicator``; they differ only in ``_apply``, which applies a function once
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 import numbers
 import operator
 import threading
@@ -683,21 +683,6 @@ class DrawFamily:
     last: Callable
 
 
-# Anonymous maps private to this process (Windows maps take no flags and are).
-_MAP_FLAGS = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-
-
-def _mapped(n: int, dtype=float) -> np.ndarray:
-    """An ``n``-row column in its own anonymous memory map.
-
-    The map goes back to the system when the column's last view dies, on
-    whichever thread made it, and a page takes memory only once written.
-    """
-    dtype = np.dtype(dtype)
-    region = mmap.mmap(-1, max(n, 1) * dtype.itemsize, **_MAP_FLAGS)
-    return np.frombuffer(region, dtype=dtype, count=n)
-
-
 def _normal_z(rng, out, params):
     return {"z": rng.standard_normal(out=out)}
 
@@ -844,7 +829,7 @@ class _RowFrame(Mapping):
 
 
 def _row_values(rv: RandomVariable, columns, rows: np.ndarray) -> np.ndarray:
-    """``rv`` on the rows ``rows`` of ``columns``: a full stream or one frame."""
+    """``rv`` on the rows ``rows`` of ``columns``, one block's frame."""
     return _evaluate(f"variable {rv.name!r}", rv.fn, _RowFrame(columns, rows), rows.shape)
 
 
@@ -899,6 +884,46 @@ def _conditional(space, k: int, mean: float, m2: float) -> ConditionalEstimate:
     return ConditionalEstimate(mean, se=se, n=k, prob=p)
 
 
+def _fold(sampler: "Sampler", rv: RandomVariable | None, families) -> list:
+    """``rv``'s (count, mean, M2) on the rows of each event of each list in
+    ``families``, from one streamed pass that keeps no rows (``_pass``).  An
+    event None is every row of ``rv``; with ``rv`` None only each event's
+    count is taken.
+
+    Each block of rows is read once.  In a list, an event inside the one
+    before it (``_inside``) is found among that event's rows, so a list of
+    nested windows evaluates its variable and ``rv`` once per block, on the
+    rows of its first window; any other event tests its own membership on
+    the block.  Each event's ``_stats`` of a block merge in block order
+    (``_merge``), so counts equal the full stream's, and the mean and M2
+    equal it up to summation order.  The blocks are read on the pass's
+    worker threads, where no public method of a space runs.
+    """
+    def read(_, frame) -> list:
+        block, out = _Block(frame), []
+        for events in families:
+            prev, stats = None, []  # prev: (event, its variable on its rows, rv on its rows)
+            for event in events:
+                if event is None:
+                    v, x = None, block.values_of(rv)
+                elif prev is not None and _inside(event, prev[0]):
+                    keep = np.flatnonzero(_interval_mask(prev[1], event.pieces))
+                    v, x = prev[1].take(keep), prev[2].take(keep)
+                else:
+                    rows = np.flatnonzero(block.indicator(event))
+                    v = block.values_of(event.rv)[rows] if event.kind == "intervals" else None
+                    x = _row_values(rv, frame, rows) if rv is not None and rows.size else rows
+                stats.append(_stats(x) if rv is not None else (x.size, 0.0, 0.0))
+                prev = None if event is None else (event, v, x)
+            out.append(stats)
+        return out
+
+    acc = [[(0, 0.0, 0.0)] * len(events) for events in families]
+    for got in _pass(sampler, read):
+        acc = [list(map(_merge, accs, stats)) for accs, stats in zip(acc, got)]
+    return acc
+
+
 @dataclass(eq=False)
 class Sampler:
     """Seeded Monte Carlo space over named sample columns.
@@ -909,10 +934,12 @@ class Sampler:
     sample, and ``substream(i)`` derives an independent child stream.  To add
     a model, register a DrawFamily there.  A family's parameters missing
     from ``params`` take their FAMILY_PARAMS defaults, and one outside its
-    range is a ValueError; other keys pass through.  ``cond_each`` answers
-    lists of events, and ``variance`` a variable's spread, from one streamed
-    pass that keeps no rows; every other query reads the full stream
-    (``columns``), which one such pass fills.
+    range is a ValueError; other keys pass through.  Every query (``moment``,
+    ``cond``, ``cond_each``, ``variance``, ``values_on``, ``pushforward``)
+    is one streamed pass that keeps no rows, so memory does not grow with
+    the budget.  ``columns`` and the ``values_of``, ``indicator`` and
+    ``frame`` read from it keep the full stream: they are the reference
+    that tests compare the passes against, and no query calls them.
     """
 
     family: str
@@ -925,31 +952,28 @@ class Sampler:
     def __post_init__(self):
         whole_number(self.budget, "sampler budget", 1)
         whole_number(self.seed, "sampler seed")
+        self.spawn = tuple(whole_number(entry, "sampler spawn key entry", end=_BLOCK_KEY)
+                           for entry in self.spawn)
         if self.family not in DRAW_FAMILIES:
             raise ValueError(f"unknown sampler family {self.family!r}; "
                              f"expected one of {sorted(DRAW_FAMILIES)}")
         self.params = self.params | family_params(self.family, self.params, "sampler params")
 
     def columns(self) -> dict:
-        """The full stream: every row by column name, read-only, drawn once
-        by a streamed pass (``_pass``) and kept.  Each worker copies its
-        blocks' columns into mapped columns, each made by the first block
-        that returns its name; so the rows equal every pass's frames, bit
-        for bit."""
+        """The full stream, the reference for tests: every row by column
+        name, read-only, copied block by block from one streamed pass
+        (``_pass``) on the calling thread and kept; so the rows equal every
+        pass's frames, bit for bit."""
         hit = self._cache.get("columns")
         if hit is None:
-            n, cols, making = int(self.budget), {}, threading.Lock()
-
-            def fill(rows: slice, frame: dict):
-                with making:
-                    for name, col in frame.items():
-                        if name not in cols:
-                            cols[name] = _mapped(n, col.dtype)
+            n, cols = int(self.budget), {}
+            copies = _pass(self, lambda rows, frame: (
+                rows, {name: col.copy() for name, col in frame.items()}))
+            for rows, frame in copies:
                 for name, col in frame.items():
+                    if name not in cols:
+                        cols[name] = np.empty(n, col.dtype)
                     cols[name][rows] = col
-
-            for _ in _pass(self, fill):
-                pass
             hit = self._cache["columns"] = (None, {k: _frozen(v) for k, v in cols.items()})
         return hit[1]
 
@@ -962,43 +986,10 @@ class Sampler:
 
     def cond_each(self, rv: RandomVariable, families) -> list:
         """E[rv | A] for each event A of each list in ``families``, from one
-        streamed pass that keeps no rows (``_pass``); each answer is also
-        stored, while its event lives, for ``cond`` to return.
-
-        Each block of rows is read once.  In a list, an event inside the one
-        before it (``_inside``) is found among that event's rows, so a list
-        of nested windows evaluates its variable and ``rv`` once per block,
-        on the rows of its first window; any other event tests its own
-        membership on the block.  Each event's (count, mean, squared
-        deviations) of a block (``_stats``) merge in block order
-        (``_merge``), so counts and probabilities equal ``cond`` on the full
-        stream, and the mean and se equal it up to summation order.  The
-        blocks are read on the pass's worker threads, where no public method
-        of a space runs.
-        """
+        streamed pass (``_fold``); each answer is also stored, while its
+        event lives, for ``cond`` to return."""
         families = [list(events) for events in families]
-
-        def read(_, frame) -> list:
-            block, out = _Block(frame), []
-            for events in families:
-                prev, stats = None, []  # prev: (event, its variable on its rows, rv on its rows)
-                for event in events:
-                    if prev is not None and _inside(event, prev[0]):
-                        keep = np.flatnonzero(_interval_mask(prev[1], event.pieces))
-                        v, x = prev[1].take(keep), prev[2].take(keep)
-                    else:
-                        rows = np.flatnonzero(block.indicator(event))
-                        v = block.values_of(event.rv)[rows] if event.kind == "intervals" else None
-                        x = _row_values(rv, frame, rows) if rows.size else rows
-                    stats.append(_stats(x))
-                    prev = event, v, x
-                out.append(stats)
-            return out
-
-        acc = [[(0, 0.0, 0.0)] * len(events) for events in families]
-        for got in _pass(self, read):
-            acc = [list(map(_merge, accs, stats)) for accs, stats in zip(acc, got)]
-        answers = [[_conditional(self, *a) for a in accs] for accs in acc]
+        answers = [[_conditional(self, *a) for a in accs] for accs in _fold(self, rv, families)]
         for events, row in zip(families, answers):
             for event, answer in zip(events, row):
                 _memo(self, ("cond", id(rv), id(event)), event, lambda: (rv, answer))
@@ -1012,36 +1003,31 @@ class Sampler:
     indicator = _indicator
 
     def moment(self, rv: RandomVariable | None, event: Event | None) -> Estimate:
+        """E[1_A X]; with rv None the event mass, with event None the full
+        mean; from one streamed pass (``_fold``)."""
         n = int(self.budget)
-        if event is None:
-            if rv is None:
-                return Estimate(1.0, 0.0, n)
-            x = self.values_of(rv)
-            se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-            return Estimate(float(x.mean()), se, n)
-        rows = np.flatnonzero(self.indicator(event))
-        k = rows.size
+        if rv is None and event is None:
+            return Estimate(1.0, 0.0, n)
+        (k, mean, m2), = _fold(self, rv, [[event]])[0]
+        p = k / n
         if rv is None:
-            p = k / n
             return Estimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / n), n)
-        if k == 0:
-            return Estimate(0.0, 0.0, n)
-        xs = _row_values(rv, self.columns(), rows)
-        m1 = float(xs.sum()) / n
-        # the variance of 1_A X over all n rows, centred: the n - k rows off A are 0
-        d = xs - m1
-        var = (float((d * d).sum()) + (n - k) * m1 * m1) / n
+        if event is None:
+            return Estimate(mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.inf, n)
+        m1 = k * mean / n
+        # the variance of 1_A X over all n rows, centred at m1: the k rows on
+        # A sum M2 plus their mean's offset, the n - k rows off A are 0
+        d = mean - m1
+        var = (m2 + k * d * d + (n - k) * m1 * m1) / n
         return Estimate(m1, math.sqrt(var / n), n)
 
     def cond(self, rv: RandomVariable, event: Event) -> ConditionalEstimate:
         """E[rv | A]: the answer ``cond_each`` stored for ``(rv, event)``,
-        read before any row, else from the rows of the full stream."""
+        read before any row, else ``cond_each``'s own pass for it."""
         hit = self._cache.get(("cond", id(rv), id(event)))
         if hit is not None:
             return hit[2]
-        rows = np.flatnonzero(self.indicator(event))
-        x = _row_values(rv, self.columns(), rows) if rows.size else rows
-        return _conditional(self, *_stats(x))
+        return self.cond_each(rv, [[event]])[0][0]
 
 
 ProbabilitySpace = DiscreteAtoms | DensityGrid | Sampler
@@ -1075,19 +1061,22 @@ def cond_expectation_event(space: ProbabilitySpace, rv: RandomVariable,
 
 
 def values_on(space: ProbabilitySpace, rv: RandomVariable, event: Event) -> np.ndarray:
-    """The values of ``rv`` at the points of ``event``, in frame order, as a 1D array."""
+    """The values of ``rv`` at the points of ``event``, in frame order, as a
+    1D array; on a sampler each block's from one streamed pass (``_pass``),
+    joined in block order, which is row order."""
+    if isinstance(space, Sampler):
+        blocks = _pass(space, lambda _, frame: values_on(_Block(frame), rv, event))
+        return np.concatenate(list(blocks))
     return space.values_of(rv)[space.indicator(event)]
 
 
 def variance(space: ProbabilitySpace, rv: RandomVariable) -> float:
     """Variance of ``rv``, centred as E[(X - E[X])^2], memoised on the
     space per variable.  On a sampler it is M2 / count from one streamed
-    pass (``_pass``) that keeps no rows, each block's ``_stats`` merged in
-    block order."""
+    pass (``_fold``) that keeps no rows."""
     def build():
         if isinstance(space, Sampler):
-            k, _, m2 = functools.reduce(
-                _merge, _pass(space, lambda _, frame: _stats(_Block(frame).values_of(rv))))
+            (k, _, m2), = _fold(space, rv, [[None]])[0]
             return (m2 / k,)
         m = expectation(space, rv).value
         # squared in place: one array the size of rv's values, as rv * rv made
@@ -1109,7 +1098,9 @@ def pushforward(space: ProbabilitySpace, rv: RandomVariable,
 
     Discrete spaces group atoms by exact value.  Grid coordinates marginalize
     onto their axis.  Anything else is binned into ``bins = (lo, hi, count)``
-    with the lost tail mass recorded in ``meta['mass_defect']``.
+    with the lost tail mass recorded in ``meta['mass_defect']``; a sampler
+    adds up each block's counts from one streamed pass (``_pass``) and
+    divides by its budget once.
     """
     if isinstance(space, DiscreteAtoms):
         vals = space.values_of(rv)
@@ -1126,12 +1117,15 @@ def pushforward(space: ProbabilitySpace, rv: RandomVariable,
     if bins is None:
         raise ValueError("pushforward of a non-coordinate variable needs bins=(lo, hi, count)")
     lo, hi, count = float(bins[0]), float(bins[1]), int(bins[2])
-    vals = space.values_of(rv).ravel()
     if isinstance(space, Sampler):
-        mass = np.full(vals.shape, 1.0 / float(space.budget))
+        def counts(_, frame):
+            return np.histogram(_Block(frame).values_of(rv), bins=count, range=(lo, hi))[0]
+
+        hist = sum(_pass(space, counts)) / float(space.budget)
+        edges = np.histogram_bin_edges((), bins=count, range=(lo, hi))
     else:
-        mass = (_node_weights(space) * space.values).ravel()
-    hist, edges = np.histogram(vals, bins=count, range=(lo, hi), weights=mass)
+        hist, edges = np.histogram(space.values_of(rv).ravel(), bins=count, range=(lo, hi),
+                                   weights=(_node_weights(space) * space.values).ravel())
     total = float(hist.sum())
     if is_null(space, total):
         raise EmptyRange(f"no mass of {rv.name} falls inside [{lo}, {hi}]")

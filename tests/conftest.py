@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,18 @@ from condpoint.config import build_space
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
+
+
+def full_stream_cond(space, rv, event):
+    """E[rv | event] on a sampler in plain numpy over its full stream
+    (``values_of`` and ``indicator``, which read ``Sampler.columns``): the
+    reference that every streamed pass must match up to summation order."""
+    xs = space.values_of(rv)[space.indicator(event)]
+    k = xs.size
+    if k == 0:
+        return cp.ConditionalEstimate(0.0, n=0, prob=0.0, degenerate=True)
+    se = float(xs.std(ddof=1)) / math.sqrt(k) if k > 1 else math.inf
+    return cp.ConditionalEstimate(float(xs.mean()), se=se, n=k, prob=k / space.budget)
 
 
 @pytest.fixture(scope="session")

@@ -378,6 +378,22 @@ def test_fractional_config_integer_is_a_config_error(kind, field, value, match):
         load_space(cfg)
 
 
+@pytest.mark.parametrize("kind, field, value, match", [
+    ("sampler", "seed", True, "sampler seed must be an integer, got True"),
+    ("sampler", "budget", True, "sampler budget must be an integer, got True"),
+    ("grid1d", "nodes", True, "grid1d nodes must be an integer, got True"),
+    ("grid2d", "nodes", [101, False], "grid2d nodes must be an integer, got False"),
+])
+def test_a_boolean_config_integer_is_a_config_error(kind, field, value, match):
+    # JSON true is no integer: it would build seed 1, budget 1 or one node
+    cfg = ({"schema_version": 1, "kind": kind, "seed": 1} if kind == "sampler" else
+           {"schema_version": 1, "kind": kind, "density": {
+               "family": "normal" if kind == "grid1d" else "bivariate-normal"}})
+    cfg[field] = value
+    with pytest.raises(ConfigError, match=match):
+        load_space(cfg)
+
+
 # a seed keys every block's generator, so a negative one fails where it enters
 
 

@@ -7,11 +7,11 @@ that tracks it.  A fix makes its test pass; strict mode then fails the
 suite until the fixing change removes the marker, so each mended defect
 shows as a marker removed.
 
-The entries are grid-only, so a change to how samplers draw their rows
-cannot move them.  Left out: item 8's cases, which need 20M rows or more
-(they belong to a coverage script, item 10), and item 16's sampler case,
-whose outcome depends on the rows drawn.  The whole module runs in well
-under 2 s.
+The entries are on grids but one: item 16's sampler case, whose seed and
+row count were fixed before its outcome was seen, so a change to how
+samplers draw or sum their rows can move it.  Left out: item 8's cases,
+which need 20M rows or more (they belong to a coverage script, item 10).
+The whole module runs in well under 2 s.
 """
 
 import math
@@ -90,3 +90,15 @@ def test_a_jump_point_is_not_a_converged_window_value():
     space = cp.DensityGrid2D(("x", "y"), ((-8.0, 8.0), (-8.0, 8.0)), values)
     tr = cp.window_estimate(space, cp.coordinate("x"), cp.coordinate("y"), 0.0)
     assert tr.verdict != CONVERGED
+
+
+@_known(16)
+def test_verify_accepts_the_exact_partition_candidate_at_a_large_offset():
+    # cells of Y cut at -1, 0, 1 on a 200k-row sampler, X = Z + 1e8: the
+    # candidate is each cell's own sample mean, so every identity holds for
+    # the empirical measure, up to roundoff in sums of size |X|
+    space = cp.Sampler("standard-normal-pair", seed=0, budget=200_000)
+    X, y = cp.coordinate("z") + 1e8, cp.coordinate("y")
+    part = cp.Partition.from_interval_cuts(space, y, [-1.0, 0.0, 1.0])
+    exact = cp.partition_cond_exp(space, X, part).rv
+    assert cp.verify_cond_exp(space, X, exact, part.cells).passed

@@ -2,10 +2,10 @@
 
 Block i of a sampler (DRAW_BLOCK rows, the last one shorter) is drawn
 whole, head then last, from its own generator, keyed by the seed and the
-spawn key plus (_BLOCK_KEY, i).  The full stream keeps every column; the
-streamed pass of ``Sampler.cond_each`` keeps no rows.  Both must give the
-rows of that definition, in the same order, and the streamed pass the
-window counts of the full stream.
+spawn key plus (_BLOCK_KEY, i).  The full stream (``Sampler.columns``,
+the reference no query reads) keeps every column; the streamed pass of
+every query keeps no rows.  Both must give the rows of that definition, in
+the same order, and the streamed pass the window counts of the full stream.
 """
 
 import math
@@ -19,6 +19,8 @@ import condpoint as cp
 from condpoint import spaces
 from condpoint.pathology import ratio_normal_instance
 from condpoint.window import shrink_trace
+
+from conftest import full_stream_cond
 
 N = 300_000
 SEED = 20260811
@@ -183,7 +185,7 @@ def test_streamed_windows_equal_full_stream_cond(family, kind, block):
     for events, row in zip(lists, answers):
         assert len(row) == len(events)
         for event, got in zip(events, row):
-            want = full.cond(X, event)
+            want = full_stream_cond(full, X, event)
             assert (got.n, got.prob, got.degenerate) == (want.n, want.prob, want.degenerate)
             assert math.isclose(got.value, want.value, rel_tol=ROUNDOFF), event.name
             assert math.isclose(got.se, want.se, rel_tol=ROUNDOFF), event.name
@@ -203,9 +205,9 @@ def test_a_stored_answer_belongs_to_its_variable_and_event():
     stream = cp.Sampler("standard-normal-pair", seed=SEED, budget=20_000)
     got, = stream.cond_each(z, [[event]])
     assert stream.cond(z, event) is got[0]
-    # another variable, or an equal event that is another object, reads the rows
-    assert stream.cond(y, event) is not got[0] and "columns" in stream._cache
-    # the budget is one block, so the full stream sums in the same order
+    # another variable, or an equal event that is another object, takes a pass of its own
+    assert stream.cond(y, event) is not got[0] and "columns" not in stream._cache
+    # the budget is one block, so the pass sums in the same order
     assert stream.cond(z, cp.Event.window(y, 0.0, 0.2)) == got[0]
     del event, got
     assert not [key for key in stream._cache if isinstance(key, tuple) and key[0] == "cond"]
@@ -213,10 +215,11 @@ def test_a_stored_answer_belongs_to_its_variable_and_event():
 
 @pytest.mark.parametrize("family", ["gaussian-sum", "custom"])
 def test_many_workers_fill_the_full_stream_without_a_lost_column(family, monkeypatch):
-    # the workers share the dict of kept columns: with more workers than
-    # cores, tiny blocks and frequent switches, a column made twice would
-    # lose the rows written into the first one; the workers' first blocks
-    # race, so the fill runs on ten fresh samplers
+    # the workers reuse their block buffers while the calling thread fills
+    # the kept columns from copies: with more workers than cores, tiny
+    # blocks and frequent switches, a block not copied before its worker's
+    # next draw would hold another block's rows; the workers race, so the
+    # fill runs on ten fresh samplers
     monkeypatch.setattr(spaces, "DRAW_BLOCK", 64)
     monkeypatch.setattr(spaces, "DRAW_THREADS", 8)
     ref = _keyed(lambda rng, rows: _reference(family, rng, rows, PARAMS), n=5_000)
@@ -325,8 +328,21 @@ def test_a_substream_index_must_be_one_spawn_key_word(index):
     assert space.substream(np.int64(1)).spawn == (1,)
 
 
+@pytest.mark.parametrize("spawn", [(1 << 32,), (-1,), (1.5,), (True,), (0, "1")])
+def test_a_sampler_checks_its_spawn_key_at_construction(spawn):
+    # an entry of 2**32 would spell the two words of (0, 1), and a negative
+    # one would fail only at the first draw
+    with pytest.raises(ValueError) as info:
+        cp.Sampler("standard-normal-pair", seed=1, budget=10, spawn=spawn)
+    assert str(info.value) == (
+        f"sampler spawn key entry must be an integer in [0, {1 << 32}), got {spawn[-1]!r}")
+    space = cp.Sampler("standard-normal-pair", seed=1, budget=10, spawn=[np.int64(2), 3])
+    assert space.spawn == (2, 3) and type(space.spawn[0]) is int
+
+
 def _serial_reference(inst, families):
-    """The paradox report from full substreams, one family after another."""
+    """The paradox report from full substreams, one family after another;
+    run with ``Sampler.cond`` read from the full stream (``full_stream_cond``)."""
     epsilons = inst["schedule"].epsilons(inst["schedule"].eps0)
     traces = {fam.name: shrink_trace(inst["space"].substream(i), inst["X"],
                                      fam.pairs(epsilons), tol=1e-6, target=0.0,
@@ -361,12 +377,13 @@ def _assert_equal_up_to_roundoff(got, want, key=None):
 
 
 @pytest.mark.parametrize("which", ["families", "control_families"])
-def test_paradox_reports_equal_serial_full_stream_reference(which, block):
+def test_paradox_reports_equal_serial_full_stream_reference(which, block, monkeypatch):
     # window counts, probabilities, verdicts, bounds and the pair are exact;
     # the streamed pass sums each window block by block, so its float
     # fields equal the full stream's up to summation order
     inst = ratio_normal_instance(seed=SEED, budget=500_000)
     rep = cp.borel_kolmogorov(inst["space"], inst["X"], inst[which], inst["schedule"])
+    monkeypatch.setattr(cp.Sampler, "cond", full_stream_cond)
     _assert_equal_up_to_roundoff(rep.to_json_dict(), _serial_reference(inst, inst[which]))
 
 

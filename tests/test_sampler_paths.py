@@ -1,8 +1,9 @@
-"""Sampler window paths agree exactly with numpy on the raw columns.
+"""Sampler window paths agree with numpy on the raw columns.
 
-A sampler window gathers only its selected rows, and only of the columns
-the variable reads. The estimates must equal the plain boolean-mask
-computation bit for bit.
+A sampler window gathers only its selected rows of each block, and only of
+the columns the variable reads.  On one block the conditional estimates
+must equal the plain boolean-mask computation bit for bit, and an event
+moment within a few ulp (it is derived from the event's count and mean).
 """
 
 import math
@@ -11,10 +12,14 @@ import numpy as np
 import pytest
 
 import condpoint as cp
+from condpoint import spaces
 from condpoint.config import expression_variable
 
-N = 4000
+N = 4000  # one block of rows
 PARAMS = {"var_x": 1.0, "var_noise": 1.0}
+
+# k * mean / n against sum / n, and the se from M2 against a sum over the rows
+ULPS = 4 * np.finfo(float).eps
 
 
 class _Column(np.ndarray):
@@ -28,20 +33,39 @@ class _Column(np.ndarray):
         return np.asarray(self).take(indices, *args, **kwargs)
 
 
-def _spy_sampler():
-    """A three-column gaussian-sum sampler plus the log of gathered columns."""
+@pytest.fixture
+def spy_sampler(monkeypatch):
+    """A three-column gaussian-sum sampler plus the log of the columns its
+    passes gather from their block frames."""
     taken = []
-    space = cp.Sampler("gaussian-sum", PARAMS, seed=20260811, budget=N)
-    # the columns() dict is memoised: its entries become logging views
-    cols = space.columns()
-    for name, col in cols.items():
-        col = cols[name] = col.view(_Column)
-        col.label, col.log = name, taken
-    return space, taken
+    real_pass = spaces._pass
+
+    def spying_pass(sampler, read):
+        def logged(rows, frame):
+            views = {name: col.view(_Column) for name, col in frame.items()}
+            for name, col in views.items():
+                col.label, col.log = name, taken
+            return read(rows, views)
+
+        return real_pass(sampler, logged)
+
+    monkeypatch.setattr(spaces, "_pass", spying_pass)
+    return cp.Sampler("gaussian-sum", PARAMS, seed=20260811, budget=N), taken
 
 
 def _plain(cols):
     return {k: np.asarray(v) for k, v in cols.items()}
+
+
+def _assert_moment(got, xs):
+    """``got`` is E[1_A X] from the values ``xs`` of X on A, within ULPS."""
+    k = xs.size
+    m1 = float(xs.sum()) / N
+    d = xs - m1
+    var = (float((d * d).sum()) + (N - k) * m1 * m1) / N
+    se = math.sqrt(var / N)
+    assert got.n == N
+    assert math.isclose(got.value, m1, rel_tol=ULPS) and math.isclose(got.se, se, rel_tol=ULPS)
 
 
 y = cp.coordinate("y")
@@ -63,8 +87,8 @@ EVENTS = {
 
 
 @pytest.mark.parametrize("label", sorted(EVENTS))
-def test_cond_and_moment_equal_numpy_on_columns(label):
-    space, _ = _spy_sampler()
+def test_cond_and_moment_equal_numpy_on_columns(label, spy_sampler):
+    space, _ = spy_sampler
     event, member = EVENTS[label]
     cols = _plain(space.columns())
     mask = member(cols)
@@ -76,10 +100,7 @@ def test_cond_and_moment_equal_numpy_on_columns(label):
     assert (got.value, got.se, got.n, got.prob, got.degenerate) == (
         float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(k)), k, k / N, False)
 
-    m1 = float(xs.sum()) / N
-    d = xs - m1
-    var = (float((d * d).sum()) + (N - k) * m1 * m1) / N
-    assert space.moment(x, event) == cp.Estimate(m1, math.sqrt(var / N), N)
+    _assert_moment(space.moment(x, event), xs)
     p = k / N
     assert space.moment(None, event) == cp.Estimate(p, math.sqrt(p * (1.0 - p) / N), N)
 
@@ -98,8 +119,8 @@ def test_event_moment_se_holds_at_any_offset(c, lo):
     assert space.moment(X, event).se == pytest.approx(ref, rel=1e-6)
 
 
-def test_empty_window_takes_the_degenerate_branch():
-    space, taken = _spy_sampler()
+def test_empty_window_takes_the_degenerate_branch(spy_sampler):
+    space, taken = spy_sampler
     event = cp.Event.window(y, 100.0, 1e-3)
     assert space.cond(x, event) == cp.ConditionalEstimate(
         0.0, n=0, prob=0.0, degenerate=True)
@@ -108,16 +129,16 @@ def test_empty_window_takes_the_degenerate_branch():
     assert taken == []
 
 
-def test_empty_piece_list_selects_nothing():
-    space, _ = _spy_sampler()
+def test_empty_piece_list_selects_nothing(spy_sampler):
+    space, _ = spy_sampler
     disjoint = cp.Event.window(y, -1.0, 0.1).intersect(cp.Event.window(y, 1.0, 0.1))
     assert disjoint.pieces == ()
     ind = space.indicator(disjoint)
     assert ind.dtype == bool and ind.shape == (N,) and not ind.any()
 
 
-def test_config_expression_gathers_only_the_names_it_reads():
-    space, taken = _spy_sampler()
+def test_config_expression_gathers_only_the_names_it_reads(spy_sampler):
+    space, taken = spy_sampler
     event = cp.Event.window(x, 0.0, 0.5)
     cols = _plain(space.columns())
     mask = (-0.5 < cols["x"]) & (cols["x"] < 0.5)
@@ -131,8 +152,8 @@ def test_config_expression_gathers_only_the_names_it_reads():
         float(expected.mean()), float(expected.std(ddof=1) / math.sqrt(k)), k)
 
 
-def test_frame_membership_iteration_and_length_gather_nothing():
-    space, taken = _spy_sampler()
+def test_frame_membership_iteration_and_length_gather_nothing(spy_sampler):
+    space, taken = spy_sampler
     probes = []
 
     def fn(frame):
@@ -145,8 +166,8 @@ def test_frame_membership_iteration_and_length_gather_nothing():
     assert got.n > 1
 
 
-def test_variable_reading_the_whole_frame_gets_every_column_masked():
-    space, taken = _spy_sampler()
+def test_variable_reading_the_whole_frame_gets_every_column_masked(spy_sampler):
+    space, taken = spy_sampler
     seen = []
 
     def fn(frame):
@@ -165,14 +186,11 @@ def test_variable_reading_the_whole_frame_gets_every_column_masked():
     assert seen == [{"x": k, "eps": k, "y": k}]
     assert sorted(taken) == ["eps", "x", "y"]
     assert (got.value, got.se) == (float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(k)))
-    m1 = float(xs.sum()) / N
-    d = xs - m1
-    var = (float((d * d).sum()) + (N - k) * m1 * m1) / N
-    assert space.moment(rv, event) == cp.Estimate(m1, math.sqrt(var / N), N)
+    _assert_moment(space.moment(rv, event), xs)
 
 
-def test_window_gathers_add_no_cache_entries():
-    space, _ = _spy_sampler()
+def test_window_gathers_add_no_cache_entries(spy_sampler):
+    space, _ = spy_sampler
     event = cp.Event.window(y, 0.5, 0.3)
     space.cond(x, event)
     before = set(space._cache)

@@ -14,7 +14,7 @@ from condpoint.errors import InsufficientTrace, NonApproachablePoint, NonIntegra
 from condpoint.window import CONVERGED, N_MIN, STARVED, shrink_trace
 
 import oracles
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, full_stream_cond
 
 
 X_COORD = cp.coordinate("x")
@@ -254,7 +254,7 @@ def test_sampler_window_traces_stream_and_read_no_columns(monkeypatch):
               "upper": lambda rv, y, eps: cp.Event.interval(rv, y, y + eps)}
     for tr, family in zip(traces, ("symmetric", "symmetric", "upper")):
         for step in tr.steps:
-            want = full.cond(X_COORD, events[family](Y_COORD, tr.target, step.eps))
+            want = full_stream_cond(full, X_COORD, events[family](Y_COORD, tr.target, step.eps))
             assert (step.n, step.prob) == (want.n, want.prob)
             assert math.isclose(step.estimate, want.value, rel_tol=1e-13)
             assert math.isclose(step.se, want.se, rel_tol=1e-13)
