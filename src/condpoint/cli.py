@@ -110,18 +110,19 @@ def _task_verify(scn: Scenario):
     return report.passed, report.to_json_dict(), None
 
 
+# Each task's function and the params it reads; any other param is a ConfigError
 _TASKS = {
-    "partition": _task_partition,
-    "window": _task_window,
-    "density": _task_density,
-    "factorize": _task_factorize,
-    "paradox": _task_paradox,
-    "verify": _task_verify,
+    "partition": (_task_partition, ("partition", "x")),
+    "window": (_task_window, ("at", "grid", "schedule", "x", "y")),
+    "density": (_task_density, ("at", "expect")),
+    "factorize": (_task_factorize, ("band", "g", "levels", "y")),
+    "paradox": (_task_paradox, ("budget", "control", "instance")),
+    "verify": (_task_verify, ("candidate", "generators", "x")),
 }
 
 
-def task_function(name: str):
-    """The task named ``name``; ConfigError if there is none."""
+def task_entry(name: str) -> tuple:
+    """(function, params) of the task named ``name``; ConfigError if there is none."""
     if name not in _TASKS:
         raise ConfigError(f"unknown task {name!r}; expected one of {tuple(_TASKS)}")
     return _TASKS[name]
@@ -131,7 +132,7 @@ def _compute(scenario: Scenario):
     """(summary entry, doc, csv) of one scenario; doc and csv are None on error."""
     entry = {"name": scenario.name, "task": scenario.task}
     try:
-        ok, doc, csv = task_function(scenario.task)(scenario)
+        ok, doc, csv = task_entry(scenario.task)[0](scenario)
     except CondpointError as exc:
         entry.update(ok=False, error=f"{type(exc).__name__}: {exc}", artifacts=[])
         return entry, None, None

@@ -490,6 +490,18 @@ class Scenario:
         return param_value(key, self.params[key], f"{self.task} {key}")
 
 
+_SCENARIO_KEYS = ("name", "out", "params", "schema_version", "seed", "space", "task", "tol")
+
+
+def _file_name(value, what: str) -> str:
+    """A string naming a file inside the output directory: no path separator,
+    and not "", "." or ".."; ConfigError naming the field otherwise."""
+    name = _as_str(value, what)
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"{what} must be a plain file name, got {name!r}")
+    return name
+
+
 def load_scenario(source) -> Scenario:
     """Build a Scenario from a scenario document or a JSON file path.
 
@@ -497,12 +509,17 @@ def load_scenario(source) -> Scenario:
     against the working directory for a document.
     """
     cfg, path = _document(source, "scenario")
+    _known_keys(cfg, _SCENARIO_KEYS, "scenario")
     task = _as_str(cfg.get("task"), "scenario task")
-    from .cli import task_function  # here: cli imports this module
-    task_function(task)
-    name = _as_str(cfg.get("name") or (path.stem if path is not None else task),
-                   "scenario name")
+    from .cli import task_entry  # here: cli imports this module
+    _, task_params = task_entry(task)
+    name = cfg.get("name")
+    name = _file_name(name if name is not None else path.stem if path is not None else task,
+                      "scenario name")
+    out = cfg.get("out")
+    out = None if out is None else _file_name(out, "scenario out")
     params = _as_object(cfg.get("params") or {}, "scenario params")
+    _known_keys(params, task_params, f"{task} param")
     space_field = cfg.get("space")
     if space_field is None and task != "paradox":
         raise ConfigError("scenario needs a 'space' (path or inline config)")
@@ -517,5 +534,4 @@ def load_scenario(source) -> Scenario:
         if seed is not None and isinstance(bundle.space, Sampler):
             bundle.space.seed = seed  # nothing is drawn yet
     return Scenario(name=name, bundle=bundle, task=task,
-                    params=dict(params), seed=seed, tol=tol,
-                    out_base=cfg.get("out"))
+                    params=dict(params), seed=seed, tol=tol, out_base=out)

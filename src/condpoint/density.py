@@ -43,9 +43,9 @@ def _column_at(joint: DensityGrid2D, y: float) -> np.ndarray:
 
 
 def _marginal_at(joint: DensityGrid2D, rv, y: float) -> float:
-    """The z-integral of x*f at y (of f when ``rv`` is None), read off the
-    cached node marginals along y."""
-    return quad.interp_at(joint.grid[1], _grid_marginal(joint, rv, 1)[0], y)
+    """The z-integral of x*f at y (of f when ``rv`` is None), read off
+    column 1 of the cached node pair along y."""
+    return quad.interp_at(joint.grid[1], _grid_marginal(joint, rv, 1)[0][:, 1], y)
 
 
 def marginal(joint: DensityGrid2D, y: float) -> float:

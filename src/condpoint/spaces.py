@@ -5,11 +5,13 @@ Three space variants share one estimator API:
 * ``DiscreteAtoms``   -- finite weighted atoms, exact arithmetic via fsum;
 * ``DensityGrid``     -- density values on a uniform node grid over n axes,
   trapezoid quadrature, window events integrated exactly against the
-  piecewise-linear interpolant along their axis; ``DensityGrid1D`` and
+  piecewise-linear interpolant along their axis from one cached (f, x*f)
+  marginal pair per variable and axis; ``DensityGrid1D`` and
   ``DensityGrid2D`` are its constructors for one axis and for a rectangle;
-* ``Sampler``         -- a seeded Monte Carlo stream of named columns, read
-  block by block and never kept by a query; every estimate carries a
-  standard error and an effective sample count.
+* ``Sampler``         -- a seeded Monte Carlo stream of named columns, drawn
+  block by block by one draw function per family and never kept by a
+  query; every estimate carries a standard error and an effective sample
+  count.
 
 Every space reads variables and events through one ``values_of`` and one
 ``indicator``; they differ only in ``_apply``, which applies a function once
@@ -472,36 +474,40 @@ def _grid_product(space, rv: RandomVariable | None) -> np.ndarray:
 
 
 def _grid_marginal(space, rv: RandomVariable | None, k: int) -> tuple:
-    """(x*f integrated over every axis but ``k``, its antiderivative); cached.
+    """(pair, its antiderivative) of ``rv`` along axis ``k``; cached.
 
-    Both are 1D over the nodes of axis ``k``.  The marginal is one ``einsum``
-    of f with the trapezoid weights of every other axis.  A variable along
-    one axis ``j`` (``_axis_of``) folds its node values into axis ``j``'s
-    weights, or scales the result when ``j`` is ``k``, so it builds no array
-    the size of the grid; any other variable contracts its x*f product.  A
-    window along ``k`` clips only this marginal, the mass integrates the
-    marginal of the last axis and any other full mean that of axis 0, and
-    the ratio route of ``density`` interpolates the marginals of its
-    conditioning axis.
+    Both are (nodes, 2) over the nodes of axis ``k``: column 0 is the
+    marginal of f, column 1 that of x*f, each integrated over every axis but
+    ``k``, with x = 1 for the mass (rv None).  The mass marginal is one
+    ``einsum`` of f with the trapezoid weights of every other axis, cached
+    as the mass pair before the x*f column is built, so it is cached even
+    when ``rv`` fails.  A variable along one axis ``j``
+    (``_axis_of``) scales the mass marginal by its node values when ``j`` is
+    ``k`` and folds them into axis ``j``'s weights otherwise, so it builds
+    no array the size of the grid; any other variable contracts its x*f
+    product.  A window along ``k`` and an interval moment clip the pair
+    (``window_moments``), a full mean integrates column 1, the ratio route
+    of ``density`` interpolates column 1 and ``pushforward`` reads column 0.
     """
     def build():
-        weights = [_axis_weights(space, i) for i in range(len(space.axes))]
-        f, scale = space.values, None
-        j = _axis_of(space, rv)
-        if j is None:
-            f = _grid_product(space, rv)
-        elif j == k:
-            scale = _axis_values(space, rv, j)
+        f, j = space.values, _axis_of(space, rv)
+        mass = None if rv is None else _grid_marginal(space, None, k)[0][:, 0]
+        if j == k:
+            marg = _axis_values(space, rv, j) * mass
         else:
-            weights[j] *= _axis_values(space, rv, j)
-        operands = [f, range(f.ndim)]
-        for i, w in enumerate(weights):
-            if i != k:
-                operands += [w, [i]]
-        marg = np.einsum(*operands, [k])  # a view of f on a 1D grid: never scaled in place
-        if scale is not None:
-            marg = scale * marg
-        return _frozen(marg), _frozen(quad.cumulative(marg, space.pitches[k]))
+            weights = [_axis_weights(space, i) for i in range(len(space.axes))]
+            if j is not None:
+                weights[j] *= _axis_values(space, rv, j)
+            elif rv is not None:
+                f = _grid_product(space, rv)
+            operands = [f, range(f.ndim)]
+            for i, w in enumerate(weights):
+                if i != k:
+                    operands += [w, [i]]
+            marg = np.einsum(*operands, [k])
+        # both columns of one (2, nodes) array, so each column is contiguous
+        cols = np.stack((marg if mass is None else mass, marg))
+        return _frozen(cols.T), _frozen(quad.cumulative(cols, space.pitches[k]).T)
 
     key, owner = _cache_key(rv)
     return _memo(space, ("marg", key, k), owner, build)
@@ -523,28 +529,14 @@ def _axis_of(space, rv: RandomVariable | None) -> int | None:
 
 
 def window_moments(space, rv: RandomVariable | None, k: int, lo, hi) -> np.ndarray:
-    """E[1_A X] on a grid for each window A = (lo, hi) along axis ``k`` at
-    once, the event mass with rv None: one clipped-integral call on the
-    cached 1D marginal.  ``lo`` and ``hi`` are arrays of window ends.  Each
-    value is the sum of one piece started at 0, as an event's moment is, so
-    a -0.0 integral reads 0.0.
+    """(P(A), E[1_A X]) on a grid for each window A = (lo, hi) along axis
+    ``k`` at once, as the two columns of one array: one clipped-integral
+    call on the cached pair (``_grid_marginal``); with rv None both columns
+    are the mass.  ``lo`` and ``hi`` are arrays of window ends.  Each value
+    is the sum of one piece started at 0, as an event's moment is, so a -0.0
+    integral reads 0.0.
     """
-    marg, cum = _grid_marginal(space, rv, k)
-    return quad.clip_integral(space.grid[k], marg, lo, hi, cum) + 0.0
-
-
-def _window_pairs(space, rv: RandomVariable, k: int, lo, hi) -> np.ndarray:
-    """``window_moments`` of the mass and of ``rv``, as the two columns of
-    one array from one clipped-integral call on their cached marginals along
-    ``k``, side by side in an (nodes, 2) pair cached per variable and axis.
-    The mass marginal is built first, so it is cached even when ``rv`` fails.
-    """
-    def build():
-        mass, marg = _grid_marginal(space, None, k), _grid_marginal(space, rv, k)
-        return tuple(_frozen(np.stack(cols, axis=-1)) for cols in zip(mass, marg))
-
-    key, owner = _cache_key(rv)
-    pair, cum = _memo(space, ("pair", key, k), owner, build)
+    pair, cum = _grid_marginal(space, rv, k)
     return quad.clip_integral(space.grid[k], pair, lo, hi, cum) + 0.0
 
 
@@ -552,25 +544,27 @@ def _grid_moment(self, rv: RandomVariable | None, event: Event | None) -> Estima
     """E[1_A X]; with rv None the event mass, with event None the full mean.
 
     The full mean and interval events on an axis integrate x*f by the
-    trapezoid rule over the other axes first (the cached 1D marginal), then
-    along the remaining axis: whole for the full mean, exactly against the
-    piecewise-linear interpolant for a window.  A variable that varies along
-    one axis only has its full mean from that axis's nodes and the cached
-    mass marginal.  Other events fall back to node-indicator quadrature of x*f.
+    trapezoid rule over the other axes first (column 1 of the cached pair),
+    then along the remaining axis: whole for the full mean, exactly against
+    the piecewise-linear interpolant for a window.  A variable that varies
+    along one axis only has its full mean from that axis's nodes and the
+    cached mass column, in O(nodes).  Other events fall back to
+    node-indicator quadrature of x*f.
     """
     if event is None:
         k = _axis_of(self, rv)
         if k is None:  # the mass off the last axis, the conditioning one; x*f off axis 0
             k = len(self.axes) - 1 if rv is None else 0
-            return Estimate(float(quad.integrate(_grid_marginal(self, rv, k)[0],
+            return Estimate(float(quad.integrate(_grid_marginal(self, rv, k)[0][:, 1],
                                                  self.pitches[k])))
         return Estimate(float(quad.integrate(
-            _axis_values(self, rv, k) * _grid_marginal(self, None, k)[0], self.pitches[k])))
+            _axis_values(self, rv, k) * _grid_marginal(self, None, k)[0][:, 0],
+            self.pitches[k])))
     if event.kind == "complement":
         return Estimate(self.moment(rv, None).value - self.moment(rv, event.base).value)
     if event.kind == "intervals" and event.rv.coord in self.axes:
         lo, hi = np.array(event.pieces, dtype=float).reshape(-1, 2).T
-        pieces = window_moments(self, rv, self.axes.index(event.rv.coord), lo, hi)
+        pieces = window_moments(self, rv, self.axes.index(event.rv.coord), lo, hi)[:, 1]
         return Estimate(float(sum(pieces.tolist())))
     # Node-indicator fallback: O(pitch) accuracy at region boundaries.
     g = _grid_product(self, rv)
@@ -669,43 +663,30 @@ DRAW_THREADS = 2
 _BLOCK_KEY = 1 << 32
 
 
-@dataclass(frozen=True)
-class DrawFamily:
-    """A sample family: a head column, then a last column.
-
-    ``head(rng, out, params)`` draws the head column into ``out``, of any
-    length, and returns it by name.  ``last(rng, rows, out, params)`` draws
-    one block of the last column into ``out`` and returns it with any column
-    derived from it; ``rows`` holds the head columns of that block.
-    """
-
-    head: Callable
-    last: Callable
+def _standard_normal_pair(rng, out, params):
+    return {"z": rng.standard_normal(out=out[0]), "y": rng.standard_normal(out=out[1])}
 
 
-def _normal_z(rng, out, params):
-    return {"z": rng.standard_normal(out=out)}
-
-
-def _bivariate_last(rng, rows, out, params):
+def _bivariate_normal(rng, out, params):
     # s * noise + rho * z in place: IEEE sums commute, so this is rho * z + s * noise
     rho = float(params["rho"])
-    y = rng.standard_normal(out=out)
+    z = rng.standard_normal(out=out[0])
+    y = rng.standard_normal(out=out[1])
     y *= math.sqrt(1.0 - rho * rho)
-    y += rho * rows["z"]
-    return {"y": y}
+    y += rho * z
+    return {"z": z, "y": y}
 
 
-def _gaussian_sum_head(rng, out, params):
-    x = rng.standard_normal(out=out)
+def _gaussian_sum(rng, out, params):
+    x = rng.standard_normal(out=out[0])
     x *= math.sqrt(float(params["var_x"]))
-    return {"x": x}
-
-
-def _gaussian_sum_last(rng, rows, out, params):
-    eps = rng.standard_normal(out=out)
+    eps = rng.standard_normal(out=out[1])
     eps *= math.sqrt(float(params["var_noise"]))
-    return {"eps": eps, "y": rows["x"] + eps}
+    return {"x": x, "eps": eps, "y": x + eps}
+
+
+def _uniform_square(rng, out, params):
+    return {"z": rng.random(out=out[0]), "y": rng.random(out=out[1])}
 
 
 # The parameters of each named density family, on grids and in draws alike:
@@ -753,33 +734,34 @@ def family_params(family: str, given: dict, what: str) -> dict:
             else default for key, (default, low, high) in FAMILY_PARAMS.get(family, {}).items()}
 
 
+# Each sample family draws one block: ``draw(rng, out, params)`` fills the
+# block's row buffer ``out[0]``, then ``out[1]``, from ``rng`` and returns
+# the block's columns by name.
 DRAW_FAMILIES = {
-    "standard-normal-pair": DrawFamily(
-        _normal_z, lambda rng, rows, out, params: {"y": rng.standard_normal(out=out)}),
-    "bivariate-normal": DrawFamily(_normal_z, _bivariate_last),
-    "gaussian-sum": DrawFamily(_gaussian_sum_head, _gaussian_sum_last),
-    "uniform-square": DrawFamily(lambda rng, out, params: {"z": rng.random(out=out)},
-                                 lambda rng, rows, out, params: {"y": rng.random(out=out)}),
+    "standard-normal-pair": _standard_normal_pair,
+    "bivariate-normal": _bivariate_normal,
+    "gaussian-sum": _gaussian_sum,
+    "uniform-square": _uniform_square,
 }
 
 
 def _pass(sampler: "Sampler", read: Callable):
-    """``read(rows, frame)`` for each block of the sampler's rows, ``rows``
-    the block's slice of the stream and ``frame`` its columns, yielded
-    lazily and in block order from one streamed pass that keeps no rows.
+    """``read(frame)`` for each block of the sampler's rows, ``frame`` the
+    block's columns, yielded lazily and in block order from one streamed
+    pass that keeps no rows.
 
-    Block i (DRAW_BLOCK rows, the last one shorter) is drawn whole, head
-    then last, from its own PCG64 generator of the seed and the spawn key
-    ``spawn + (_BLOCK_KEY, i)``; so no block depends on another, each row
-    takes one draw per column, and the pass splits its blocks over
+    Block i (DRAW_BLOCK rows, the last one shorter) is drawn whole by its
+    family's one draw from its own PCG64 generator of the seed and the
+    spawn key ``spawn + (_BLOCK_KEY, i)``; so no block depends on another,
+    each row takes one draw per column, and the pass splits its blocks over
     DRAW_THREADS worker threads.  ``read`` runs on the worker, into whose
     reused buffers the frame is drawn, and must copy what it keeps.  The
     answers still come in block order, so a fold of them is a one-thread
     pass's, bit for bit.
     """
-    family, n, params = DRAW_FAMILIES[sampler.family], int(sampler.budget), sampler.params
+    draw, n, params = DRAW_FAMILIES[sampler.family], int(sampler.budget), sampler.params
     block = DRAW_BLOCK
-    # each worker's two block buffers, reused from block to block: fresh
+    # each worker's block buffer, two rows reused from block to block: fresh
     # buffers made the pass about a fifth slower
     worker = threading.local()
 
@@ -788,9 +770,7 @@ def _pass(sampler: "Sampler", read: Callable):
             worker.bufs = np.empty((2, min(block, n)))
         rng = np.random.default_rng(np.random.SeedSequence(
             sampler.seed, spawn_key=sampler.spawn + (_BLOCK_KEY, i)))
-        a, b = i * block, min((i + 1) * block, n)
-        head = family.head(rng, worker.bufs[0, :b - a], params)
-        return read(slice(a, b), head | family.last(rng, head, worker.bufs[1, :b - a], params))
+        return read(draw(rng, worker.bufs[:, :min(block, n - i * block)], params))
 
     # imported here: it would add 2.5 ms to every `import condpoint`
     from concurrent.futures import ThreadPoolExecutor
@@ -899,7 +879,7 @@ def _fold(sampler: "Sampler", rv: RandomVariable | None, families) -> list:
     equal it up to summation order.  The blocks are read on the pass's
     worker threads, where no public method of a space runs.
     """
-    def read(_, frame) -> list:
+    def read(frame) -> list:
         block, out = _Block(frame), []
         for events in families:
             prev, stats = None, []  # prev: (event, its variable on its rows, rv on its rows)
@@ -932,14 +912,15 @@ class Sampler:
     from its own PCG64 generator keyed by the seed, the spawn key and the
     block's index (``_pass``); the same seed always yields the identical
     sample, and ``substream(i)`` derives an independent child stream.  To add
-    a model, register a DrawFamily there.  A family's parameters missing
-    from ``params`` take their FAMILY_PARAMS defaults, and one outside its
-    range is a ValueError; other keys pass through.  Every query (``moment``,
-    ``cond``, ``cond_each``, ``variance``, ``values_on``, ``pushforward``)
-    is one streamed pass that keeps no rows, so memory does not grow with
-    the budget.  ``columns`` and the ``values_of``, ``indicator`` and
-    ``frame`` read from it keep the full stream: they are the reference
-    that tests compare the passes against, and no query calls them.
+    a model, register its one ``draw(rng, out, params)`` there.  A family's
+    parameters missing from ``params`` take their FAMILY_PARAMS defaults,
+    and one outside its range is a ValueError; other keys pass through.
+    Every query (``moment``, ``cond``, ``cond_each``, ``variance``,
+    ``values_on``, ``pushforward``) is one streamed pass that keeps no rows,
+    so memory does not grow with the budget.  ``columns`` and the
+    ``values_of``, ``indicator`` and ``frame`` read from it keep the full
+    stream: they are the reference that tests compare the passes against,
+    and no query calls them.
     """
 
     family: str
@@ -966,14 +947,14 @@ class Sampler:
         pass's frames, bit for bit."""
         hit = self._cache.get("columns")
         if hit is None:
-            n, cols = int(self.budget), {}
-            copies = _pass(self, lambda rows, frame: (
-                rows, {name: col.copy() for name, col in frame.items()}))
-            for rows, frame in copies:
+            n, cols, start = int(self.budget), {}, 0
+            copies = _pass(self, lambda frame: {name: col.copy() for name, col in frame.items()})
+            for frame in copies:
                 for name, col in frame.items():
                     if name not in cols:
                         cols[name] = np.empty(n, col.dtype)
-                    cols[name][rows] = col
+                    cols[name][start:start + col.size] = col
+                start += col.size
             hit = self._cache["columns"] = (None, {k: _frozen(v) for k, v in cols.items()})
         return hit[1]
 
@@ -1065,7 +1046,7 @@ def values_on(space: ProbabilitySpace, rv: RandomVariable, event: Event) -> np.n
     1D array; on a sampler each block's from one streamed pass (``_pass``),
     joined in block order, which is row order."""
     if isinstance(space, Sampler):
-        blocks = _pass(space, lambda _, frame: values_on(_Block(frame), rv, event))
+        blocks = _pass(space, lambda frame: values_on(_Block(frame), rv, event))
         return np.concatenate(list(blocks))
     return space.values_of(rv)[space.indicator(event)]
 
@@ -1112,13 +1093,13 @@ def pushforward(space: ProbabilitySpace, rv: RandomVariable,
             return space
         k = space.axes.index(rv.coord)
         lo, hi = space.ranges[k]
-        return DensityGrid1D(rv.coord, lo, hi, _grid_marginal(space, None, k)[0],
+        return DensityGrid1D(rv.coord, lo, hi, _grid_marginal(space, None, k)[0][:, 0],
                              quad_tol=space.quad_tol)
     if bins is None:
         raise ValueError("pushforward of a non-coordinate variable needs bins=(lo, hi, count)")
     lo, hi, count = float(bins[0]), float(bins[1]), int(bins[2])
     if isinstance(space, Sampler):
-        def counts(_, frame):
+        def counts(frame):
             return np.histogram(_Block(frame).values_of(rv), bins=count, range=(lo, hi))[0]
 
         hist = sum(_pass(space, counts)) / float(space.budget)

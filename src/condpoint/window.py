@@ -25,7 +25,6 @@ from .spaces import (
     cond_expectation_event,
     is_null,
     std,
-    _window_pairs,
     window_moments,
 )
 from . import quadrature as quad
@@ -184,11 +183,11 @@ def _steps(space, X: RandomVariable, pairs):
     """(step, degenerate, event) per window, from the one source of ``space``.
 
     A grid answers a ``_Windows`` schedule from one clipped-integral call on
-    its cached marginals, the mass and the x-moment of every window, and
-    builds a step's event only when the step is degenerate, the one case
-    whose message names it on a grid.  When X has no marginal, its error
-    waits for the first step that needs the x-moment, as a degenerate step
-    raises first.  Any other space or schedule conditions on one event per
+    X's cached pair (``window_moments``), the mass and the x-moment of every
+    window, and builds a step's event only when the step is degenerate, the
+    one case whose message names it on a grid.  When X has no pair, its
+    error waits for the first step that needs the x-moment, as a degenerate
+    step raises first.  Any other space or schedule conditions on one event per
     step, lazily.
     """
     if not (isinstance(space, DensityGrid) and isinstance(pairs, _Windows)):
@@ -199,9 +198,9 @@ def _steps(space, X: RandomVariable, pairs):
     k = space.axes.index(pairs.Y.coord)
     lo, hi = WINDOW_FAMILIES[pairs.family](pairs.y, np.array(pairs.epsilons, dtype=float))
     try:
-        rows, failure = _window_pairs(space, X, k, lo, hi).tolist(), None
+        rows, failure = window_moments(space, X, k, lo, hi).tolist(), None
     except CondpointError as exc:
-        rows, failure = [(p, None) for p in window_moments(space, None, k, lo, hi).tolist()], exc
+        rows, failure = [(p, None) for p, _ in window_moments(space, None, k, lo, hi).tolist()], exc
     for eps, (p, moment) in zip(map(float, pairs.epsilons), rows):
         if is_null(space, p):
             yield WindowStep(eps, 0.0, 0.0, None, p), True, pairs.event(eps)

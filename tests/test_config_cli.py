@@ -946,3 +946,83 @@ def test_config_errors_name_what_is_missing(load, doc, message):
     with pytest.raises(ConfigError) as exc:
         load(doc)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field, value", [
+    ("out", "../../escaped-out"), ("name", "../../escaped-name"), ("out", "sub/dir"),
+    ("name", "back\\slash"), ("out", ""), ("name", ""), ("out", "."), ("name", ".."),
+])
+def test_a_scenario_name_or_out_that_is_no_plain_file_name_writes_nothing(tmp_path, capsys,
+                                                                           field, value):
+    # the artifact basename is the scenario's out or name: a path would leave --outdir
+    work = tmp_path / "a" / "b"
+    work.mkdir(parents=True)
+    bad = work / "s.json"
+    bad.write_text(json.dumps({"schema_version": 1, "task": "partition",
+                               "space": str(SCENARIO_DIR / "spaces" / "dice.json"),
+                               "params": {"x": "X", "partition": "halves"}, field: value}))
+    before = sorted(tmp_path.rglob("*"))
+    outdir = work / "out"
+    rc = cli.main(["run", str(bad), "--outdir", str(outdir)])
+    assert rc == 1
+    capsys.readouterr()
+    written = sorted(set(tmp_path.rglob("*")) - set(before))
+    assert written == [outdir, outdir / "summary.json"]
+    [entry] = json.loads((outdir / "summary.json").read_text())["scenarios"]
+    assert entry["name"] == "s" and not entry["ok"] and entry["artifacts"] == []
+    assert entry["error"] == f"ConfigError: scenario {field} must be a plain file name, " \
+                             f"got {value!r}"
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({"tolerance": 1e-3, "params": {"x": "Z", "y": "Y", "at": 0.5}},
+     "unknown scenario key 'tolerance'"),
+    ({"params": {"x": "Z", "y": "Y", "at": 0.5, "schedul": {"eps0": 0.1}}},
+     "unknown window param key 'schedul'"),
+], ids=["scenario-key", "task-param"])
+def test_an_unknown_scenario_key_or_task_param_is_a_config_error(tmp_path, doc, error):
+    space = str(SCENARIO_DIR / "spaces" / "bivariate-05.json")
+    bad = _run_beside_dice(tmp_path, {"schema_version": 1, "task": "window", "space": space,
+                                      **doc})
+    assert bad["error"].startswith(f"ConfigError: {error}; expected one of")
+
+
+def test_every_inline_subcommand_document_loads(tmp_path, monkeypatch):
+    # each inline subcommand's flags name only keys and params its task reads
+    loaded = []
+    monkeypatch.setattr(cli, "_compute", lambda scn: loaded.append(scn.task) or (
+        {"ok": True}, {}, ([], [])))
+    monkeypatch.setattr(cli, "write_csv", lambda *args: None)
+    spaces_dir = SCENARIO_DIR / "spaces"
+    for argv in (
+            ["window", "--space", str(spaces_dir / "bivariate-05.json"), "--x", "Z", "--y", "Y",
+             "--grid", "-1:1:3", "--seed", "1", "--tol", "1e-5"],
+            ["density", "--joint", str(spaces_dir / "bivariate-05.json"), "--at", "0",
+             "--expect", "z", "--emit-density", str(tmp_path / "d.csv")],
+            ["factorize", "--space", str(spaces_dir / "coin-pair.json"), "--g", "sum",
+             "--y", "first", "--levels", "0,1", "--band", "0.1"],
+            ["paradox", "--budget", "1000", "--no-control", "--out", str(tmp_path / "p.json")],
+            ["verify", "--space", str(spaces_dir / "d8-null.json"), "--x", "X",
+             "--candidate", "candidate_17_on_null", "--generators", "null-algebra"]):
+        assert cli.main(argv) == 0, argv
+    assert loaded == ["window", "density", "factorize", "paradox", "verify"]
+
+
+@pytest.mark.parametrize("kind", ["family", "verification"])
+def test_cli_compare_without_a_comparable_series_exits_2(tmp_path, capsys, kind):
+    a = tmp_path / "a.json"
+    if kind == "family":  # a window trace has no families
+        assert cli.main(["window", "--space", str(SCENARIO_DIR / "spaces" / "bivariate-05.json"),
+                         "--x", "Z", "--y", "Y", "--at", "0.5", "--out", str(a)]) == 0
+        argv, message = ["--family-a", "via_y"], "no family 'via_y' in this artifact"
+    else:
+        assert cli.main(["verify", "--space", str(SCENARIO_DIR / "spaces" / "d8-null.json"),
+                         "--x", "X", "--candidate", "candidate_17_on_null",
+                         "--generators", "null-algebra", "--out", str(a)]) == 0
+        argv = []
+        message = "artifact kind 'verification_report' carries no comparable series"
+    capsys.readouterr()
+    assert cli.main(["compare", str(a), str(a), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "GridMismatch", "message": message}

@@ -215,6 +215,11 @@ def test_invalid_partitions(dice):
         cp.Partition.from_atom_groups(dice, [set(), set(range(1, 7))])
 
 
+def test_a_partition_without_cells_is_invalid(dice):
+    with pytest.raises(InvalidPartition, match="^a partition needs at least one cell$"):
+        cp.Partition(dice, ())
+
+
 def test_residual_cell_truncation():
     # geometric law truncated after 35 atoms; the tail lump is one cell
     n = 35

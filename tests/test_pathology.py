@@ -187,6 +187,24 @@ def test_family_losing_positivity_detected(uniform_square):
                             Schedule(eps0=0.5, depth=4))
 
 
+def test_family_whose_mass_stays_the_same_is_not_shrinking(uniform_square):
+    y = cp.coordinate("y")
+    # every window holds the whole square, at every eps
+    whole = cp.ApproximationFamily("whole", lambda e: cp.Event.window(y, 0.5, 10.0))
+    with pytest.raises(FamilyNotShrinking,
+                       match="^family 'whole' mass does not shrink along the schedule$"):
+        cp.borel_kolmogorov(uniform_square, cp.coordinate("z"), (whole,),
+                            Schedule(eps0=0.5, depth=3))
+
+
+def test_paradox_reports_need_an_explicit_eps0(uniform_square):
+    y = cp.coordinate("y")
+    fam = cp.ApproximationFamily("via_y", lambda e: cp.Event.window(y, 0.5, e))
+    with pytest.raises(ValueError, match="^paradox schedules need an explicit eps0$"):
+        cp.paradox_reports(uniform_square, cp.coordinate("z"), [((fam,), "one family")],
+                           Schedule())
+
+
 def test_paradox_report_json():
     inst = ratio_normal_instance(seed=21, budget=500_000)
     rep = cp.borel_kolmogorov(inst["space"], inst["X"], inst["families"],

@@ -1,11 +1,12 @@
 """Sampler draws give the rows of their block-keyed definition, bit for bit.
 
 Block i of a sampler (DRAW_BLOCK rows, the last one shorter) is drawn
-whole, head then last, from its own generator, keyed by the seed and the
-spawn key plus (_BLOCK_KEY, i).  The full stream (``Sampler.columns``,
-the reference no query reads) keeps every column; the streamed pass of
-every query keeps no rows.  Both must give the rows of that definition, in
-the same order, and the streamed pass the window counts of the full stream.
+whole, by its family's one draw, from its own generator, keyed by the seed
+and the spawn key plus (_BLOCK_KEY, i).  The full stream
+(``Sampler.columns``, the reference no query reads) keeps every column;
+the streamed pass of every query keeps no rows.  Both must give the rows
+of that definition, in the same order, and the streamed pass the window
+counts of the full stream.
 """
 
 import math
@@ -48,10 +49,11 @@ def _custom_draw(rng, n, params):
     return {"z": rng.exponential(size=n), "y": rng.standard_normal(n)}
 
 
-# a model outside the shipped ones, registered as a DrawFamily: its rows are
-# _custom_draw's, bit for bit
-CUSTOM = spaces.DrawFamily(lambda rng, out, params: {"z": rng.standard_exponential(out=out)},
-                           lambda rng, rows, out, params: {"y": rng.standard_normal(out=out)})
+# a model outside the shipped ones, registered as a draw function: its rows
+# are _custom_draw's, bit for bit
+def CUSTOM(rng, out, params):
+    return {"z": rng.standard_exponential(out=out[0]), "y": rng.standard_normal(out=out[1])}
+
 
 FAMILIES = [*spaces.DRAW_FAMILIES, "custom"]
 
@@ -81,14 +83,9 @@ def _keyed(draw, seed=SEED, spawn=(3,), n=N):
 
 
 def _reference_columns(family):
-    """Each block drawn by the registered family, head then last."""
-    fam = spaces.DRAW_FAMILIES[family]
-
-    def draw(rng, rows):
-        head = fam.head(rng, np.empty(rows), PARAMS)
-        return head | fam.last(rng, head, np.empty(rows), PARAMS)
-
-    return _keyed(draw)
+    """Each block drawn by the registered family into a fresh buffer."""
+    draw = spaces.DRAW_FAMILIES[family]
+    return _keyed(lambda rng, rows: draw(rng, np.empty((2, rows)), PARAMS))
 
 
 @pytest.fixture(params=[spaces.DRAW_BLOCK, 1 << 12, 1 << 20],
@@ -100,10 +97,9 @@ def block(request, monkeypatch):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_family_draws_what_plain_numpy_draws(family):
-    # a registered family's head then last equal one whole-array draw
-    fam, rng = spaces.DRAW_FAMILIES[family], np.random.default_rng(SEED)
-    head = fam.head(rng, np.empty(N), PARAMS)
-    got = head | fam.last(rng, head, np.empty(N), PARAMS)
+    # a registered family's draw equals one whole-array draw
+    draw, rng = spaces.DRAW_FAMILIES[family], np.random.default_rng(SEED)
+    got = draw(rng, np.empty((2, N)), PARAMS)
     ref = _reference(family, np.random.default_rng(SEED), N, PARAMS)
     assert list(got) == list(ref)
     for name in ref:
@@ -125,19 +121,18 @@ def _head(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_pass_frames_equal_keyed_block_draws(family, block):
-    # the budget ends inside a block; every pass gives the same rows, each
-    # frame with its own slice of the stream, and keeps none of them
+    # the budget ends inside a block; every pass gives the same rows, block
+    # by block with every column of a frame one block long, and keeps none
     assert N % block or block > N
     space, ref = _sampler(family), _reference_columns(family)
     for _ in range(2):
-        got, starts = {}, []
-        for rows, frame in spaces._pass(
-                space, lambda rows, frame: (rows, {k: v.copy() for k, v in frame.items()})):
-            starts.append(rows.start)
-            assert rows.stop - rows.start == len(frame[_head(family)]) <= block
+        got, sizes = {}, []
+        for frame in spaces._pass(space, lambda frame: {k: v.copy() for k, v in frame.items()}):
+            sizes.append(len(frame[_head(family)]))
+            assert {len(col) for col in frame.values()} == {sizes[-1]}
             for name, col in frame.items():
                 got.setdefault(name, []).append(col)
-        assert starts == list(range(0, N, block))
+        assert sizes == [min(block, N - start) for start in range(0, N, block)]
         assert list(got) == list(ref)
         for name in ref:
             assert np.array_equal(np.concatenate(got[name]), ref[name]), name
@@ -256,9 +251,8 @@ def test_a_custom_draw_may_return_read_only_arrays(streamed, block, monkeypatch)
         returned.append(cols)
         return cols
 
-    monkeypatch.setitem(spaces.DRAW_FAMILIES, "read-only", spaces.DrawFamily(
-        lambda rng, out, params: read_only(CUSTOM.head(rng, out, params)),
-        lambda rng, rows, out, params: read_only(CUSTOM.last(rng, rows, out, params))))
+    monkeypatch.setitem(spaces.DRAW_FAMILIES, "read-only",
+                        lambda rng, out, params: read_only(CUSTOM(rng, out, params)))
     space = cp.Sampler("read-only", seed=1, budget=N)
     ref = _keyed(lambda rng, rows: _custom_draw(rng, rows, {}), seed=1, spawn=())
     y, z = cp.coordinate("y"), cp.coordinate("z")
@@ -390,10 +384,9 @@ def test_paradox_reports_equal_serial_full_stream_reference(which, block, monkey
 def _watched(family, log):
     """The registered ``family`` with the thread of each block's draw
     appended to ``log``."""
-    fam = spaces.DRAW_FAMILIES[family]
-    return spaces.DrawFamily(
-        lambda rng, out, params: log.append(threading.current_thread()) or fam.head(
-            rng, out, params), fam.last)
+    draw = spaces.DRAW_FAMILIES[family]
+    return lambda rng, out, params: log.append(threading.current_thread()) or draw(
+        rng, out, params)
 
 
 def test_paradox_draws_streams_on_workers_off_the_public_methods(monkeypatch):
@@ -506,18 +499,18 @@ def test_a_custom_draw_answers_alike_on_every_pass():
 
 
 def test_a_fresh_sampler_pass_draws_2_values_a_row(monkeypatch):
-    # no pass draws a head column twice: std on a fresh sampler draws each
-    # row's head and last once
+    # no pass draws a block twice: std on a fresh sampler draws each row's
+    # two values once
     sizes = []
 
-    def counted(draw):
-        return lambda rng, *args: sizes.append(args[-2].size) or draw(rng, *args)
+    def counted(rng, out, params):
+        sizes.append(out.size)
+        return CUSTOM(rng, out, params)
 
-    monkeypatch.setitem(spaces.DRAW_FAMILIES, "counting", spaces.DrawFamily(
-        counted(CUSTOM.head), counted(CUSTOM.last)))
+    monkeypatch.setitem(spaces.DRAW_FAMILIES, "counting", counted)
     space = cp.Sampler("counting", seed=SEED, budget=N)
     spaces.std(space, cp.coordinate("y"))
-    assert sum(sizes) == 2 * N and len(sizes) == 2 * -(-N // spaces.DRAW_BLOCK)
+    assert sum(sizes) == 2 * N and len(sizes) == -(-N // spaces.DRAW_BLOCK)
 
 
 def test_a_samplers_block_keys_are_none_of_its_substreams(monkeypatch):

@@ -41,11 +41,11 @@ def spy_sampler(monkeypatch):
     real_pass = spaces._pass
 
     def spying_pass(sampler, read):
-        def logged(rows, frame):
+        def logged(frame):
             views = {name: col.view(_Column) for name, col in frame.items()}
             for name, col in views.items():
                 col.label, col.log = name, taken
-            return read(rows, views)
+            return read(views)
 
         return real_pass(sampler, logged)
 

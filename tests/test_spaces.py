@@ -123,6 +123,13 @@ def test_pushforward_empty_range(gaussian_sum_sampler):
         cp.pushforward(gaussian_sum_sampler, cp.coordinate("y"), bins=(100.0, 200.0, 4))
 
 
+def test_pushforward_of_a_non_coordinate_needs_bins(normal_grid, gaussian_sum_sampler):
+    y = cp.coordinate("y")
+    for space in (normal_grid, gaussian_sum_sampler):
+        with pytest.raises(ValueError, match=r"needs bins=\(lo, hi, count\)$"):
+            cp.pushforward(space, y * y)
+
+
 def test_undefined_predicate(dice):
     bad = cp.Event.where(lambda w: {1: True}[w], "partial")
     with pytest.raises(UndefinedPredicate):
@@ -398,11 +405,13 @@ def test_grid_window_caches_one_1d_marginal_per_axis():
     for axis in space.axes:
         space.moment(x, cp.Event.window(cp.coordinate(axis), 0.3, 0.2))
         space.moment(None, cp.Event.window(cp.coordinate(axis), 0.3, 0.2))
+    # one (nodes, 2) pair per variable and axis, its mass column the mass's
     margs = {key: entry for key, entry in space._cache.items()
              if isinstance(key, tuple) and key[0] == "marg"}
     assert len(margs) == 4
-    for (_, _, k), (_, marg, cum) in margs.items():
-        assert marg.shape == cum.shape == (space.grid[k].shape[0],)
+    for (_, _, k), (_, pair, cum) in margs.items():
+        assert pair.shape == cum.shape == (space.grid[k].shape[0], 2)
+        assert np.array_equal(pair[:, 0], margs["marg", None, k][1][:, 0])
 
 
 def _plain_trapezoid(v, pitch):
@@ -575,6 +584,13 @@ def test_union_of_overlapping_intervals_is_one_piece():
     assert union.kind == "intervals" and union.pieces == ((-1.0, 2.0),)
 
 
+def test_a_union_of_no_events_is_a_value_error():
+    with pytest.raises(ValueError, match="^empty union has no carrier"):
+        cp.union_events([])
+    with pytest.raises(ValueError, match="^empty union has no carrier"):
+        cp.union_events(iter(()))
+
+
 @pytest.mark.parametrize("space_name", ["normal_grid", "gaussian_sum_sampler"])
 def test_complement_within_of_a_predicate_is_a_complement_node(space_name, request):
     space = request.getfixturevalue(space_name)
@@ -731,12 +747,16 @@ def test_grid_marginal_is_the_trapezoid_of_the_whole_grid_product(make, monkeypa
         other = cp.coordinate(space.axes[1 - k] if k < 2 else "x")
         variables = {"mass": None, "other axis": other, "own axis": cp.coordinate(axis),
                      "2*y+1": 2 * y + 1, "x*y": xy}
+        mass = _reference_marginal(space, lambda c: 1.0, k)
         for name, rv in variables.items():
-            marg, cum = spaces._grid_marginal(space, rv, k)
-            ref, scale = _reference_marginal(space, (lambda c: 1.0) if rv is None else rv.fn, k)
-            assert marg.shape == cum.shape == space.grid[k].shape
-            assert np.all(np.abs(marg - ref) <= 1e-13 * scale), (axis, name)
-            assert np.array_equal(cum, cp.quadrature.cumulative(marg, space.pitches[k]))
+            pair, cum = spaces._grid_marginal(space, rv, k)
+            want = _reference_marginal(space, (lambda c: 1.0) if rv is None else rv.fn, k)
+            assert pair.shape == cum.shape == space.grid[k].shape + (2,)
+            # column 0 the marginal of f, column 1 that of x*f
+            for c, (ref, scale) in enumerate((mass, want)):
+                assert np.all(np.abs(pair[:, c] - ref) <= 1e-13 * scale), (axis, name, c)
+                assert np.array_equal(cum[:, c],
+                                      cp.quadrature.cumulative(pair[:, c], space.pitches[k]))
     # only the two-axis variable builds a product, once per axis
     assert calls == [xy] * len(space.axes)
 

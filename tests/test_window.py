@@ -11,7 +11,7 @@ import condpoint as cp
 from condpoint import quadrature as quad
 from condpoint.config import load_space
 from condpoint.errors import InsufficientTrace, NonApproachablePoint, NonIntegrable
-from condpoint.window import CONVERGED, N_MIN, STARVED, shrink_trace
+from condpoint.window import CONVERGED, N_MIN, STARVED, WindowStep, shrink_trace
 
 import oracles
 from conftest import SCENARIO_DIR, full_stream_cond
@@ -276,10 +276,10 @@ def test_sampler_window_passes_call_no_public_function_off_the_calling_thread(mo
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, spy)
-    family = cp.spaces.DRAW_FAMILIES["gaussian-sum"]
-    monkeypatch.setitem(cp.spaces.DRAW_FAMILIES, "gaussian-sum", cp.spaces.DrawFamily(
-        lambda rng, out, params: split.append(threading.current_thread()) or family.head(
-            rng, out, params), family.last))
+    draw = cp.spaces.DRAW_FAMILIES["gaussian-sum"]
+    monkeypatch.setitem(cp.spaces.DRAW_FAMILIES, "gaussian-sum",
+                        lambda rng, out, params: split.append(threading.current_thread())
+                        or draw(rng, out, params))
     space = cp.Sampler("gaussian-sum", seed=20260811, budget=300_000)
     assert cp.window_estimate(space, X_COORD, Y_COORD, 0.5).verdict == CONVERGED
     assert seen and all(thread is main for thread in seen)
@@ -327,6 +327,36 @@ def test_convergence_order_needs_three_steps(dice):
                             stop_early=False)
     with pytest.raises(InsufficientTrace):
         cp.convergence_order(tr)
+
+
+def _trace(estimates, epsilons, resolution=None):
+    steps = [WindowStep(eps, e, 0.0, None, eps) for eps, e in zip(epsilons, estimates)]
+    return cp.WindowTrace(0.0, steps, estimates[-1], False, "Plateaued", None, 1e-6,
+                          resolution=resolution)
+
+
+def test_convergence_order_rejects_non_finite_estimates():
+    tr = _trace([1.0, math.nan, 0.5, 0.25], [0.8, 0.4, 0.2, 0.1])
+    with pytest.raises(InsufficientTrace, match="^non-finite estimates in trace$"):
+        cp.convergence_order(tr)
+
+
+def test_convergence_order_needs_three_usable_steps():
+    # steps inside 4 pitches are not usable, yet off the roundoff floor
+    tr = _trace([1.64, 1.16, 1.04, 1.01, 1.0], [0.8, 0.4, 0.2, 0.1, 0.05], resolution=0.1)
+    with pytest.raises(InsufficientTrace, match="^fewer than 3 usable steps to fit an order$"):
+        cp.convergence_order(tr)
+
+
+def test_a_constant_conditioning_variable_on_atoms_starts_at_eps_1(dice):
+    # std(Y) is 0, so the default schedule starts at eps0 = 1 and every
+    # window holds every atom
+    X, Y = cp.RandomVariable("X", lambda w: w), cp.RandomVariable("C", lambda w: 5.0)
+    assert cp.spaces.std(dice, Y) == 0.0
+    tr = cp.window_estimate(dice, X, Y, 5.0)
+    assert tr.steps[0].eps == 1.0
+    assert tr.verdict == CONVERGED and tr.value == 3.5
+    assert all(s.prob == 1.0 and s.estimate == 3.5 for s in tr.steps)
 
 
 def test_richardson_extrapolation_improves_limit(gaussian_sum_grid):
