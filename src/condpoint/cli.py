@@ -18,8 +18,8 @@ import numpy as np
 
 from . import density as density_mod
 from . import pathology
-from .config import (SCHEMA_VERSION, Scenario, _document, expression_variable, load_scenario,
-                     param_value)
+from .config import (SCHEMA_VERSION, Scenario, _document, _file_name, expression_variable,
+                     load_scenario, param_value)
 from .errors import CondpointError, ConfigError, GridMismatch, TaskError
 from .factorization import factorize
 from .partition import partition_cond_exp, verify_cond_exp
@@ -143,12 +143,18 @@ def _compute(scenario: Scenario):
 
 
 def run(scenario: Scenario, outdir: Path) -> dict:
-    """Run one scenario and write its artifacts; returns a summary entry."""
+    """Run one scenario and write its artifacts; returns a summary entry.
+
+    The artifacts' base name, ``out_base`` or else the scenario name, must be
+    a plain file name, so nothing is written outside ``outdir``; ConfigError
+    before anything runs otherwise, for a scenario built or edited in code too.
+    """
+    base = _file_name(scenario.out_base or scenario.name,
+                      "scenario out" if scenario.out_base else "scenario name")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     entry, doc, csv = _compute(scenario)
     if doc is not None:
-        base = scenario.out_base or scenario.name
         paths = [write_json(outdir / f"{base}.json", doc)]
         if csv is not None:
             paths.append(write_csv(outdir / f"{base}.csv", *csv))
@@ -331,10 +337,11 @@ def _dispatch(args) -> int:
         _emit_result(doc, args.out)
         return 0 if doc["passed"] else 1
 
-    # an inline subcommand is the scenario document of its flags
+    # an inline subcommand is the scenario document of its flags, named after
+    # the stem of --out, which is checked here so that an error names --out
     scn = load_scenario({
         "schema_version": SCHEMA_VERSION, "task": args.command,
-        "name": args.out.stem if args.out is not None else args.command,
+        "name": args.command if args.out is None else _file_name(args.out.stem, "--out stem"),
         "space": getattr(args, "space", None),
         "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS},
         "seed": args.seed, "tol": args.tol})

@@ -42,15 +42,11 @@ def _column_at(joint: DensityGrid2D, y: float) -> np.ndarray:
     return np.asarray(quad.interp_at(joint.grid[1], joint.values, _inside(joint, y)))
 
 
-def _marginal_at(joint: DensityGrid2D, rv, y: float) -> float:
-    """The z-integral of x*f at y (of f when ``rv`` is None), read off
-    column 1 of the cached node pair along y."""
-    return quad.interp_at(joint.grid[1], _grid_marginal(joint, rv, 1)[0][:, 1], y)
-
-
 def marginal(joint: DensityGrid2D, y: float) -> float:
-    """Marginal density of the conditioning axis at y."""
-    return _marginal_at(joint, None, _inside(joint, y))
+    """Marginal density of the conditioning axis at y, read off the cached
+    mass pair along y."""
+    return quad.interp_at(joint.grid[1], _grid_marginal(joint, None, 1)[0][:, 1],
+                          _inside(joint, y))
 
 
 def _above_floor(fy: float, y: float) -> float:
@@ -122,5 +118,10 @@ def conditional_expectation_via_density(joint: DensityGrid2D, y: float, g=None) 
     """
     if g is not None:
         return conditional_density(joint, y).expectation(g)
-    fy = _above_floor(marginal(joint, y), y)
-    return _marginal_at(joint, coordinate(joint.axes[0]), float(y)) / fy
+    # z's cached pair along y holds both marginals, f in column 0 and z*f in
+    # column 1: one cell lookup, then each is read as ``interp_at`` reads it
+    j, frac = quad.cell_at(joint.grid[1], _inside(joint, y))
+    pair = _grid_marginal(joint, coordinate(joint.axes[0]), 1)[0]
+    (f0, zf0), (f1, zf1) = pair[j:j + 2].tolist()
+    fy = _above_floor(f0 + (f1 - f0) * frac, y)
+    return (zf0 + (zf1 - zf0) * frac) / fy

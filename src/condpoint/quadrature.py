@@ -50,43 +50,55 @@ def clip_integral(nodes, values, lo, hi, cum):
     window is intersected with the node range (NaN ends stay NaN), and one
     that misses the range entirely integrates to 0.0.
 
-    Both ends of every window are located by one ``searchsorted`` (a node
-    tie goes right) and read by gathers; each end then costs the same IEEE
-    operations, in the same order, as the scalar formula
-    ``cum[j] + (t - x0) * 0.5 * (v0 + v(t))``; every column reads the
-    same ``t - x0`` and fraction of its cell.
+    Both ends of every window are located by one ``searchsorted`` over the
+    inner nodes, which gives each end's cell directly (a node tie goes
+    right), and read by gathers along each column, so a pair stored as the
+    transpose of (columns, nodes) rows, as grids cache theirs, gathers
+    from contiguous memory.  Each end then costs the same IEEE operations,
+    in the same order, as the scalar formula
+    ``cum[j] + (t - x0) * 0.5 * (v0 + v(t))``; every column reads the same
+    ``t - x0`` and fraction of its cell.
     """
     if np.shape(lo) != np.shape(hi):
         lo, hi = np.broadcast_arrays(lo, hi)
     t = np.array((hi, lo), dtype=float)
-    # clamp both ends into the node range: as max(lo, first) and min(hi, last)
-    # on every window that is not empty, and NaN stays NaN
-    first, last = nodes[0], nodes[-1]
-    np.copyto(t, first, where=first > t)
-    np.copyto(t, last, where=last < t)
-    empty = t[0] <= t[1]
-    j = nodes.searchsorted(t, side="right")
-    j -= 1
-    np.maximum(j, 0, out=j)
-    np.minimum(j, nodes.shape[0] - 2, out=j)
-    x0, x1 = nodes[j], nodes[j + 1]
-    v0, v1 = values[j], values[j + 1]
+    # clamp both ends into the node range, NaN staying NaN; an end of -0.0
+    # clamped to a node 0.0 (or 0.0 to -0.0) gives the same integral either way
+    np.maximum(t, nodes[0], out=t)
+    np.minimum(t, nodes[-1], out=t)
+    j = nodes[1:-1].searchsorted(t, side="right")
+    j1 = j + 1
+    x0 = nodes.take(j)
     d = t - x0
-    frac = d / (x1 - x0)
-    if values.ndim > 1:  # the columns share each end's cell
-        d, frac, empty = d[..., None], frac[..., None], empty[..., None]
-    v_t = v0 + (v1 - v0) * frac
-    at = cum[j] + d * 0.5 * (v0 + v_t)
-    out = np.where(empty, 0.0, at[0] - at[1])
-    return float(out) if out.ndim == 0 else out
+    frac = d / (nodes.take(j1) - x0)
+    # the columns lead: each gather gives (columns, ends, windows...)
+    vals, cums = values.T, cum.T
+    v0 = vals.take(j, axis=-1)
+    v_t = v0 + (vals.take(j1, axis=-1) - v0) * frac
+    at = cums.take(j, axis=-1) + d * 0.5 * (v0 + v_t)
+    out = at[:, 0] - at[:, 1] if values.ndim > 1 else at[0] - at[1]
+    empty = t[0] <= t[1]
+    if out.ndim == 0:
+        return 0.0 if empty else float(out)
+    np.copyto(out, 0.0, where=empty)
+    # the columns move behind the windows' axes
+    return out.transpose(*range(1, out.ndim), 0) if values.ndim > 1 else out
+
+
+def cell_at(nodes, t: float) -> tuple:
+    """(j, frac): the cell [nodes[j], nodes[j + 1]] that holds scalar ``t``
+    (a node tie goes right; off the range, the first or last cell) and the
+    fraction ``(t - nodes[j]) / (nodes[j + 1] - nodes[j])`` of it, a float."""
+    j = min(max(int(nodes.searchsorted(t, side="right")) - 1, 0), nodes.shape[0] - 2)
+    x0, x1 = nodes[j:j + 2].tolist()
+    return j, (t - x0) / (x1 - x0)
 
 
 def interp_at(nodes, values, t: float):
     """Piecewise-linear value at scalar `t`, batched over leading axes."""
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
-    j = min(max(int(nodes.searchsorted(t, side="right")) - 1, 0), nodes.shape[0] - 2)
-    frac = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
+    j, frac = cell_at(nodes, t)
     out = values[..., j] + (values[..., j + 1] - values[..., j]) * frac
     return out if values.ndim > 1 else float(out)
 

@@ -873,11 +873,12 @@ def _fold(sampler: "Sampler", rv: RandomVariable | None, families) -> list:
     Each block of rows is read once.  In a list, an event inside the one
     before it (``_inside``) is found among that event's rows, so a list of
     nested windows evaluates its variable and ``rv`` once per block, on the
-    rows of its first window; any other event tests its own membership on
-    the block.  Each event's ``_stats`` of a block merge in block order
-    (``_merge``), so counts equal the full stream's, and the mean and M2
-    equal it up to summation order.  The blocks are read on the pass's
-    worker threads, where no public method of a space runs.
+    rows of its first window, and an event inside an empty one is empty at
+    once; any other event tests its own membership on the block.  Each
+    event's ``_stats`` of a block merge in block order (``_merge``), so
+    counts equal the full stream's, and the mean and M2 equal it up to
+    summation order.  The blocks are read on the pass's worker threads,
+    where no public method of a space runs.
     """
     def read(frame) -> list:
         block, out = _Block(frame), []
@@ -887,8 +888,11 @@ def _fold(sampler: "Sampler", rv: RandomVariable | None, families) -> list:
                 if event is None:
                     v, x = None, block.values_of(rv)
                 elif prev is not None and _inside(event, prev[0]):
-                    keep = np.flatnonzero(_interval_mask(prev[1], event.pieces))
-                    v, x = prev[1].take(keep), prev[2].take(keep)
+                    if prev[1].size:
+                        keep = np.flatnonzero(_interval_mask(prev[1], event.pieces))
+                        v, x = prev[1].take(keep), prev[2].take(keep)
+                    else:  # inside an empty window, so empty too
+                        v, x = prev[1], prev[2]
                 else:
                     rows = np.flatnonzero(block.indicator(event))
                     v = block.values_of(event.rv)[rows] if event.kind == "intervals" else None

@@ -12,7 +12,9 @@ windows and non-contracting tails get their own verdicts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -63,7 +65,12 @@ class Schedule:
         return [e0 * 0.5**k for k in range(self.depth)]
 
 
-@dataclass(frozen=True)
+_DEFAULT_SCHEDULE = Schedule()
+
+
+# not frozen: a frozen dataclass sets each field through object.__setattr__,
+# and a grid trace builds about ten of these per target
+@dataclass(slots=True)
 class WindowStep:
     eps: float
     estimate: float
@@ -88,7 +95,8 @@ class WindowTrace:
 
     def __post_init__(self):
         eps = [s.eps for s in self.steps]
-        if any(e <= 0 for e in eps) or any(nxt >= prv for prv, nxt in zip(eps[:-1], eps[1:])):
+        # any eps <= 0, or any next eps >= the one before it
+        if any(map(operator.le, eps, repeat(0))) or any(map(operator.ge, eps[1:], eps)):
             raise ValueError("window schedule must be strictly decreasing and positive")
         if self.verdict == CONVERGED and len(self.steps) >= 2:
             d = abs(self.steps[-1].estimate - self.steps[-2].estimate)
@@ -117,34 +125,33 @@ class WindowTrace:
         }
 
 
-def _assess(steps, tol):
-    """(effective tol, bound label) when the last two steps agree within it, else None."""
-    last = steps[-1]
+def _assess(prev, last, tol):
+    """(effective tol, bound label) when the steps ``prev`` and ``last`` agree
+    within it, else None."""
     eff, bound = tol, "difference"
     if last.n is not None and 3.0 * last.se > tol:
         eff, bound = 3.0 * last.se, "statistical"
-    return (eff, bound) if abs(last.estimate - steps[-2].estimate) <= eff else None
+    return (eff, bound) if abs(last.estimate - prev.estimate) <= eff else None
 
 
 def _extrapolate(steps):
     """Richardson step from the last two estimates at stable empirical order."""
+    last = steps[-1].estimate
     if len(steps) < 4:
-        return steps[-1].estimate, False
-    e = [s.estimate for s in steps[-4:]]
-    eps = [s.eps for s in steps[-4:]]
-    d = [e[i + 1] - e[i] for i in range(3)]
-    if any(x == 0.0 for x in d) or d[1] * d[2] < 0:
-        return steps[-1].estimate, False
-    r_ab = eps[1] / eps[2]
-    r_bc = eps[2] / eps[3]
+        return last, False
+    a, b, c, e = steps[-4:]
+    d0, d1, d2 = b.estimate - a.estimate, c.estimate - b.estimate, last - c.estimate
+    if d0 == 0.0 or d1 == 0.0 or d2 == 0.0 or d1 * d2 < 0:
+        return last, False
+    r_ab, r_bc = b.eps / c.eps, c.eps / e.eps
     try:
-        p_ab = math.log(abs(d[0] / d[1])) / math.log(r_ab)
-        p_bc = math.log(abs(d[1] / d[2])) / math.log(r_bc)
+        p_ab = math.log(abs(d0 / d1)) / math.log(r_ab)
+        p_bc = math.log(abs(d1 / d2)) / math.log(r_bc)
     except (ValueError, ZeroDivisionError):
-        return steps[-1].estimate, False
+        return last, False
     if abs(p_ab - p_bc) > ORDER_STABILITY or not (ORDER_RANGE[0] <= p_bc <= ORDER_RANGE[1]):
-        return steps[-1].estimate, False
-    return quad.richardson_limit(steps[-2].estimate, steps[-1].estimate, r_bc, p_bc), True
+        return last, False
+    return quad.richardson_limit(c.estimate, last, r_bc, p_bc), True
 
 
 # family -> (y, eps) -> the ends (lo, hi) of its open window around y;
@@ -156,7 +163,7 @@ WINDOW_FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Windows:
     """One family's windows around ``y`` along a schedule.
 
@@ -196,12 +203,13 @@ def _steps(space, X: RandomVariable, pairs):
             yield WindowStep(float(eps), r.value, r.se, r.n, r.prob), r.degenerate, event
         return
     k = space.axes.index(pairs.Y.coord)
-    lo, hi = WINDOW_FAMILIES[pairs.family](pairs.y, np.array(pairs.epsilons, dtype=float))
+    epsilons = np.array(pairs.epsilons, dtype=float)
+    lo, hi = WINDOW_FAMILIES[pairs.family](pairs.y, epsilons)
     try:
         rows, failure = window_moments(space, X, k, lo, hi).tolist(), None
     except CondpointError as exc:
         rows, failure = [(p, None) for p, _ in window_moments(space, None, k, lo, hi).tolist()], exc
-    for eps, (p, moment) in zip(map(float, pairs.epsilons), rows):
+    for eps, (p, moment) in zip(epsilons.tolist(), rows):
         if is_null(space, p):
             yield WindowStep(eps, 0.0, 0.0, None, p), True, pairs.event(eps)
             continue
@@ -238,11 +246,11 @@ def shrink_trace(space, X: RandomVariable, pairs, tol: float = DEFAULT_TOL,
                 if degenerate else
                 f"window {event.name!r} holds {step.n} samples, below n_min={N_MIN}")
         steps.append(step)
-        if stop_early and len(steps) >= 2 and _assess(steps, tol):
+        if stop_early and len(steps) >= 2 and _assess(steps[-2], step, tol):
             break
     if not steps:
         raise NonApproachablePoint(f"no adequate window at target {target!r}")
-    agreed = _assess(steps, tol) if len(steps) >= 2 else None
+    agreed = _assess(steps[-2], steps[-1], tol) if len(steps) >= 2 else None
     eff_tol, bound = agreed or (tol, None)
     if agreed:
         verdict = CONVERGED
@@ -296,7 +304,7 @@ def window_estimate(space, X: RandomVariable, Y: RandomVariable, y: float,
         raise ValueError(f"unknown window family {family!r}")
     if not math.isfinite(y):
         raise NonApproachablePoint(f"target {y!r} is not a finite number")
-    schedule = schedule or Schedule()
+    schedule = schedule or _DEFAULT_SCHEDULE
     rng, pitch = _conditioning_geometry(space, Y)
     default_eps0 = None
     if schedule.eps0 is None:

@@ -974,6 +974,37 @@ def test_a_scenario_name_or_out_that_is_no_plain_file_name_writes_nothing(tmp_pa
                              f"got {value!r}"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("out_base", "../escaped"), ("name", "../escaped"), ("out_base", "sub/dir"),
+    ("name", "back\\slash"), ("out_base", "."), ("name", ".."),
+])
+def test_run_of_a_scenario_edited_in_code_writes_nothing_outside_outdir(tmp_path, monkeypatch,
+                                                                        field, value):
+    # a Scenario built or edited in code skips load_scenario's check of its
+    # name; cli.run checks the artifact basename where it joins it to outdir
+    scn = load_scenario(SCENARIO_DIR / "dice-partition.json")
+    setattr(scn, field, value)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError) as exc:
+        cli.run(scn, "a/out")
+    what = "scenario out" if field == "out_base" else "scenario name"
+    assert str(exc.value) == f"{what} must be a plain file name, got {value!r}"
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_an_inline_out_whose_stem_is_no_file_name_names_out(tmp_path, capsys, monkeypatch):
+    # the scenario name of an inline subcommand is the stem of --out, which
+    # the user gave; the error names --out, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["window", "--space", str(SCENARIO_DIR / "spaces" / "bivariate-05.json"),
+                   "--x", "Z", "--y", "Y", "--at", "0.5", "--out", ".."])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError",
+                   "message": "--out stem must be a plain file name, got '..'"}
+    assert list(tmp_path.rglob("*")) == []
+
+
 @pytest.mark.parametrize("doc, error", [
     ({"tolerance": 1e-3, "params": {"x": "Z", "y": "Y", "at": 0.5}},
      "unknown scenario key 'tolerance'"),

@@ -3,6 +3,7 @@ import pytest
 
 import condpoint as cp
 from condpoint import density, spaces
+from condpoint import quadrature as quad
 from condpoint.config import load_space
 from condpoint.errors import NullMarginal, OutOfRectangle
 
@@ -173,3 +174,41 @@ def test_ratio_route_reads_the_window_paths_marginals(monkeypatch):
         assert abs(value - cp.conditional_density(joint, y).expectation()) <= 1e-13, y
         assert abs(cp.marginal(joint, y) - cp.conditional_density(joint, y).marginal_value) \
             <= 1e-13 * cp.marginal(joint, 0.0)
+
+
+def _two_lookup_ratio(joint, y):
+    """The ratio route as two ``interp_at`` calls, each finding y's cell on
+    its own: the mass marginal, checked against the floor, then that of z*f."""
+    t = density._inside(joint, y)
+    fy = quad.interp_at(joint.grid[1], spaces._grid_marginal(joint, None, 1)[0][:, 1], t)
+    if fy < density.DENSITY_FLOOR:
+        raise NullMarginal(f"marginal at y={y!r} is {fy!r}, below the floor "
+                           f"{density.DENSITY_FLOOR!r}")
+    z = cp.coordinate(joint.axes[0])
+    return quad.interp_at(joint.grid[1], spaces._grid_marginal(joint, z, 1)[0][:, 1], t) / fy
+
+
+def _outcome(route, joint, y):
+    """(kind, text): ("value", its repr), or the error's type name and message."""
+    try:
+        return "value", repr(route(joint, y))
+    except (NullMarginal, OutOfRectangle) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_ratio_route_equals_two_interpolations_bit_for_bit(bivariate, uniform_square):
+    # one cell lookup reads both marginals as two interp_at calls read them,
+    # by repr: at nodes, between nodes, at both ends of the range, off it
+    # (OutOfRectangle) and below the marginal floor (NullMarginal)
+    seen = set()
+    for joint in (bivariate(0.5), uniform_square):
+        nodes = joint.grid[1]
+        (c, d), pitch = joint.ranges[1], joint.pitches[1]
+        rng = np.random.default_rng(20260811)
+        ys = [c, d, *nodes[[1, 2, len(nodes) // 2, -2]], c + 0.5 * pitch, d - 0.3 * pitch,
+              *rng.uniform(c, d, 40), c - 1e-9, d + 1e-9, c - 1.0, 7.9, -7.9]
+        for y in ys:
+            want = _outcome(_two_lookup_ratio, joint, y)
+            assert _outcome(cp.conditional_expectation_via_density, joint, y) == want, y
+            seen.add(want[0])
+    assert seen == {"value", "NullMarginal", "OutOfRectangle"}

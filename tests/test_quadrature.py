@@ -149,3 +149,16 @@ def test_kernel_on_two_columns_matches_random_windows():
     hi = lo + rng.uniform(-0.5, 2.0, 200)
     lo[:20] = rng.choice(NODES, 20)  # node ties
     _assert_columns_match_1d_calls(NODES, [VALUES, np.cos(NODES) * VALUES], lo, hi)
+
+
+@pytest.mark.parametrize("nodes", [[0.0, 1.0, 2.0, 3.0, 4.0], [-0.0, 1.0, 2.0, 3.0, 4.0],
+                                   [-4.0, -3.0, -2.0, -1.0, 0.0], [-4.0, -3.0, -2.0, -1.0, -0.0]],
+                         ids=["first-0", "first-minus-0", "last-0", "last-minus-0"])
+def test_kernel_clamps_a_signed_zero_end_as_the_oracle(nodes):
+    # an end of -0.0 at a first or last node of 0.0 (or 0.0 at -0.0) clamps
+    # to the node's sign, where the oracle keeps the end's; the integral is
+    # the oracle's either way, on -0.0 node values too
+    lo = [-0.0, 0.0, -0.0, 0.0, -1.0, -0.0, 0.0, -3.5, -0.0]
+    hi = [1.3, 1.3, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0, 4.0]
+    for values in (SIGNED_ZERO, SIGNED_ZERO[::-1], [-0.0] * 5, [0.0, -0.0, 1.0, -0.0, -0.0]):
+        _assert_matches_oracle(*_case(nodes, values), lo, hi)

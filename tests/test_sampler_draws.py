@@ -193,6 +193,26 @@ def test_streamed_windows_equal_full_stream_cond(family, kind, block):
         assert [got.n for got in answers[0]] == [N, N]
 
 
+@pytest.mark.parametrize("rows", [spaces.DRAW_BLOCK, 1 << 12], ids=["default-blocks", "4096-row-blocks"])
+def test_a_deep_window_empty_in_some_blocks_equals_full_stream_cond(rows, monkeypatch):
+    # the deepest windows hold a few rows of the stream: each is empty in
+    # some blocks and not in others, so a window nested in an empty one is
+    # empty at once in some blocks and read from its hull's rows in others
+    monkeypatch.setattr(spaces, "DRAW_BLOCK", rows)
+    y, z = cp.coordinate("y"), cp.coordinate("z")
+    events = [cp.Event.window(y, 0.0, e) for e in (0.4, 1e-3, 1e-4, 1e-5, 3e-6)]
+    stream, full = _sampler("standard-normal-pair"), _sampler("standard-normal-pair")
+    ys = full.columns()["y"]
+    counts = [np.count_nonzero(np.abs(ys[a:a + rows]) < 1e-5) for a in range(0, N, rows)]
+    assert 0 in counts and any(counts)
+    got, = stream.cond_each(z, [events])
+    for event, answer in zip(events, got):
+        want = full_stream_cond(full, z, event)
+        assert (answer.n, answer.prob, answer.degenerate) == (want.n, want.prob, want.degenerate)
+        assert math.isclose(answer.value, want.value, rel_tol=ROUNDOFF), event.name
+        assert math.isclose(answer.se, want.se, rel_tol=ROUNDOFF), event.name
+
+
 def test_a_stored_answer_belongs_to_its_variable_and_event():
     y = cp.coordinate("y")
     z = cp.coordinate("z")
