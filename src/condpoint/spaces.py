@@ -751,13 +751,17 @@ def _pass(sampler: "Sampler", read: Callable):
     pass that keeps no rows.
 
     Block i (DRAW_BLOCK rows, the last one shorter) is drawn whole by its
-    family's one draw from its own PCG64 generator of the seed and the
+    family's one draw from its own SFC64 generator of the seed and the
     spawn key ``spawn + (_BLOCK_KEY, i)``; so no block depends on another,
     each row takes one draw per column, and the pass splits its blocks over
     DRAW_THREADS worker threads.  ``read`` runs on the worker, into whose
     reused buffers the frame is drawn, and must copy what it keeps.  The
     answers still come in block order, so a fold of them is a one-thread
     pass's, bit for bit.
+
+    SFC64 is numpy's fastest bit generator under the ziggurat normal draw
+    that bounds a pass: 6.0 ns a normal on one core against PCG64's 7.3
+    (ROADMAP, "Measured and rejected designs").
     """
     draw, n, params = DRAW_FAMILIES[sampler.family], int(sampler.budget), sampler.params
     block = DRAW_BLOCK
@@ -768,8 +772,8 @@ def _pass(sampler: "Sampler", read: Callable):
     def drawn(i: int):
         if not hasattr(worker, "bufs"):
             worker.bufs = np.empty((2, min(block, n)))
-        rng = np.random.default_rng(np.random.SeedSequence(
-            sampler.seed, spawn_key=sampler.spawn + (_BLOCK_KEY, i)))
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+            sampler.seed, spawn_key=sampler.spawn + (_BLOCK_KEY, i))))
         return read(draw(rng, worker.bufs[:, :min(block, n - i * block)], params))
 
     # imported here: it would add 2.5 ms to every `import condpoint`
@@ -913,7 +917,7 @@ class Sampler:
     """Seeded Monte Carlo space over named sample columns.
 
     Rows come from ``DRAW_FAMILIES[family]``, block by block, each block
-    from its own PCG64 generator keyed by the seed, the spawn key and the
+    from its own SFC64 generator keyed by the seed, the spawn key and the
     block's index (``_pass``); the same seed always yields the identical
     sample, and ``substream(i)`` derives an independent child stream.  To add
     a model, register its one ``draw(rng, out, params)`` there.  A family's

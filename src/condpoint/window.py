@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
@@ -27,6 +28,7 @@ from .spaces import (
     cond_expectation_event,
     is_null,
     std,
+    whole_number,
     window_moments,
 )
 from . import quadrature as quad
@@ -41,11 +43,15 @@ DEFAULT_TOL = 1e-6
 N_MIN = 100
 ORDER_STABILITY = 0.4
 ORDER_RANGE = (0.2, 8.0)
+# Deepest schedule: 0.5**k is positive for k < MAX_DEPTH and 0.0 from there
+# (below the smallest subnormal double), so no deeper window can be positive.
+MAX_DEPTH = 1 - (sys.float_info.min_exp - sys.float_info.mant_dig)
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Halving shrink schedule eps_k = eps0 * 2^-k, k < depth.
+    """Halving shrink schedule eps_k = eps0 * 2^-k, k < depth, an integer
+    in [2, MAX_DEPTH].
 
     With eps0 unset, one standard deviation of the conditioning variable is
     used.  Geometric shrinkage keeps the Richardson step well-posed.
@@ -55,8 +61,7 @@ class Schedule:
     depth: int = 20
 
     def __post_init__(self):
-        if self.depth < 2:
-            raise ValueError("depth must be at least 2")
+        whole_number(self.depth, "depth", 2, end=MAX_DEPTH + 1)
         if self.eps0 is not None and not 0.0 < self.eps0 < math.inf:  # NaN fails too
             raise ValueError("eps0 must be positive and finite")
 

@@ -511,6 +511,13 @@ SAMPLER_BUDGET_0 = {"schema_version": 1, "kind": "sampler", "seed": 1, "budget":
      "window grid n"),
     ("window", "bivariate-05.json", {"x": "Z", "y": "Y", "at": 0, "schedule": {"depth": 1}},
      None, "window schedule"),
+    # a depth past the deepest positive window, and a fraction, stop at the
+    # config: neither builds a schedule
+    ("window", "bivariate-05.json",
+     {"x": "Z", "y": "Y", "at": 0, "schedule": {"depth": 1000000000}}, None,
+     "window schedule: depth must be an integer in [2, 1076)"),
+    ("window", "bivariate-05.json", {"x": "Z", "y": "Y", "at": 0, "schedule": {"depth": 2.5}},
+     None, "window schedule depth must be an integer"),
     ("partition", "dice.json", {"x": "X", "partition": "halves"}, "abc", "scenario tol"),
     ("partition", "dice.json", {"partition": "halves"}, None, "partition x"),
     ("factorize", "coin-pair.json", {"g": "sum", "y": "first", "levels": 1}, None,

@@ -68,8 +68,8 @@ def _sampler(family):
 
 
 def _block_rng(seed, spawn, i):
-    return np.random.default_rng(np.random.SeedSequence(
-        seed, spawn_key=spawn + (spaces._BLOCK_KEY, i)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        seed, spawn_key=spawn + (spaces._BLOCK_KEY, i))))
 
 
 def _keyed(draw, seed=SEED, spawn=(3,), n=N):

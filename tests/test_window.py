@@ -11,7 +11,7 @@ import condpoint as cp
 from condpoint import quadrature as quad
 from condpoint.config import load_space
 from condpoint.errors import InsufficientTrace, NonApproachablePoint, NonIntegrable
-from condpoint.window import CONVERGED, N_MIN, STARVED, WindowStep, shrink_trace
+from condpoint.window import CONVERGED, MAX_DEPTH, N_MIN, STARVED, WindowStep, shrink_trace
 
 import oracles
 from conftest import SCENARIO_DIR, full_stream_cond
@@ -40,6 +40,20 @@ def test_gaussian_window_steps_match_finite_eps_oracle(gaussian_sum_grid):
                             schedule=sch, tol=1e-12, stop_early=False)
     for step in tr.steps:
         assert abs(step.estimate - ORACLE_WINDOW_AT_2[step.eps]) <= 5e-5
+
+
+@pytest.mark.parametrize("depth", [1, 2.5, True, "3", None, MAX_DEPTH + 1, 10**9])
+def test_schedule_rejects_bad_depth_at_construction(depth):
+    # refused when the schedule is built, not when a trace uses it: a
+    # fraction fails in range(), a huge depth builds that many windows, and
+    # MAX_DEPTH + 1 ends in a 0.0 window
+    with pytest.raises(ValueError, match=r"^depth must be an integer in \[2, 1076\)"):
+        cp.Schedule(eps0=1.0, depth=depth)
+
+
+def test_schedule_deepest_window_is_positive():
+    eps = cp.Schedule(eps0=1.0, depth=MAX_DEPTH).epsilons(None)
+    assert len(eps) == MAX_DEPTH and eps[-1] > 0.0 and eps[-1] * 0.5 == 0.0
 
 
 def test_gaussian_posterior_window_sampler(gaussian_sum_sampler):
@@ -210,14 +224,20 @@ def test_grid_window_requires_coordinate(gaussian_sum_grid):
 
 
 def test_sampler_starvation():
+    # |Y - 2|'s window means at y = 2 halve at every step, several standard
+    # errors apart, so no step difference meets 3 se before a window holds
+    # fewer than N_MIN rows, whatever the stream; E[X | window] could settle
+    # first on some seeds
+    dist = cp.RandomVariable("|y-2|", lambda frame: np.abs(frame["y"] - 2.0))
+
     def space(budget):
         return cp.Sampler("gaussian-sum", {"var_x": 1.0, "var_noise": 1.0},
                           seed=5, budget=budget)
-    tr = cp.window_estimate(space(1000), X_COORD, Y_COORD, 2.0, tol=1e-15)
+    tr = cp.window_estimate(space(1000), dist, Y_COORD, 2.0, tol=1e-15)
     assert tr.verdict == STARVED
     assert all(s.n >= N_MIN for s in tr.steps)
     with pytest.raises(NonApproachablePoint, match=f"below n_min={N_MIN}$"):
-        cp.window_estimate(space(200), X_COORD, Y_COORD, 2.0)  # first window already starved
+        cp.window_estimate(space(200), dist, Y_COORD, 2.0)  # first window already starved
 
 
 def test_sampler_trace_determinism(gaussian_sum_sampler):
