@@ -27,6 +27,7 @@ from .spaces import (
     DiscreteAtoms,
     Event,
     FAMILY_PARAMS,
+    MAX_BUDGET,
     RandomVariable,
     Sampler,
     coordinate,
@@ -37,6 +38,16 @@ from .spaces import (
 from .window import DEFAULT_TOL, Schedule
 
 SCHEMA_VERSION = 1
+
+# The most nodes of a config grid over all its axes.  A grid holds its
+# density as one float a node, and a query on a variable that is not an axis
+# builds more grid-sized arrays: 128 MiB each at 2^24 nodes, 11.6 times the
+# shipped 1201^2 grid.
+MAX_GRID_NODES = 1 << 24
+# The most targets of a window table (``grid: [a, b, n]``, ``--grid a:b:n``):
+# each runs its own trace, about 21 ms on the shipped 1M-row sampler, and
+# the table keeps every trace in memory and in its artifact.
+MAX_TABLE_NODES = 10_000
 
 _EXPR_NAMES = {
     "abs": np.abs, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
@@ -65,7 +76,8 @@ def _compile_expression(name: str, expr: str):
 
     Allowed: names, numeric constants, arithmetic, unary and comparison
     operators, subscripts of 'omega', and calls to the functions of
-    ``_EXPR_NAMES``.  Anything else raises ConfigError.
+    ``_EXPR_NAMES``; a power must hold a name.  Anything else raises
+    ConfigError.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -82,6 +94,11 @@ def _compile_expression(name: str, expr: str):
         elif isinstance(node, ast.Subscript) and not (
                 isinstance(node.value, ast.Name) and node.value.id == "omega"):
             why = "only 'omega' may be subscripted"
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and not any(
+                isinstance(n, ast.Name) for n in ast.walk(node)):
+            # Python would raise an integer to an integer power, at any size,
+            # on every evaluation
+            why = f"{ast.unparse(node)!r} is a power of constants; write its value"
         else:
             continue
         raise ConfigError(f"variable {name!r}: expression {expr!r} rejected: {why}")
@@ -237,11 +254,11 @@ def _as_finite(value, what: str, low: float | None = None, strict: bool = False,
         raise ConfigError(str(exc)) from exc
 
 
-def _as_count(value, what: str, low: int = 1) -> int:
-    """``spaces.whole_number`` >= ``low`` of ``_as_int``, raising ConfigError
-    that names the field."""
+def _as_count(value, what: str, low: int = 1, end: int | None = None) -> int:
+    """``spaces.whole_number`` >= ``low`` (and below ``end``) of ``_as_int``,
+    raising ConfigError that names the field."""
     try:
-        return whole_number(_as_int(value, what), what, low)
+        return whole_number(_as_int(value, what), what, low, end)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -298,6 +315,9 @@ def build_space(cfg: dict):
                           if "ranges" in cfg else None)
                 nodes = _as_pair(cfg.get("nodes", [801, 801]), "grid2d nodes", _as_int)
                 axes = _as_pair(cfg.get("axes", ["z", "y"]), "grid2d axes", lambda v, _: v)
+            if math.prod(nodes) > MAX_GRID_NODES:  # before any node is filled
+                raise ConfigError(f"{kind} nodes must number at most {MAX_GRID_NODES} "
+                                  f"in all, got {list(nodes)}")
             ranges, values = _grid_density(density, f"{kind} density", ranges, nodes)
             return (DensityGrid1D(axes[0], *ranges[0], values, quad_tol) if kind == "grid1d"
                     else DensityGrid2D(axes, ranges, values, quad_tol))
@@ -434,11 +454,12 @@ _as_object = _of_type(dict, "an object")
 
 
 def _as_grid(value, what: str) -> list:
-    """``[a, b, n]``: two bounds and a node count n >= 1."""
+    """``[a, b, n]``: two bounds and a node count n in [1, MAX_TABLE_NODES]."""
     grid = _as_list(value, what)
     if len(grid) != 3:
         raise ConfigError(f"{what} must be [a, b, n], got {value!r}")
-    return [_as_finite(grid[0], what), _as_finite(grid[1], what), _as_count(grid[2], f"{what} n")]
+    return [_as_finite(grid[0], what), _as_finite(grid[1], what),
+            _as_count(grid[2], f"{what} n", end=MAX_TABLE_NODES + 1)]
 
 
 def _as_schedule(value, what: str) -> Schedule:
@@ -455,7 +476,8 @@ def _as_schedule(value, what: str) -> Schedule:
 
 
 # The type of each task param that is not a name (a string)
-_PARAM_TYPES = {"at": _as_finite, "budget": _as_count,
+_PARAM_TYPES = {"at": _as_finite,
+                "budget": lambda value, what: _as_count(value, what, end=MAX_BUDGET + 1),
                 "band": lambda value, what: _as_finite(value, what, 0.0, strict=True),
                 "control": _of_type(bool, "true or false"), "grid": _as_grid,
                 "levels": lambda value, what: [_as_finite(v, what) for v in _as_list(value, what)],

@@ -18,10 +18,8 @@ import numpy as np
 
 from .errors import InvalidPartition, UnsupportedQuery, ZeroEvidence
 from .spaces import (
-    DiscreteAtoms,
     Event,
     RandomVariable,
-    Sampler,
     _combination,
     _same_variable,
     cond_expectation_event,
@@ -209,16 +207,12 @@ def verify_cond_exp(space, X: RandomVariable, candidate: RandomVariable,
     unions of generators only, not outside every generator, from one residual
     r_g = E[1_g (X - Z)] each: the worst union joins the generators of the
     sign whose fsum is larger in size (positive on a tie; all if every r_g is
-    0).  Failures are report entries, never exceptions.
-
-    Identity tolerance: 1e-12 on atoms, 1e-10 on samplers (the identity holds
-    exactly for the empirical measure), 1e-6 on grids where a discontinuous
-    candidate is smeared by interpolation near cell cuts.
+    0), within the space kind's ``identity_tol``.  Failures are report
+    entries, never exceptions.
     """
     gens = list(generating_events)
     _require_disjoint(space, gens, UnsupportedQuery, "generators")
-    identity_tol = (1e-12 if isinstance(space, DiscreteAtoms)
-                    else 1e-10 if isinstance(space, Sampler) else 1e-6)
+    identity_tol = space.identity_tol
     entries = []
     for ev in gens:
         vals = values_on(space, candidate, ev)

@@ -47,9 +47,9 @@ PROB_FLOOR = 1e-12
 
 
 def is_null(space, p: float) -> bool:
-    """Whether the mass ``p`` is null on ``space``: zero, or below ``PROB_FLOOR``
-    off discrete spaces.  Every nullity decision in the package is this one."""
-    return p <= 0.0 or (p < PROB_FLOOR and not isinstance(space, DiscreteAtoms))
+    """Whether the mass ``p`` is null on ``space``: zero, or below its kind's
+    ``null_floor``.  Every nullity decision in the package is this one."""
+    return p <= 0.0 or p < space.null_floor
 
 
 def _fsum(terms) -> float:
@@ -393,6 +393,10 @@ class DiscreteAtoms:
     weights: np.ndarray
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
+    # the mass below which an event is null (``is_null``), and how closely
+    # ``partition.verify_cond_exp``'s identity must hold, per space kind
+    null_floor = 0.0  # exact weights witness nullity: only a zero mass is null
+    identity_tol = 1e-12  # both sides of the identity are fsums of exact weights
 
     def __post_init__(self):
         self.atoms = tuple(self.atoms)
@@ -589,6 +593,8 @@ class DensityGrid:
     quad_tol: float = 1e-8
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
+    null_floor = PROB_FLOOR  # off atoms no float mass witnesses exact nullity
+    identity_tol = 1e-6  # interpolation smears a discontinuous candidate near cell cuts
 
     def __post_init__(self):
         self.axes = tuple(self.axes)
@@ -661,6 +667,10 @@ DRAW_THREADS = 2
 # numpy spells a key entry in 32-bit words; a substream index is one word,
 # below this marker, so no substream's key is a block's key.
 _BLOCK_KEY = 1 << 32
+
+# The largest sampler budget, 2^48 rows: at most _BLOCK_KEY blocks, so every
+# block index is one spawn-key word, as every substream index is.
+MAX_BUDGET = _BLOCK_KEY * DRAW_BLOCK
 
 
 def _standard_normal_pair(rng, out, params):
@@ -877,12 +887,11 @@ def _fold(sampler: "Sampler", rv: RandomVariable | None, families) -> list:
     Each block of rows is read once.  In a list, an event inside the one
     before it (``_inside``) is found among that event's rows, so a list of
     nested windows evaluates its variable and ``rv`` once per block, on the
-    rows of its first window, and an event inside an empty one is empty at
-    once; any other event tests its own membership on the block.  Each
-    event's ``_stats`` of a block merge in block order (``_merge``), so
-    counts equal the full stream's, and the mean and M2 equal it up to
-    summation order.  The blocks are read on the pass's worker threads,
-    where no public method of a space runs.
+    rows of its first window; any other event tests its own membership on
+    the block.  Each event's ``_stats`` of a block merge in block order
+    (``_merge``), so counts equal the full stream's, and the mean and M2
+    equal it up to summation order.  The blocks are read on the pass's
+    worker threads, where no public method of a space runs.
     """
     def read(frame) -> list:
         block, out = _Block(frame), []
@@ -892,11 +901,8 @@ def _fold(sampler: "Sampler", rv: RandomVariable | None, families) -> list:
                 if event is None:
                     v, x = None, block.values_of(rv)
                 elif prev is not None and _inside(event, prev[0]):
-                    if prev[1].size:
-                        keep = np.flatnonzero(_interval_mask(prev[1], event.pieces))
-                        v, x = prev[1].take(keep), prev[2].take(keep)
-                    else:  # inside an empty window, so empty too
-                        v, x = prev[1], prev[2]
+                    keep = np.flatnonzero(_interval_mask(prev[1], event.pieces))
+                    v, x = prev[1].take(keep), prev[2].take(keep)
                 else:
                     rows = np.flatnonzero(block.indicator(event))
                     v = block.values_of(event.rv)[rows] if event.kind == "intervals" else None
@@ -919,10 +925,11 @@ class Sampler:
     Rows come from ``DRAW_FAMILIES[family]``, block by block, each block
     from its own SFC64 generator keyed by the seed, the spawn key and the
     block's index (``_pass``); the same seed always yields the identical
-    sample, and ``substream(i)`` derives an independent child stream.  To add
-    a model, register its one ``draw(rng, out, params)`` there.  A family's
-    parameters missing from ``params`` take their FAMILY_PARAMS defaults,
-    and one outside its range is a ValueError; other keys pass through.
+    sample, and ``substream(i)`` derives an independent child stream.  The
+    budget is a row count in [1, MAX_BUDGET].  To add a model, register its
+    one ``draw(rng, out, params)`` there.  A family's parameters missing
+    from ``params`` take their FAMILY_PARAMS defaults, and one outside its
+    range is a ValueError; other keys pass through.
     Every query (``moment``, ``cond``, ``cond_each``, ``variance``,
     ``values_on``, ``pushforward``) is one streamed pass that keeps no rows,
     so memory does not grow with the budget.  ``columns`` and the
@@ -937,9 +944,13 @@ class Sampler:
     budget: int = 100_000
     spawn: tuple = ()
     _cache: dict = field(default_factory=dict, repr=False)
+    null_floor = PROB_FLOOR  # off atoms no float mass witnesses exact nullity
+    identity_tol = 1e-10  # the identity holds exactly for the empirical measure
 
     def __post_init__(self):
+        # >= 1 first, so a low budget's error names only that; then the cap, as substream's
         whole_number(self.budget, "sampler budget", 1)
+        whole_number(self.budget, "sampler budget", 1, end=MAX_BUDGET + 1)
         whole_number(self.seed, "sampler seed")
         self.spawn = tuple(whole_number(entry, "sampler spawn key entry", end=_BLOCK_KEY)
                            for entry in self.spawn)

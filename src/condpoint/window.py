@@ -117,17 +117,11 @@ class WindowTrace:
         return np.array([s.eps for s in self.steps])
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "window_trace",
-            "target": float(self.target),
-            "value": float(self.value),
-            "extrapolated": self.extrapolated,
-            "verdict": self.verdict,
-            "bound": self.bound,
-            "tol": float(self.tol),
-            "one_sided": self.one_sided,
-            "steps": [asdict(s) for s in self.steps],
-        }
+        """Every field, the steps as dicts, but ``resolution``, which no
+        artifact carries yet."""
+        doc = asdict(self)
+        del doc["resolution"]
+        return {"kind": "window_trace", **doc}
 
 
 def _assess(prev, last, tol):

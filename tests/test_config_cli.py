@@ -1064,3 +1064,69 @@ def test_cli_compare_without_a_comparable_series_exits_2(tmp_path, capsys, kind)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "GridMismatch", "message": message}
+
+
+@pytest.mark.parametrize("expr", ["x + 7**10**7 * 0", "9**9**9", "y ** 10**7", "-2 ** 3"])
+def test_a_power_of_constants_is_rejected_at_load(expr):
+    # Python would raise the integers on every evaluation, at any size:
+    # 7**10**7 took seconds per block of rows; the load fails before any
+    with pytest.raises(ConfigError, match="is a power of constants"):
+        load_space({"schema_version": 1, "kind": "grid1d", "axis": "y",
+                    "density": {"family": "normal"}, "nodes": 101,
+                    "variables": {"bad": {"expr": expr}}})
+
+
+@pytest.mark.parametrize("expr", ["y ** 2", "2 ** y", "e ** y", "y ** -0.5"])
+def test_a_power_that_holds_a_name_loads(expr):
+    v = load_space({"schema_version": 1, "kind": "grid1d", "axis": "y",
+                    "density": {"family": "normal"}, "nodes": 101,
+                    "variables": {"v": {"expr": expr}}}).variable("v")
+    assert v.name == "v"
+
+
+class _Filled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind, nodes", [("grid1d", cp.config.MAX_GRID_NODES),
+                                         ("grid2d", [1 << 12, 1 << 12])])
+def test_a_config_grid_is_bounded_before_its_density_is_filled(monkeypatch, kind, nodes):
+    # the fill is replaced, so neither grid allocates: at the cap the config
+    # reaches the fill, one node more and it stops before it
+    def fill(density, what, ranges, nodes):
+        raise _Filled(nodes)
+
+    monkeypatch.setattr(cp.config, "_grid_density", fill)
+    cfg = {"kind": kind, "density": {"family": "normal" if kind == "grid1d"
+                                     else "bivariate-normal"}, "nodes": nodes}
+    with pytest.raises(_Filled):
+        build_space(cfg)
+    cfg["nodes"] = nodes + 1 if kind == "grid1d" else [nodes[0], nodes[1] + 1]
+    with pytest.raises(ConfigError, match=f"^{kind} nodes must number at most 16777216 in all"):
+        build_space(cfg)
+
+
+def test_a_window_table_count_is_bounded(capsys):
+    top = cp.config.MAX_TABLE_NODES
+    assert cp.config.param_value("grid", [0, 1, top], "window grid") == [0.0, 1.0, top]
+    with pytest.raises(ConfigError, match=r"^window grid n must be an integer in \[1, 10001\)"):
+        cp.config.param_value("grid", [0, 1, top + 1], "window grid")
+    # --grid converts as the flags are parsed, before the space loads
+    assert cli.main(["window", "--space", "no-such-space.json", "--x", "Z", "--y", "Y",
+                     "--grid", f"-2:2:{top + 1}"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_a_sampler_budget_is_bounded_by_one_spawn_key_word_per_block():
+    top = cp.spaces.MAX_BUDGET
+    assert top == 1 << 48
+    # the last block's index at the cap is one spawn-key word, as a substream's is
+    assert (top - 1) // cp.spaces.DRAW_BLOCK < cp.spaces._BLOCK_KEY
+    assert cp.Sampler("standard-normal-pair", seed=1, budget=top).budget == top  # draws nothing
+    with pytest.raises(ValueError, match=r"^sampler budget must be an integer in \[1, "):
+        cp.Sampler("standard-normal-pair", seed=1, budget=top + 1)
+    with pytest.raises(ConfigError, match=r"^sampler budget must be an integer in \[1, "):
+        build_space({"kind": "sampler", "seed": 1, "budget": top + 1})
+    assert cp.config.param_value("budget", top, "paradox budget") == top
+    with pytest.raises(ConfigError, match=r"^paradox budget must be an integer in \[1, "):
+        cp.config.param_value("budget", top + 1, "paradox budget")

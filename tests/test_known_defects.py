@@ -92,6 +92,23 @@ def test_a_jump_point_is_not_a_converged_window_value():
     assert tr.verdict != CONVERGED
 
 
+@_known(23)
+@pytest.mark.parametrize("g, slope", [(np.exp, math.exp(2.0)), (lambda y: y ** 3, 12.0)],
+                         ids=["exp", "cube"])
+def test_a_monotone_map_of_y_does_not_converge_away_from_the_y_value(gaussian_sum_grid, g,
+                                                                     slope):
+    # the shipped 1201^2 gaussian-sum grid, where E[X | Y = 2] = 1, and so
+    # E[X | g(Y) = g(2)] = 1 for a strictly monotone g; g(Y) is no axis, so its
+    # windows take the node-indicator path, and below the y pitch each holds
+    # only the node row nearest y = 2; eps0 is 0.4 g'(2)
+    gy = cp.RandomVariable("g_of_y", lambda f: g(f["y"]))
+    center = float(g(2.0))
+    pairs = [(eps, cp.Event.window(gy, center, eps))
+             for eps in cp.Schedule(eps0=0.4 * slope, depth=10).epsilons(None)]
+    tr = shrink_trace(gaussian_sum_grid, cp.coordinate("x"), pairs, tol=1e-6, target=center)
+    assert tr.verdict != CONVERGED or abs(tr.value - 1.0) <= tr.tol
+
+
 @_known(16)
 def test_verify_accepts_the_exact_partition_candidate_at_a_large_offset():
     # cells of Y cut at -1, 0, 1 on a 200k-row sampler, X = Z + 1e8: the
